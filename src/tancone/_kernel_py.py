@@ -6,28 +6,13 @@ the largest variable, so the homogeneous-lex term order is the plain
 comparison of (degree, exponents).  A polynomial is a dict mapping
 monomials to nonzero coefficients: Fraction over the rationals (p == 0)
 or ints in [1, p) over a prime field.
-
-``tancone._kernel_c`` is the compiled twin of this module; both expose
-the same functions and must stay in lockstep (see test_kernel_parity).
 """
 
 from fractions import Fraction
 
-KERNEL_NAME = "python"
-
 
 def mono_key(m):
     return (sum(m), m)
-
-
-def mono_cmp(a, b):
-    """-1, 0, 1 under degree-first, then lex on the exponent tuple."""
-    da, db = sum(a), sum(b)
-    if da != db:
-        return -1 if da < db else 1
-    if a == b:
-        return 0
-    return -1 if a < b else 1
 
 
 def mono_mul(a, b):

@@ -29,6 +29,8 @@ from .grid import (
     double_multiset,
     is_positive,
     is_upper_chain,
+    json_field,
+    json_int,
 )
 from .indexsets import Index, bruhat_leq, enumerate_indices, star_set
 
@@ -82,15 +84,29 @@ class NotchedBitableau:
 
     @classmethod
     def from_json(cls, data) -> "NotchedBitableau":
-        rows = tuple(
-            Row(
-                p=tuple(int(x) for x in item["P"]),
-                q=tuple(int(x) for x in item["Q"]),
-                sign=NEG if item["sign"] == "neg" else POS,
+        """Inverse of to_json; malformed input raises ValueError."""
+        items = json_field(data, "rows", "a bitableau")
+        if not isinstance(items, list):
+            raise ValueError("bitableau 'rows' must be a JSON list")
+        rows = []
+        for i, item in enumerate(items):
+            what = f"bitableau row {i}"
+            p, q = (
+                _json_entries(json_field(item, k, what), f"{what} {k!r}") for k in "PQ"
             )
-            for item in data["rows"]
-        )
-        return cls(rows=rows)
+            if len(p) != len(q):
+                raise ValueError(f"{what}: 'P' and 'Q' must have equal length")
+            sign = json_field(item, "sign", what)
+            if sign not in ("neg", "pos"):
+                raise ValueError(f"{what}: 'sign' must be 'neg' or 'pos', got {sign!r}")
+            rows.append(Row(p=p, q=q, sign=NEG if sign == "neg" else POS))
+        return cls(rows=tuple(rows))
+
+
+def _json_entries(value, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a JSON list of integers")
+    return tuple(json_int(x, what) for x in value)
 
 
 EMPTY = NotchedBitableau(rows=())

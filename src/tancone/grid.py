@@ -51,7 +51,7 @@ def upper_points(beta: Index, d: int) -> tuple[Point, ...]:
 
 
 def region_of(p: Point, d: int) -> str:
-    """Total, exclusive classification used by the CLI."""
+    """Total, exclusive classification of a grid point into five regions."""
     if not is_upper(p, d):
         return "lower"
     if is_diagonal(p, d):
@@ -243,12 +243,38 @@ def multiset_to_json(m: Multiset) -> list[dict]:
     ]
 
 
+def json_field(obj, key: str, what: str):
+    """``obj[key]`` of a parsed JSON object; ValueError naming the key."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{what} is missing key {key!r}")
+    return obj[key]
+
+
+def json_int(value, what: str) -> int:
+    """``value`` as an int; ValueError naming ``what`` when it is not one."""
+    try:
+        return int(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 def multiset_from_json(items) -> Multiset:
+    """Inverse of multiset_to_json; malformed input raises ValueError."""
+    if not isinstance(items, list):
+        raise ValueError(
+            f"a multiset must be a JSON list of {{r, c, mult}} objects, "
+            f"got {type(items).__name__}"
+        )
     out: Multiset = {}
-    for it in items:
-        p = (int(it["r"]), int(it["c"]))
-        k = int(it["mult"])
+    for i, it in enumerate(items):
+        what = f"multiset entry {i}"
+        r, c, k = (
+            json_int(json_field(it, key, what), f"{what} {key!r}")
+            for key in ("r", "c", "mult")
+        )
         if k <= 0:
             raise ValueError("multiplicities must be positive")
-        out[p] = out.get(p, 0) + k
+        out[(r, c)] = out.get((r, c), 0) + k
     return out

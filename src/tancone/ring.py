@@ -14,7 +14,20 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from . import kernel as _kernel_mod
+from ._kernel_py import (
+    leading_monomial,
+    make_monic,
+    mono_divides,
+    mono_key,
+    mono_lcm,
+    mono_mul,
+    poly_add,
+    poly_mul,
+    poly_scale,
+    poly_sub,
+    spoly,
+)
+from ._kernel_py import normal_form as _reduce_terms
 from .grid import Point, upper_points
 from .indexsets import Index
 
@@ -31,7 +44,7 @@ class PolyRing:
     ``p`` = 0 means rational coefficients, otherwise a prime field.
     """
 
-    def __init__(self, variables, p: int = 0, kernel=None):
+    def __init__(self, variables, p: int = 0):
         self.variables = tuple(variables)
         self.index = {v: i for i, v in enumerate(self.variables)}
         if len(self.index) != len(self.variables):
@@ -39,15 +52,12 @@ class PolyRing:
         if p < 0 or p == 1:
             raise ValueError("characteristic must be 0 or a prime")
         self.p = p
-        self.kernel = kernel if kernel is not None else _kernel_mod.active
         self.nvars = len(self.variables)
         self._zero_mono = (0,) * self.nvars
 
     @classmethod
-    def for_patch(cls, beta: Index, d: int, p: int = 0, kernel=None) -> "PolyRing":
-        return cls(
-            sorted(upper_points(beta, d), key=variable_sort_key), p=p, kernel=kernel
-        )
+    def for_patch(cls, beta: Index, d: int, p: int = 0) -> "PolyRing":
+        return cls(sorted(upper_points(beta, d), key=variable_sort_key), p=p)
 
     # -- coefficient helpers ------------------------------------------------
 
@@ -102,9 +112,8 @@ class PolyRing:
     def format_poly(self, poly: "Poly") -> str:
         if not poly.terms:
             return "0"
-        k = self.kernel
         chunks = []
-        for m in sorted(poly.terms, key=k.mono_key, reverse=True):
+        for m in sorted(poly.terms, key=mono_key, reverse=True):
             c = poly.terms[m]
             mono = self.format_monomial(m)
             if c == 1 and mono != "1":
@@ -158,21 +167,14 @@ class Poly:
         return hash((self.ring, frozenset(self.terms.items())))
 
     def __add__(self, other):
-        return Poly(
-            self.ring, self.ring.kernel.poly_add(self.terms, other.terms, self.ring.p)
-        )
+        return Poly(self.ring, poly_add(self.terms, other.terms, self.ring.p))
 
     def __sub__(self, other):
-        return Poly(
-            self.ring, self.ring.kernel.poly_sub(self.terms, other.terms, self.ring.p)
-        )
+        return Poly(self.ring, poly_sub(self.terms, other.terms, self.ring.p))
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return Poly(
-                self.ring,
-                self.ring.kernel.poly_mul(self.terms, other.terms, self.ring.p),
-            )
+            return Poly(self.ring, poly_mul(self.terms, other.terms, self.ring.p))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -181,10 +183,7 @@ class Poly:
         return self.scale(-1)
 
     def scale(self, c):
-        return Poly(
-            self.ring,
-            self.ring.kernel.poly_scale(self.terms, self.ring.coeff(c), self.ring.p),
-        )
+        return Poly(self.ring, poly_scale(self.terms, self.ring.coeff(c), self.ring.p))
 
     def degree(self) -> int:
         if not self.terms:
@@ -196,7 +195,7 @@ class Poly:
         return len(degs) <= 1
 
     def leading_monomial(self):
-        return self.ring.kernel.leading_monomial(self.terms)
+        return leading_monomial(self.terms)
 
     def initial_term(self):
         """(monomial, coefficient) of the order-largest term."""
@@ -204,7 +203,7 @@ class Poly:
         return lm, self.terms[lm]
 
     def monic(self) -> "Poly":
-        return Poly(self.ring, self.ring.kernel.make_monic(self.terms, self.ring.p))
+        return Poly(self.ring, make_monic(self.terms, self.ring.p))
 
     def __repr__(self):
         return self.ring.format_poly(self)
@@ -228,7 +227,7 @@ def normal_form(f: Poly, divisors) -> Poly:
     """Deterministic remainder of f modulo a list of polynomials."""
     ring = f.ring
     basis = _sorted_basis(divisors)
-    return Poly(ring, ring.kernel.normal_form(f.terms, basis, ring.p))
+    return Poly(ring, _reduce_terms(f.terms, basis, ring.p))
 
 
 def reduced_groebner(gens) -> list[Poly]:
@@ -242,10 +241,9 @@ def reduced_groebner(gens) -> list[Poly]:
     if not gens:
         return []
     ring = gens[0].ring
-    k = ring.kernel
 
     basis: list[Poly] = []
-    for g in sorted(gens, key=lambda h: k.mono_key(h.leading_monomial())):
+    for g in sorted(gens, key=lambda h: mono_key(h.leading_monomial())):
         r = normal_form(g, basis)
         if r.terms:
             basis.append(r.monic())
@@ -253,36 +251,36 @@ def reduced_groebner(gens) -> list[Poly]:
     pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
     while pairs:
         lcm_of = {
-            (i, j): k.mono_lcm(
+            (i, j): mono_lcm(
                 basis[i].leading_monomial(), basis[j].leading_monomial()
             )
             for (i, j) in pairs
         }
-        i, j = min(pairs, key=lambda ij: (k.mono_key(lcm_of[ij]), ij))
+        i, j = min(pairs, key=lambda ij: (mono_key(lcm_of[ij]), ij))
         pairs.remove((i, j))
         lmi = basis[i].leading_monomial()
         lmj = basis[j].leading_monomial()
-        if lcm_of[(i, j)] == k.mono_mul(lmi, lmj):
+        if lcm_of[(i, j)] == mono_mul(lmi, lmj):
             continue  # coprime leads: S-poly reduces to zero
-        s = Poly(basis[i].ring, k.spoly(basis[i].terms, basis[j].terms, ring.p))
+        s = Poly(basis[i].ring, spoly(basis[i].terms, basis[j].terms, ring.p))
         r = normal_form(s, basis)
         if r.terms:
             basis.append(r.monic())
             pairs |= {(t, len(basis) - 1) for t in range(len(basis) - 1)}
 
     # minimalize
-    basis.sort(key=lambda h: k.mono_key(h.leading_monomial()))
+    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
     minimal: list[Poly] = []
     for g in basis:
         lm = g.leading_monomial()
-        if not any(k.mono_divides(h.leading_monomial(), lm) for h in minimal):
+        if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
             minimal.append(g)
     # interreduce tails
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
         reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda h: k.mono_key(h.leading_monomial()))
+    reduced.sort(key=lambda h: mono_key(h.leading_monomial()))
     return reduced
 
 
@@ -292,12 +290,10 @@ def reduced_groebner(gens) -> list[Poly]:
 
 def minimal_monomial_generators(monos) -> list[tuple]:
     """Minimal generating set of the monomial ideal spanned by ``monos``."""
-    from . import _kernel_py as k
-
-    uniq = sorted(set(monos), key=k.mono_key)
+    uniq = sorted(set(monos), key=mono_key)
     minimal: list[tuple] = []
     for m in uniq:
-        if not any(k.mono_divides(g, m) for g in minimal):
+        if not any(mono_divides(g, m) for g in minimal):
             minimal.append(m)
     return minimal
 
@@ -327,11 +323,9 @@ def monomials_of_degree(nvars: int, m: int):
 
 def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:
     """Degree-m monomials not divisible by any generator (the staircase)."""
-    from . import _kernel_py as k
-
     gens = minimal_monomial_generators(gen_monos)
     out = []
     for mono in monomials_of_degree(nvars, m):
-        if not any(k.mono_divides(g, mono) for g in gens):
+        if not any(mono_divides(g, mono) for g in gens):
             out.append(mono)
     return out

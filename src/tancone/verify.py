@@ -45,13 +45,48 @@ from .standard_monomials import _standard_chains
 SCHEMA = "tancone/1"
 
 
+# Miller-Rabin to the first 13 prime bases decides primality exactly below
+# PRIME_BOUND (Sorenson & Webster, Math. Comp. 86, 2017).
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def is_prime(n: int) -> bool:
+    """Exact for 0 <= n < PRIME_BOUND: deterministic Miller-Rabin."""
+    if n < 2:
+        return False
+    for q in _MILLER_RABIN_BASES:
+        if n % q == 0:
+            return n == q
+    odd, twos = n - 1, 0
+    while odd % 2 == 0:
+        odd //= 2
+        twos += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, odd, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(twos - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 def parse_field(text: str) -> int:
-    """'Q' -> 0, 'Fp:<p>' -> p (p a prime)."""
+    """'Q' -> 0, 'Fp:<p>' -> p (p a prime below PRIME_BOUND)."""
     if text == "Q":
         return 0
     if text.startswith("Fp:"):
         p = int(text[3:])
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= PRIME_BOUND:
+            raise ValueError(
+                f"Fp:{p} is too large: primality is checked exactly only below "
+                f"{PRIME_BOUND}"
+            )
+        if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         return p
     raise ValueError(f"field must be 'Q' or 'Fp:<p>', got {text!r}")

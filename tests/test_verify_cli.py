@@ -1,11 +1,15 @@
 import json
+import os
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tancone.cli import main
 from tancone.verify import (
+    PRIME_BOUND,
     CaseSpec,
     all_triples,
+    is_prime,
     parse_field,
     report_csv,
     report_json,
@@ -22,6 +26,23 @@ def test_parse_field():
         parse_field("Fp:4")
     with pytest.raises(ValueError):
         parse_field("GF(2)")
+    with pytest.raises(ValueError, match="not prime"):
+        parse_field("Fp:561")  # Carmichael number
+    with pytest.raises(ValueError, match="not prime"):
+        parse_field("Fp:3215031751")  # strong pseudoprime to bases 2, 3, 5, 7
+    with pytest.raises(ValueError, match="not prime"):
+        parse_field("Fp:318665857834031151167461")  # ... to the first 12 primes
+    assert parse_field("Fp:18446744073709551557") == 2**64 - 59
+    with pytest.raises(ValueError, match="too large"):
+        parse_field("Fp:618970019642690137449562111")  # 2^89 - 1, prime
+    with pytest.raises(ValueError, match="too large"):
+        parse_field(f"Fp:{PRIME_BOUND}")  # strong pseudoprime to the first 13 primes
+
+
+def test_is_prime_matches_trial_division():
+    for n in range(5000):
+        trial = n >= 2 and all(n % q for q in range(2, int(n**0.5) + 1))
+        assert is_prime(n) == trial, n
 
 
 def test_casespec_validation():
@@ -209,6 +230,65 @@ def test_cli_sweep_writes_file(tmp_path, capsys):
 def test_cli_rejects_bad_input(capsys):
     assert main(["gb-verify", "--d", "2", "--alpha", "1,4", "--beta", "1,3", "--gamma", "3,4"]) == 2
     assert "error:" in capsys.readouterr().err
+    malformed_json = [
+        ([], '[{"r":2}]'),
+        ([], '{"r":2}'),
+        ([], "[3]"),
+        (["--inverse"], "{}"),
+        (["--inverse"], '{"rows":[{"P":[1]}]}'),
+        (["--inverse"], "[1]"),
+    ]
+    for flags, text in malformed_json:
+        assert main(["brsk", "--d", "2", "--beta", "1,3", *flags, "--input", text]) == 2, text
+        assert capsys.readouterr().err.startswith("error:"), text
+
+
+_JSON_KEYS = st.sampled_from(["r", "c", "mult", "rows", "P", "Q", "sign"]) | st.text(max_size=2)
+_json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 9) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_JSON_KEYS, inner, max_size=4),
+    max_leaves=12,
+)
+_multisets = st.lists(
+    st.fixed_dictionaries(
+        {"r": st.integers(-2, 6), "c": st.integers(-2, 6), "mult": st.integers(-1, 2)}
+    ),
+    max_size=3,
+)
+_bitableaux = st.fixed_dictionaries(
+    {
+        "rows": st.lists(
+            st.fixed_dictionaries(
+                {
+                    "P": st.lists(st.integers(0, 5), max_size=3),
+                    "Q": st.lists(st.integers(0, 5), max_size=3),
+                    "sign": st.sampled_from(["neg", "pos"]),
+                }
+            ),
+            max_size=3,
+        )
+    }
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.booleans(), _json_values | _multisets | _bitableaux)
+def test_cli_brsk_any_json_exits_zero_or_two(inverse, value):
+    flags = ["--inverse"] if inverse else []
+    argv = ["brsk", "--d", "2", "--beta", "1,3", *flags, "--input", json.dumps(value)]
+    assert main(argv + ["--out", os.devnull]) in (0, 2)
+
+
+def test_cli_gb_verify_over_large_prime_field(capsys):
+    case = ["gb-verify", "--d", "2", "--alpha", "1,2", "--beta", "1,2", "--gamma", "2,4"]
+    verdicts = []
+    for field in ("Q", "Fp:18446744073709551557"):
+        assert main([*case, "--field", field, "--stable"]) == 0
+        verdicts += json.loads(capsys.readouterr().out)["cases"]
+    rational, modular = verdicts
+    assert modular["initial_ideal"] == rational["initial_ideal"] == ["X(4,1)*X(3,2)"]
+    assert modular["good_initial"] == rational["good_initial"]
+    assert modular["per_degree"] == rational["per_degree"]
 
 
 def test_cli_exit_one_on_failed_verdict(monkeypatch, capsys):
