@@ -16,14 +16,14 @@ import json
 import sys
 
 from .brsk import NotchedBitableau, brsk_inverse, brsk_map
-from .grid import multiset_from_json, multiset_to_json
+from .grid import grid_points, multiset_from_json, multiset_to_json
 from .indexsets import (
     admissible_pairs,
     enumerate_indices,
     format_index,
     parse_index,
 )
-from .patch import generator_set, good_subset, select_convention
+from .patch import FORM_LABEL, generator_set, good_subset
 from .verify import (
     CaseSpec,
     parse_field,
@@ -84,7 +84,7 @@ def cmd_ideal(args) -> int:
         "field": case.field,
         "generators": [str(f) for f in gens.polys],
         "good": [str(f) for f in good],
-        "form": select_convention(case.d).label(),
+        "form": FORM_LABEL,
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)
     return 0
@@ -105,15 +105,29 @@ def cmd_count(args) -> int:
     return 0 if verdict.counts_agree else 1
 
 
+def _require_grid_points(m, beta, d) -> None:
+    """ValueError naming the first point of ``m`` that is not a grid point
+    at beta; a non-isotropic beta is rejected by ``grid_points`` itself."""
+    points = set(grid_points(beta, d))
+    for r, c in sorted(m):
+        if (r, c) not in points:
+            raise ValueError(
+                f"({r}, {c}) is not a grid point at beta={format_index(beta)}: "
+                "need r outside beta and c in beta"
+            )
+
+
 def cmd_brsk(args) -> int:
     beta = parse_index(args.beta, args.d)
     data = json.loads(args.input) if args.input else json.load(sys.stdin)
     if args.inverse:
         t = NotchedBitableau.from_json(data)
         m = brsk_inverse(t, beta, args.d)
+        _require_grid_points(m, beta, args.d)
         _write(json.dumps(multiset_to_json(m), indent=2) + "\n", args.out)
     else:
         m = multiset_from_json(data)
+        _require_grid_points(m, beta, args.d)
         t = brsk_map(m, beta, args.d)
         _write(json.dumps(t.to_json(), indent=2) + "\n", args.out)
     return 0

@@ -12,7 +12,6 @@ tuples of points strictly decreasing in the order
 
 from __future__ import annotations
 
-from functools import lru_cache
 from itertools import combinations
 
 from .indexsets import Index, bruhat_leq, is_isotropic, star
@@ -50,15 +49,6 @@ def upper_points(beta: Index, d: int) -> tuple[Point, ...]:
     return tuple(p for p in grid_points(beta, d) if is_upper(p, d))
 
 
-def region_of(p: Point, d: int) -> str:
-    """Total, exclusive classification of a grid point into five regions."""
-    if not is_upper(p, d):
-        return "lower"
-    if is_diagonal(p, d):
-        return "diagonal-positive" if is_positive(p) else "diagonal-negative"
-    return "upper-positive" if is_positive(p) else "upper-negative"
-
-
 def sharp_point(p: Point, d: int) -> Point:
     r, c = p
     return (star(c, d), star(r, d))
@@ -70,10 +60,6 @@ def sharp_multiset(m: Multiset, d: int) -> Multiset:
         q = sharp_point(p, d)
         out[q] = out.get(q, 0) + k
     return out
-
-
-def multiset_degree(m: Multiset) -> int:
-    return sum(m.values())
 
 
 def is_special(m: Multiset, d: int) -> bool:
@@ -225,16 +211,6 @@ def multiset_bounded(m: Multiset, alpha: Index, gamma: Index, beta: Index) -> bo
     return all(bruhat_leq(alpha, v) for v in neg_vals) and all(
         bruhat_leq(v, gamma) for v in pos_vals
     )
-
-
-@lru_cache(maxsize=None)
-def canonical_bounds(alpha: Index, gamma: Index, beta: Index):
-    """Canonical (R, S) representatives of the lower and upper bounds."""
-    r_a = tuple(sorted(set(alpha) - set(beta)))
-    s_a = tuple(sorted(set(beta) - set(alpha)))
-    r_g = tuple(sorted(set(gamma) - set(beta)))
-    s_g = tuple(sorted(set(beta) - set(gamma)))
-    return (r_a, s_a), (r_g, s_g)
 
 
 def multiset_to_json(m: Multiset) -> list[dict]:

@@ -2,13 +2,15 @@
 tangent-cone ideal generators, and the distinguished Groebner set.
 
 The patch matrix is 2d x d with identity rows on beta; the remaining
-entries are the upper-region coordinates, with strictly-lower positions
-identified to +/- the mirrored coordinate.  The boundary convention of
-that sign rule and the symplectic form are selected together at build
-time: among the candidate (rule, form) combinations, the first whose
-patch columns are isotropic identically in the variables, for every
-beta, wins.  The selection is cached per d and reported in output
-metadata.
+entries are the upper-region coordinates, with each strictly-lower
+position (r, c) identified to +/- the mirrored coordinate X(c*, r*).
+The sign follows the split rule (``mirror_sign``) and the symplectic
+form is the standard one (``form_eps``).  Of the readings of the
+paper's boundary convention, this is the one that makes the patch
+columns isotropic identically in the variables for every beta at every
+d; the tests check that with ``column_inner_products`` for d <= 5, and
+check that the strict-inequality reading fails at d = 2.  Reports name
+the choice by ``FORM_LABEL``.
 """
 
 from __future__ import annotations
@@ -36,52 +38,27 @@ from .indexsets import (
 from .ring import Poly, PolyRing
 
 
-@dataclass(frozen=True)
-class SignConvention:
-    rule: str  # "strict" or "split"
-    form: str  # "standard" or "alternating"
-
-    def label(self) -> str:
-        return f"form={self.form};rule={self.rule}"
+FORM_LABEL = "form=standard;rule=split"
 
 
-_CANDIDATES = (
-    SignConvention("strict", "standard"),
-    SignConvention("strict", "alternating"),
-    SignConvention("split", "standard"),
-    SignConvention("split", "alternating"),
-)
+def form_eps(i: int, d: int) -> int:
+    """<e_i, e_{i*}> for the standard skew form."""
+    return 1 if i <= d else -1
 
 
-def form_eps(form: str, i: int, d: int) -> int:
-    """<e_i, e_{i*}> for the configured skew form."""
-    if form == "standard":
-        return 1 if i <= d else -1
-    if form == "alternating":
-        return 1 if i % 2 == 1 else -1
-    raise ValueError(f"unknown form {form!r}")
-
-
-def mirror_sign(rule: str, r: int, c: int, d: int) -> int:
-    """Sign in X(r,c) = sign * X(c*, r*)."""
-    cs = star(c, d)
-    if rule == "strict":
-        neg = (r > d and cs < d) or (r < d and cs > d)
-    elif rule == "split":
-        neg = (r > d and cs <= d) or (r <= d and cs > d)
-    else:
-        raise ValueError(f"unknown sign rule {rule!r}")
-    return -1 if neg else 1
+def mirror_sign(r: int, c: int, d: int) -> int:
+    """Sign in X(r,c) = sign * X(c*, r*): minus when r and c* lie on
+    opposite sides of d, with c* = d counted on the low side."""
+    return -1 if (r > d) != (star(c, d) > d) else 1
 
 
 class PatchMatrix:
     """2d x d coordinate matrix of the affine patch at e_beta."""
 
-    def __init__(self, beta: Index, d: int, ring: PolyRing, convention: SignConvention):
+    def __init__(self, beta: Index, d: int, ring: PolyRing):
         self.beta = tuple(beta)
         self.d = d
         self.ring = ring
-        self.convention = convention
         self.entries: dict[tuple[int, int], Poly] = {}
         bset = set(beta)
         for r in range(1, 2 * d + 1):
@@ -91,7 +68,7 @@ class PatchMatrix:
                 elif is_upper((r, c), d):
                     self.entries[(r, c)] = ring.gen((r, c))
                 else:
-                    s = mirror_sign(convention.rule, r, c, d)
+                    s = mirror_sign(r, c, d)
                     self.entries[(r, c)] = ring.gen(sharp_point((r, c), d)).scale(s)
 
     def entry(self, r: int, c: int) -> Poly:
@@ -135,13 +112,12 @@ def column_inner_products(matrix: PatchMatrix):
     means every one of these vanishes identically.
     """
     d = matrix.d
-    conv = matrix.convention
     prods = []
     for i, c in enumerate(matrix.beta):
         for c2 in matrix.beta[i + 1 :]:
             acc = matrix.ring.zero()
             for j in range(1, 2 * d + 1):
-                eps = form_eps(conv.form, j, d)
+                eps = form_eps(j, d)
                 acc = acc + (
                     matrix.entries[(j, c)] * matrix.entries[(star(j, d), c2)]
                 ).scale(eps)
@@ -150,27 +126,9 @@ def column_inner_products(matrix: PatchMatrix):
 
 
 @lru_cache(maxsize=None)
-def select_convention(d: int) -> SignConvention:
-    """First candidate convention making every patch isotropic at this d."""
-    from .indexsets import enumerate_indices
-
-    for conv in _CANDIDATES:
-        ok = True
-        for beta in enumerate_indices(d):
-            ring = PolyRing.for_patch(beta, d)
-            matrix = PatchMatrix(beta, d, ring, conv)
-            if any(p.terms for p in column_inner_products(matrix)):
-                ok = False
-                break
-        if ok:
-            return conv
-    raise RuntimeError(f"no candidate sign convention is isotropic at d={d}")
-
-
-@lru_cache(maxsize=None)
 def _patch_cached(beta: Index, d: int, p: int) -> PatchMatrix:
     ring = PolyRing.for_patch(beta, d, p=p)
-    return PatchMatrix(beta, d, ring, select_convention(d))
+    return PatchMatrix(beta, d, ring)
 
 
 def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:

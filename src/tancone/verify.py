@@ -33,7 +33,7 @@ from .indexsets import (
     is_isotropic,
     parse_index,
 )
-from .patch import generator_set, good_subset, select_convention
+from .patch import FORM_LABEL, generator_set, good_subset
 from .ring import (
     initial_ideal_generators,
     minimal_monomial_generators,
@@ -107,6 +107,8 @@ class CaseSpec:
                 raise ValueError(f"{v} is not isotropic for d={self.d}")
         if not (bruhat_leq(self.alpha, self.beta) and bruhat_leq(self.beta, self.gamma)):
             raise ValueError("need alpha <= beta <= gamma")
+        if self.max_degree < 0:
+            raise ValueError(f"max degree must be >= 0, got {self.max_degree}")
         parse_field(self.field)
 
     @property
@@ -135,7 +137,6 @@ class Verdict:
     initial_ideal: list[str]
     good_initial: list[str]
     per_degree: dict[int, dict[str, int]]
-    form: str
     runtime_ms: int = 0
 
     @property
@@ -155,7 +156,7 @@ class Verdict:
             "initial_ideal": self.initial_ideal,
             "good_initial": self.good_initial,
             "per_degree": {str(m): row for m, row in sorted(self.per_degree.items())},
-            "form": self.form,
+            "form": FORM_LABEL,
             "runtime_ms": self.runtime_ms,
         }
 
@@ -263,7 +264,6 @@ def verify_case(case: CaseSpec) -> Verdict:
         initial_ideal=[ring.format_monomial(m) for m in init_ideal],
         good_initial=[ring.format_monomial(m) for m in good_init],
         per_degree=per_degree,
-        form=select_convention(d).label(),
         runtime_ms=int((time.monotonic() - start) * 1000),
     )
 
@@ -323,7 +323,9 @@ def report_json(verdicts, stable: bool = False) -> str:
 
 
 def report_csv(verdicts, stable: bool = False) -> str:
-    lines = ["d,alpha,beta,gamma,field,groebner_equal,max_degree,runtime_ms"]
+    lines = [
+        "d,alpha,beta,gamma,field,groebner_equal,counts_agree,ok,max_degree,runtime_ms"
+    ]
     for v in verdicts:
         ms = 0 if stable else v.runtime_ms
         lines.append(
@@ -335,6 +337,8 @@ def report_csv(verdicts, stable: bool = False) -> str:
                     '"' + format_index(v.case.gamma) + '"',
                     v.case.field,
                     str(v.groebner_equal).lower(),
+                    str(v.counts_agree).lower(),
+                    str(v.ok).lower(),
                     str(v.case.max_degree),
                     str(ms),
                 ]

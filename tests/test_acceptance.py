@@ -8,6 +8,7 @@ special multisets of degree <= 4 (equivalently bitableaux with <= 4
 boxes) for every (alpha, gamma) at d <= 3.
 """
 
+import hashlib
 import random
 from itertools import combinations_with_replacement
 
@@ -43,7 +44,7 @@ from tancone.standard_monomials import (
     is_standard_on_y,
     monomial_degree,
 )
-from tancone.verify import CaseSpec, all_triples, sweep, verify_case
+from tancone.verify import CaseSpec, all_triples, report_json, sweep, verify_case
 
 
 def announce(name, ok):
@@ -109,6 +110,25 @@ def test_counting_identity(sweep_d1, sweep_d2, sweep_d3):
                 ok = False
     announce("counting identity: all five per-degree columns agree for every "
              "verified case, degrees 1..6", ok)
+
+
+# sha256 of report_json(sweep(d, max_degree=6), stable=True) over Q.  A
+# refactor must leave these bytes alone; a deliberate change to a verdict,
+# a count, a label or a key re-pins them and says why.
+STABLE_REPORT_SHA256 = {
+    1: "06da770847106455d58a0436bf0af378310258b85fbde26194778f6aa146005c",
+    2: "a053631eb91ad9dc7eeb27566749284f2232b84f652ca64e9b6e9f527c9c2ab2",
+    3: "77f591bcefe96f742474cf08840185d4d09c2cb3219863657ce54230e9c7ebe3",
+}
+
+
+def test_stable_reports_pinned(sweep_d1, sweep_d2, sweep_d3):
+    got = {
+        d: hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()
+        for d, verdicts in ((1, sweep_d1), (2, sweep_d2), (3, sweep_d3))
+    }
+    announce("--stable reports of the exhaustive d=1, 2, 3 sweeps match their "
+             "pinned sha256", got == STABLE_REPORT_SHA256)
 
 
 def _special_multisets(beta, d, degree):

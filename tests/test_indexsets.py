@@ -1,6 +1,7 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import given, strategies as st
 
 from tancone.indexsets import (
     admissible_pair_by_ends,
@@ -188,6 +189,25 @@ def test_parse_and_format():
         parse_index("1,5", 2)
     with pytest.raises(ValueError):
         parse_index("1", 2)
+
+
+# near-miss index texts (small, negative, repeated or unordered entries)
+# alongside arbitrary text
+INDEX_TEXTS = (
+    st.lists(st.integers(-2, 10), max_size=5).map(lambda xs: ",".join(map(str, xs)))
+    | st.text(max_size=12)
+)
+
+
+@given(INDEX_TEXTS, st.integers(1, 4))
+def test_parse_index_any_text(text, d):
+    try:
+        v = parse_index(text, d)
+    except ValueError:
+        return
+    assert len(v) == d
+    assert list(v) == sorted(set(v))
+    assert 1 <= v[0] and v[-1] <= 2 * d
 
 
 def test_star_set_sorted():

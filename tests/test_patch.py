@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from tancone.grid import upper_points
+from tancone.grid import is_upper, sharp_point, upper_points
 from tancone.indexsets import (
     admissible_pairs,
     bruhat_leq,
@@ -13,7 +13,6 @@ from tancone.indexsets import (
 )
 from tancone.patch import (
     PatchMatrix,
-    SignConvention,
     build_patch,
     column_inner_products,
     form_eps,
@@ -22,7 +21,6 @@ from tancone.patch import (
     initial_chain,
     mirror_sign,
     pair_minor,
-    select_convention,
 )
 from tancone.ring import PolyRing, reduced_groebner, initial_ideal_generators
 from tancone.verify import all_triples
@@ -43,27 +41,50 @@ def cofactor_det(entries, rows, cols, ring):
 
 
 def test_selected_convention_is_isotropic():
-    for d in (1, 2, 3):
-        conv = select_convention(d)
+    for d in (1, 2, 3, 4, 5):
         for beta in enumerate_indices(d):
             m = build_patch(beta, d)
-            assert m.convention == conv
             assert all(not p.terms for p in column_inner_products(m))
 
 
 def test_verbatim_strict_rule_fails_isotropy_at_d2():
-    # the strict-inequality boundary reading cannot be isotropic for every
-    # beta under either candidate form; the selector must reject it
-    for form in ("standard", "alternating"):
-        conv = SignConvention("strict", form)
-        broken = 0
-        for beta in enumerate_indices(2):
-            ring = PolyRing.for_patch(beta, 2)
-            m = PatchMatrix(beta, 2, ring, conv)
-            if any(p.terms for p in column_inner_products(m)):
-                broken += 1
-        assert broken > 0
-    assert select_convention(2).rule == "split"
+    # Read with strict inequalities, the paper's sign rule leaves X(c*, r*)
+    # unsigned on the boundary r = d or c* = d.  Some d=2 patch is then not
+    # isotropic under the standard form, nor under the alternating one;
+    # this is why mirror_sign uses the split rule.
+    d = 2
+
+    def strict_sign(r, c):
+        cs = star(c, d)
+        return -1 if (r > d and cs < d) or (r < d and cs > d) else 1
+
+    def alternating_eps(j):
+        return 1 if j % 2 == 1 else -1
+
+    def alternating_products(m):
+        prods = []
+        for i, c in enumerate(m.beta):
+            for c2 in m.beta[i + 1 :]:
+                acc = m.ring.zero()
+                for j in range(1, 2 * d + 1):
+                    term = m.entries[(j, c)] * m.entries[(star(j, d), c2)]
+                    acc = acc + term.scale(alternating_eps(j))
+                prods.append(acc)
+        return prods
+
+    assert strict_sign(4, 3) == 1 and mirror_sign(4, 3, d) == -1
+    assert [alternating_eps(j) for j in range(1, 5)] == [1, -1, 1, -1]
+    broken_standard = broken_alternating = 0
+    for beta in enumerate_indices(d):
+        # a private matrix: build_patch's is cached and shared
+        m = PatchMatrix(beta, d, PolyRing.for_patch(beta, d))
+        for r, c in m.entries:
+            if r not in beta and not is_upper((r, c), d):
+                mirror = m.ring.gen(sharp_point((r, c), d))
+                m.entries[(r, c)] = mirror.scale(strict_sign(r, c))
+        broken_standard += any(p.terms for p in column_inner_products(m))
+        broken_alternating += any(p.terms for p in alternating_products(m))
+    assert broken_standard > 0 and broken_alternating > 0
 
 
 def test_patch_matrix_beta_13():
@@ -75,7 +96,7 @@ def test_patch_matrix_beta_13():
     assert m.entry(2, 1) == X[(2, 1)]
     assert m.entry(2, 3) == X[(2, 3)]
     assert m.entry(4, 1) == X[(4, 1)]
-    # mirrored entry carries the isotropy-selected sign
+    # the mirrored entry carries the split rule's sign
     assert m.entry(4, 3) == X[(2, 1)].scale(-1)
 
 
@@ -234,12 +255,10 @@ def test_point_substitution_oracle(d):
 
 
 def test_mirror_sign_rules():
-    # strictly-lower points at d=2 under the selected split rule
-    assert mirror_sign("split", 4, 3, 2) == -1  # c* = d boundary
-    assert mirror_sign("strict", 4, 3, 2) == 1  # verbatim reading differs
-    assert mirror_sign("split", 4, 2, 2) == 1
+    # strictly-lower points at d=2
+    assert mirror_sign(4, 3, 2) == -1  # c* = d boundary
+    assert mirror_sign(4, 2, 2) == 1
 
 
 def test_form_eps_shapes():
-    assert [form_eps("standard", i, 2) for i in range(1, 5)] == [1, 1, -1, -1]
-    assert [form_eps("alternating", i, 2) for i in range(1, 5)] == [1, -1, 1, -1]
+    assert [form_eps(i, 2) for i in range(1, 5)] == [1, 1, -1, -1]

@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
-import os
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tancone.cli import main
+from tancone.grid import multiset_from_json
 from tancone.verify import (
     PRIME_BOUND,
     CaseSpec,
@@ -50,6 +52,8 @@ def test_casespec_validation():
         CaseSpec(2, (1, 4), (1, 4), (1, 4))  # not isotropic
     with pytest.raises(ValueError):
         CaseSpec(2, (3, 4), (1, 3), (3, 4))  # alpha > beta
+    with pytest.raises(ValueError, match="max degree"):
+        CaseSpec(2, (1, 2), (1, 3), (3, 4), max_degree=-1)
     case = CaseSpec.from_text(2, "1,2", "1,3", "3,4")
     assert case.p == 0
 
@@ -113,9 +117,15 @@ def test_report_csv_columns():
     verdicts = sweep(1, max_degree=1)
     text = report_csv(verdicts, stable=True)
     lines = text.strip().split("\n")
-    assert lines[0] == "d,alpha,beta,gamma,field,groebner_equal,max_degree,runtime_ms"
+    assert lines[0] == (
+        "d,alpha,beta,gamma,field,groebner_equal,counts_agree,ok,max_degree,runtime_ms"
+    )
     assert len(lines) == 5
-    assert lines[1] == '1,"1","1","1",Q,true,1,0'
+    assert lines[1] == '1,"1","1","1",Q,true,true,true,1,0'
+    verdicts[0].counts_agree = False  # a counting failure shows in the row
+    assert report_csv(verdicts[:1], stable=True).split("\n")[1] == (
+        '1,"1","1","1",Q,true,false,false,1,0'
+    )
 
 
 def test_report_empty_is_valid():
@@ -123,7 +133,7 @@ def test_report_empty_is_valid():
     assert payload["cases"] == []
     assert payload["all_ok"] is True
     assert report_csv([]).strip().split("\n") == [
-        "d,alpha,beta,gamma,field,groebner_equal,max_degree,runtime_ms"
+        "d,alpha,beta,gamma,field,groebner_equal,counts_agree,ok,max_degree,runtime_ms"
     ]
 
 
@@ -230,6 +240,8 @@ def test_cli_sweep_writes_file(tmp_path, capsys):
 def test_cli_rejects_bad_input(capsys):
     assert main(["gb-verify", "--d", "2", "--alpha", "1,4", "--beta", "1,3", "--gamma", "3,4"]) == 2
     assert "error:" in capsys.readouterr().err
+    assert main(["sweep", "--d", "1", "--max-degree", "-1"]) == 2
+    assert "max degree" in capsys.readouterr().err
     malformed_json = [
         ([], '[{"r":2}]'),
         ([], '{"r":2}'),
@@ -241,6 +253,34 @@ def test_cli_rejects_bad_input(capsys):
     for flags, text in malformed_json:
         assert main(["brsk", "--d", "2", "--beta", "1,3", *flags, "--input", text]) == 2, text
         assert capsys.readouterr().err.startswith("error:"), text
+    # points off the grid at beta = {1,3}: a row in beta, a column outside
+    # beta, an out-of-range row; and the same from an inverse whose rows
+    # decode to such points
+    off_grid = [
+        ([], '[{"r":1,"c":1,"mult":1}]', "(1, 1)"),
+        ([], '[{"r":2,"c":2,"mult":1}]', "(2, 2)"),
+        ([], '[{"r":99,"c":1,"mult":1}]', "(99, 1)"),
+        (["--inverse"], '{"rows":[{"P":[1],"Q":[3],"sign":"neg"}]}', "(1, 3)"),
+        (["--inverse"], '{"rows":[{"P":[0],"Q":[3],"sign":"neg"}]}', "(0, 3)"),
+    ]
+    for flags, text, point in off_grid:
+        assert main(["brsk", "--d", "2", "--beta", "1,3", *flags, "--input", text]) == 2, text
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"{point} is not a grid point" in err, text
+    for flags, text in (([], "[]"), (["--inverse"], '{"rows":[]}')):
+        assert main(["brsk", "--d", "2", "--beta", "1,4", *flags, "--input", text]) == 2
+        assert "not isotropic" in capsys.readouterr().err
+
+
+def run_cli(argv) -> tuple[int, str]:
+    """Exit code and stdout of the CLI, argparse usage errors included."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue()
 
 
 _JSON_KEYS = st.sampled_from(["r", "c", "mult", "rows", "P", "Q", "sign"]) | st.text(max_size=2)
@@ -254,6 +294,13 @@ _multisets = st.lists(
         {"r": st.integers(-2, 6), "c": st.integers(-2, 6), "mult": st.integers(-1, 2)}
     ),
     max_size=3,
+)
+# multisets on the grid at beta = {1,3}, so the forward map succeeds
+_grid_multisets = st.lists(
+    st.fixed_dictionaries(
+        {"r": st.sampled_from([2, 4]), "c": st.sampled_from([1, 3]), "mult": st.integers(1, 2)}
+    ),
+    max_size=4,
 )
 _bitableaux = st.fixed_dictionaries(
     {
@@ -272,11 +319,29 @@ _bitableaux = st.fixed_dictionaries(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.booleans(), _json_values | _multisets | _bitableaux)
+@given(st.booleans(), _json_values | _multisets | _grid_multisets | _bitableaux)
 def test_cli_brsk_any_json_exits_zero_or_two(inverse, value):
     flags = ["--inverse"] if inverse else []
     argv = ["brsk", "--d", "2", "--beta", "1,3", *flags, "--input", json.dumps(value)]
-    assert main(argv + ["--out", os.devnull]) in (0, 2)
+    rc, out = run_cli(argv)
+    assert rc in (0, 2)
+    if rc == 0 and not inverse:
+        rc, back = run_cli(["brsk", "--d", "2", "--beta", "1,3", "--inverse", "--input", out])
+        assert rc == 0
+        assert multiset_from_json(json.loads(back)) == multiset_from_json(value)
+
+
+@settings(deadline=None)
+@given(
+    st.integers(1, 3),
+    st.lists(st.integers(-2, 8), max_size=4).map(lambda xs: ",".join(map(str, xs)))
+    | st.text(max_size=10),
+    st.booleans(),
+)
+def test_cli_brsk_any_beta_exits_zero_or_two(d, beta, inverse):
+    flags, text = (["--inverse"], '{"rows":[]}') if inverse else ([], '[{"r":2,"c":1,"mult":1}]')
+    rc, _ = run_cli(["brsk", "--d", str(d), "--beta", beta, *flags, "--input", text])
+    assert rc in (0, 2)
 
 
 def test_cli_gb_verify_over_large_prime_field(capsys):
