@@ -60,6 +60,7 @@ class PatchMatrix:
         self.d = d
         self.ring = ring
         self.entries: dict[tuple[int, int], Poly] = {}
+        self._minors: dict[Index, Poly] = {}
         bset = set(beta)
         for r in range(1, 2 * d + 1):
             for c in beta:
@@ -78,22 +79,51 @@ class PatchMatrix:
         return [self.entries[(r, c)] for r in range(1, 2 * self.d + 1)]
 
     def minor(self, theta: Index) -> Poly:
-        """Determinant over rows theta minus beta, columns beta minus theta."""
+        """Determinant over rows theta minus beta, columns beta minus theta.
+
+        Those rows lie outside beta, so every entry used is a single term
+        +/- X: the Leibniz sum runs over variable indices with integer
+        signs, and an entry of any other shape raises ``ValueError``.
+        The result is memoized per theta on this matrix, which
+        ``build_patch`` shares across every case at (beta, d, p); the
+        returned polynomial is shared too and must not be mutated.
+        """
+        theta = tuple(theta)
+        cached = self._minors.get(theta)
+        if cached is not None:
+            return cached
         rows = sorted(set(theta) - set(self.beta))
         cols = sorted(set(self.beta) - set(theta))
         if len(rows) != len(cols):
             raise ValueError("theta and beta must have the same size")
         k = len(rows)
-        if k == 0:
-            return self.ring.one()
-        total = self.ring.zero()
+        # in F_2, where -1 = 1, the later key makes that unit +1
+        units = {self.ring.coeff(-1): -1, self.ring.coeff(1): 1}
+        # (variable index, sign) of each entry, by row then column
+        cells = [[self._signed_variable(r, c, units) for c in cols] for r in rows]
+        acc: dict[tuple, int] = {}
         for perm in permutations(range(k)):
             sign = _perm_sign(perm)
-            term = self.ring.one()
+            exps = [0] * self.ring.nvars
             for i in range(k):
-                term = term * self.entries[(rows[i], cols[perm[i]])]
-            total = total + term.scale(sign)
-        return total
+                var, s = cells[i][perm[i]]
+                exps[var] += 1
+                sign *= s
+            mono = tuple(exps)
+            acc[mono] = acc.get(mono, 0) + sign
+        result = self.ring.poly(acc)
+        self._minors[theta] = result
+        return result
+
+    def _signed_variable(self, r: int, c: int, units: dict) -> tuple[int, int]:
+        """(variable index, sign) of an entry that is +/- one variable;
+        ``units`` maps the ring's +1 and -1 to their integer signs."""
+        terms = self.entries[(r, c)].terms
+        if len(terms) == 1:
+            ((mono, coeff),) = terms.items()
+            if sum(mono) == 1 and coeff in units:
+                return mono.index(1), units[coeff]
+        raise ValueError(f"patch entry ({r}, {c}) is not +/- one variable")
 
 
 def _perm_sign(perm) -> int:

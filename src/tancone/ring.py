@@ -12,6 +12,7 @@ characteristic is a property of the ring.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 
 from ._kernel_py import (
@@ -236,6 +237,11 @@ def reduced_groebner(gens) -> list[Poly]:
     Normal selection strategy with the coprime-lead criterion; output
     sorted by ascending initial monomial, each element monic with fully
     reduced tail.
+
+    Pending pairs wait in a heap of (degree of lcm, lcm, i, j), so the
+    pair popped next is the one with the least lcm in the term order,
+    ties broken by (i, j).  Each lcm is computed once, when its pair is
+    pushed, from the leading monomials kept in ``leads`` beside the basis.
     """
     gens = [g for g in gens if g.terms]
     if not gens:
@@ -247,26 +253,27 @@ def reduced_groebner(gens) -> list[Poly]:
         r = normal_form(g, basis)
         if r.terms:
             basis.append(r.monic())
+    leads = [g.leading_monomial() for g in basis]
+    pairs: list = []
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    def push_pairs(j):
+        for i in range(j):
+            lcm = mono_lcm(leads[i], leads[j])
+            heappush(pairs, (sum(lcm), lcm, i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
     while pairs:
-        lcm_of = {
-            (i, j): mono_lcm(
-                basis[i].leading_monomial(), basis[j].leading_monomial()
-            )
-            for (i, j) in pairs
-        }
-        i, j = min(pairs, key=lambda ij: (mono_key(lcm_of[ij]), ij))
-        pairs.remove((i, j))
-        lmi = basis[i].leading_monomial()
-        lmj = basis[j].leading_monomial()
-        if lcm_of[(i, j)] == mono_mul(lmi, lmj):
+        _, lcm, i, j = heappop(pairs)
+        if lcm == mono_mul(leads[i], leads[j]):
             continue  # coprime leads: S-poly reduces to zero
-        s = Poly(basis[i].ring, spoly(basis[i].terms, basis[j].terms, ring.p))
+        s = Poly(ring, spoly(basis[i].terms, basis[j].terms, ring.p))
         r = normal_form(s, basis)
         if r.terms:
-            basis.append(r.monic())
-            pairs |= {(t, len(basis) - 1) for t in range(len(basis) - 1)}
+            g = r.monic()
+            basis.append(g)
+            leads.append(g.leading_monomial())
+            push_pairs(len(basis) - 1)
 
     # minimalize
     basis.sort(key=lambda h: mono_key(h.leading_monomial()))

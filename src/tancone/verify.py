@@ -290,6 +290,10 @@ def sweep(
     jobs: int = 1,
 ) -> list[Verdict]:
     """Verify all triples at this d, or a seeded uniform sample of them."""
+    if sample is not None and sample < 1:
+        raise ValueError(f"sample must be >= 1, got {sample}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     triples = all_triples(d)
     if sample is not None and sample < len(triples):
         rng = random.Random(seed)

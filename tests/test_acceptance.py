@@ -9,8 +9,10 @@ boxes) for every (alpha, gamma) at d <= 3.
 """
 
 import hashlib
+import json
 import random
 from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +131,27 @@ def test_stable_reports_pinned(sweep_d1, sweep_d2, sweep_d3):
     }
     announce("--stable reports of the exhaustive d=1, 2, 3 sweeps match their "
              "pinned sha256", got == STABLE_REPORT_SHA256)
+
+
+D5_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "d5_deg1.json"
+
+
+@pytest.mark.slow
+def test_exhaustive_d5_degree1_matches_reference():
+    """Opt in with ``pytest -m slow``: all 4224 cases at d=5, degree 1
+    (minutes), each against the digest of its initial ideal, good initial
+    ideal and counting table in the benchmark's reference file."""
+    reference = json.loads(D5_REFERENCE.read_text())
+    report = json.loads(report_json(sweep(5, max_degree=1), stable=True))
+    got = []
+    for case in report["cases"]:
+        payload = {k: case[k] for k in ("initial_ideal", "good_initial", "per_degree")}
+        digest = hashlib.sha256(json.dumps(payload, sort_keys=True).encode()).hexdigest()
+        got.append([case["alpha"], case["beta"], case["gamma"], digest[:20],
+                    len(case["initial_ideal"])])
+    ok = report["all_ok"] and len(got) == 4224 and got == reference["cases"]
+    announce("exhaustive d=5, degree 1 sweep (4224 cases) matches the reference "
+             "digests", ok)
 
 
 def _special_multisets(beta, d, degree):

@@ -122,14 +122,41 @@ def test_minor_examples():
     assert m.minor((1, 3)) == ring.one()
 
 
-@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("d", [2, 3, 4])
 def test_minor_matches_cofactor_oracle(d):
-    for beta in enumerate_indices(d):
-        m = build_patch(beta, d)
+    for p, beta in product((0, 2, 3), enumerate_indices(d)):
+        # a fresh matrix, so every minor is computed here, not recalled
+        m = PatchMatrix(beta, d, PolyRing.for_patch(beta, d, p=p))
         for theta in enumerate_indices(d, ambient_only=True):
             rows = sorted(set(theta) - set(beta))
             cols = sorted(set(beta) - set(theta))
-            assert m.minor(theta) == cofactor_det(m.entries, rows, cols, m.ring)
+            f = m.minor(theta)
+            assert f == cofactor_det(m.entries, rows, cols, m.ring), (p, beta, theta)
+            assert m.minor(theta) is f
+
+
+def test_minor_memo_is_per_patch():
+    for d in (2, 3):
+        for beta in enumerate_indices(d):
+            m0, m3 = build_patch(beta, d, 0), build_patch(beta, d, 3)
+            assert m0 is not m3 and (m0.ring.p, m3.ring.p) == (0, 3)
+            for theta in enumerate_indices(d, ambient_only=True):
+                f0, f3 = m0.minor(theta), m3.minor(theta)
+                assert f0 is not f3
+                assert f0.ring is m0.ring and f3.ring is m3.ring
+                assert m0.minor(theta) is f0 and m3.minor(theta) is f3
+
+
+def test_minor_rejects_entry_that_is_not_one_variable():
+    beta = (1, 3)
+    m = PatchMatrix(beta, 2, PolyRing.for_patch(beta, 2))
+    X21, X23 = m.ring.gen((2, 1)), m.ring.gen((2, 3))
+    m.entries[(2, 1)] = X21 + X23
+    with pytest.raises(ValueError, match=r"\(2, 1\) is not \+/- one variable"):
+        m.minor((2, 3))
+    m.entries[(2, 1)] = X21.scale(2)
+    with pytest.raises(ValueError, match="not"):
+        m.minor((2, 4))
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

@@ -4,6 +4,7 @@ from math import comb
 
 import pytest
 
+import tancone.ring as R
 from tancone.ring import (
     PolyRing,
     initial_ideal_generators,
@@ -203,3 +204,113 @@ def test_homogeneous_flag(ring13):
     X41, X21, X23 = (ring13.gen(v) for v in ring13.variables)
     assert (X21 * X21 - X23 * X41).is_homogeneous()
     assert not (X21 + ring13.one()).is_homogeneous()
+
+
+# -- pair-order oracle --------------------------------------------------------
+
+
+def oracle_groebner(gens):
+    """The Buchberger loop as it was before the heap queue: every iteration
+    rebuilds the lcm of every pending pair and takes the least by
+    (lcm key, (i, j)).  Returns the reduced basis and the basis the loop
+    built, before minimalization.  Kernel calls go through the
+    ``tancone.ring`` module, so a wrapped ``spoly`` sees them."""
+    gens = [g for g in gens if g.terms]
+    if not gens:
+        return [], []
+    ring = gens[0].ring
+
+    basis = []
+    for g in sorted(gens, key=lambda h: mono_key(h.leading_monomial())):
+        r = R.normal_form(g, basis)
+        if r.terms:
+            basis.append(r.monic())
+
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        lcm_of = {
+            (i, j): R.mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
+            for (i, j) in pairs
+        }
+        i, j = min(pairs, key=lambda ij: (mono_key(lcm_of[ij]), ij))
+        pairs.remove((i, j))
+        lmi = basis[i].leading_monomial()
+        lmj = basis[j].leading_monomial()
+        if lcm_of[(i, j)] == R.mono_mul(lmi, lmj):
+            continue
+        s = R.Poly(ring, R.spoly(basis[i].terms, basis[j].terms, ring.p))
+        r = R.normal_form(s, basis)
+        if r.terms:
+            basis.append(r.monic())
+            pairs |= {(t, len(basis) - 1) for t in range(len(basis) - 1)}
+    built = list(basis)
+
+    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
+    minimal = []
+    for g in basis:
+        lm = g.leading_monomial()
+        if not any(R.mono_divides(h.leading_monomial(), lm) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        reduced.append(R.normal_form(g, others).monic())
+    reduced.sort(key=lambda h: mono_key(h.leading_monomial()))
+    return reduced, built
+
+
+def _frozen(terms):
+    return tuple(sorted(terms.items()))
+
+
+def assert_same_pair_order(monkeypatch, gens, label):
+    """The heap queue reduces the oracle's S-pairs in the oracle's order
+    and returns the oracle's reduced basis."""
+    real_spoly = R.spoly
+    seen = []
+
+    def recording_spoly(f, g, p):
+        seen.append((_frozen(f), _frozen(g)))
+        return real_spoly(f, g, p)
+
+    monkeypatch.setattr(R, "spoly", recording_spoly)
+    expected, built = oracle_groebner(gens)
+    oracle_seen, seen[:] = seen[:], []
+    got = reduced_groebner(gens)
+    monkeypatch.setattr(R, "spoly", real_spoly)
+
+    # name each S-pair by the (i, j) of its operands in the oracle's basis
+    index = {_frozen(g.terms): k for k, g in enumerate(built)}
+    assert len(index) == len(built), label
+
+    def as_ij(log):
+        return [(index[f], index[g]) for f, g in log]
+
+    assert got == expected, label
+    assert as_ij(seen) == as_ij(oracle_seen), label
+    return len(seen)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_pair_queue_matches_oracle_order(monkeypatch, d, p):
+    from tancone.patch import generator_set
+    from tancone.verify import all_triples
+
+    spolys = 0
+    for a, b, g in all_triples(d):
+        gens = generator_set(a, b, g, d, p=p)
+        spolys += assert_same_pair_order(monkeypatch, gens.polys, (a, b, g, p))
+    assert spolys > 0 or d < 3  # no case at d <= 2 reduces an S-pair
+
+
+def test_pair_queue_matches_oracle_order_d4_sample(monkeypatch):
+    from tancone.patch import generator_set
+    from tancone.verify import all_triples
+
+    rng = random.Random(4)
+    spolys = 0
+    for a, b, g in rng.sample(all_triples(4), 120):
+        gens = generator_set(a, b, g, 4)
+        spolys += assert_same_pair_order(monkeypatch, gens.polys, (a, b, g))
+    assert spolys > 0

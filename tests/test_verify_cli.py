@@ -242,6 +242,11 @@ def test_cli_rejects_bad_input(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "--d", "1", "--max-degree", "-1"]) == 2
     assert "max degree" in capsys.readouterr().err
+    for flag, value in (("--sample", "0"), ("--sample", "-1"), ("--jobs", "0")):
+        argv = ["sweep", "--d", "1", "--max-degree", "1", flag, value]
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and f"must be >= 1, got {value}" in err, argv
     malformed_json = [
         ([], '[{"r":2}]'),
         ([], '{"r":2}'),
