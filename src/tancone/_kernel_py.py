@@ -105,11 +105,13 @@ def _inv(c, p):
 
 
 def make_monic(terms, p):
+    """``terms`` scaled to leading coefficient 1; ``terms`` itself when it
+    already is (term dicts are never mutated after construction)."""
     if not terms:
         return terms
     lc = terms[leading_monomial(terms)]
     if lc == 1:
-        return dict(terms)
+        return terms
     return poly_scale(terms, _inv(lc, p), p)
 
 

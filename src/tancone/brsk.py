@@ -20,7 +20,6 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .grid import (
     Multiset,
@@ -318,7 +317,6 @@ def is_bounded_bitableau(
 # direct enumeration (kept independent of the insertion algorithm)
 
 
-@lru_cache(maxsize=None)
 def _starred_row_values(beta: Index, d: int):
     """Values usable as rows of an on-starred bitableau, with box weights.
 

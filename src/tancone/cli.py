@@ -23,7 +23,7 @@ from .indexsets import (
     format_index,
     parse_index,
 )
-from .patch import FORM_LABEL, generator_set, good_subset
+from .patch import FORM_LABEL, build_patch, generator_set, good_subset
 from .verify import (
     CaseSpec,
     parse_field,
@@ -75,7 +75,7 @@ def cmd_enum(args) -> int:
 
 def cmd_ideal(args) -> int:
     case = _case_from_args(args)
-    gens = generator_set(case.alpha, case.beta, case.gamma, case.d, p=case.p)
+    gens = generator_set(case.alpha, case.gamma, build_patch(case.beta, case.d, case.p))
     _, good = good_subset(gens)
     payload = {
         "alpha": format_index(case.alpha),

@@ -16,7 +16,6 @@ the choice by ``FORM_LABEL``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import permutations
 
 from .grid import (
@@ -84,9 +83,9 @@ class PatchMatrix:
         Those rows lie outside beta, so every entry used is a single term
         +/- X: the Leibniz sum runs over variable indices with integer
         signs, and an entry of any other shape raises ``ValueError``.
-        The result is memoized per theta on this matrix, which
-        ``build_patch`` shares across every case at (beta, d, p); the
-        returned polynomial is shared too and must not be mutated.
+        The result is memoized per theta on this matrix, so every case
+        verified on this patch shares it; the returned polynomial must not
+        be mutated.
         """
         theta = tuple(theta)
         cached = self._minors.get(theta)
@@ -155,16 +154,11 @@ def column_inner_products(matrix: PatchMatrix):
     return prods
 
 
-@lru_cache(maxsize=None)
-def _patch_cached(beta: Index, d: int, p: int) -> PatchMatrix:
-    ring = PolyRing.for_patch(beta, d, p=p)
-    return PatchMatrix(beta, d, ring)
-
-
 def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:
+    """A fresh patch at e_beta over Q (p = 0) or F_p, with an empty minor memo."""
     if not is_isotropic(beta, d):
         raise ValueError(f"{beta} is not isotropic")
-    return _patch_cached(tuple(beta), d, p)
+    return PatchMatrix(beta, d, PolyRing.for_patch(beta, d, p=p))
 
 
 def pair_minor(matrix: PatchMatrix, pair: AdmissiblePair) -> Poly:
@@ -187,25 +181,24 @@ class GeneratorSet:
     polys: list[Poly]
 
 
-def generator_set(
-    alpha: Index, beta: Index, gamma: Index, d: int, p: int = 0
-) -> GeneratorSet:
-    """Minors f for every admissible pair (x, y) with alpha !<= y or x !<= gamma."""
+def generator_set(alpha: Index, gamma: Index, patch: PatchMatrix) -> GeneratorSet:
+    """Minors f for every admissible pair (x, y) with alpha !<= y or x !<= gamma,
+    on the patch at beta."""
+    beta, d = patch.beta, patch.d
     _require_triple(alpha, beta, gamma, d)
-    matrix = build_patch(beta, d, p)
     pairs = []
     polys = []
     for pair in admissible_pairs(d):
         if not bruhat_leq(alpha, pair.bot) or not bruhat_leq(pair.top, gamma):
             pairs.append(pair)
-            polys.append(pair_minor(matrix, pair))
+            polys.append(pair_minor(patch, pair))
     return GeneratorSet(
         alpha=tuple(alpha),
-        beta=tuple(beta),
+        beta=beta,
         gamma=tuple(gamma),
         d=d,
-        ring=matrix.ring,
-        matrix=matrix,
+        ring=patch.ring,
+        matrix=patch,
         pairs=pairs,
         polys=polys,
     )

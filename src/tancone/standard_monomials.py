@@ -55,6 +55,7 @@ def monomial_degree(pairs, beta: Index) -> int:
     return sum(w.beta_degree(beta) for w in pairs)
 
 
+# lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _standard_chains(beta: Index, d: int, max_degree: int):
     """Every standard pair sequence of degree <= max_degree at this beta,

@@ -11,8 +11,10 @@ of the distinguished set's initial monomials, and tabulates per degree m:
   standard_monomials  degree-m standard monomials on the variety
   outside_init        degree-m monomials outside the initial ideal
 
-Per-beta enumerations are cached: they are shared by every (alpha, gamma)
-above the same fixed point.
+Everything that depends on the fixed point alone is shared by every
+(alpha, gamma) above it: ``sweep`` verifies one beta at a time on one
+patch, whose minor memo goes when that beta is done, and the per-beta
+count tables are cached by beta.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .indexsets import (
     is_isotropic,
     parse_index,
 )
-from .patch import FORM_LABEL, generator_set, good_subset
+from .patch import FORM_LABEL, PatchMatrix, build_patch, generator_set, good_subset
 from .ring import (
     initial_ideal_generators,
     minimal_monomial_generators,
@@ -165,6 +167,7 @@ class Verdict:
 # per-beta caches
 
 
+# lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _special_profiles(beta: Index, d: int, degree2: int):
     """For each special multiset of degree ``degree2``: the chain values of
@@ -181,6 +184,7 @@ def _special_profiles(beta: Index, d: int, degree2: int):
     return tuple(profiles)
 
 
+# lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _bitableau_profiles(beta: Index, d: int, degree2: int):
     """(first, last) of the delta sequence for each on-starred bitableau."""
@@ -223,10 +227,19 @@ def _count_standard(beta, d, degree, alpha, gamma, max_degree) -> int:
 # verification
 
 
-def verify_case(case: CaseSpec) -> Verdict:
+def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
+    """Verdict of one case, on ``patch`` (the patch at the case's beta over
+    its field) or on a fresh patch when none is given."""
     start = time.monotonic()
     d = case.d
-    gens = generator_set(case.alpha, case.beta, case.gamma, d, p=case.p)
+    if patch is None:
+        patch = build_patch(case.beta, d, case.p)
+    elif (patch.beta, patch.d, patch.ring.p) != (case.beta, d, case.p):
+        raise ValueError(
+            f"patch at beta={format_index(patch.beta)}, d={patch.d}, p={patch.ring.p} "
+            f"does not fit the case at beta={format_index(case.beta)}, d={d}, p={case.p}"
+        )
+    gens = generator_set(case.alpha, case.gamma, patch)
     ring = gens.ring
     _, good_polys = good_subset(gens)
 
@@ -289,7 +302,12 @@ def sweep(
     field: str = "Q",
     jobs: int = 1,
 ) -> list[Verdict]:
-    """Verify all triples at this d, or a seeded uniform sample of them."""
+    """Verify all triples at this d, or a seeded uniform sample of them.
+
+    Cases are verified one fixed point at a time, on one patch per beta;
+    with ``jobs`` > 1 whole fixed points go to a pool of that many worker
+    processes.  Verdicts come back in the lex order of the triples.
+    """
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
     if jobs < 1:
@@ -302,12 +320,30 @@ def sweep(
         CaseSpec(d=d, alpha=a, beta=b, gamma=g, field=field, max_degree=max_degree)
         for a, b, g in triples
     ]
+    by_beta: dict[Index, list[int]] = {}
+    for i, case in enumerate(cases):
+        by_beta.setdefault(case.beta, []).append(i)
+    groups = [[cases[i] for i in indices] for indices in by_beta.values()]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(verify_case, cases))
-    return [verify_case(c) for c in cases]
+            results = list(pool.map(_verify_fixed_point, groups))
+    else:
+        results = map(_verify_fixed_point, groups)
+    verdicts = [None] * len(cases)
+    for indices, group in zip(by_beta.values(), results):
+        for i, verdict in zip(indices, group):
+            verdicts[i] = verdict
+    return verdicts
+
+
+def _verify_fixed_point(cases: list[CaseSpec]) -> list[Verdict]:
+    """Verdicts of cases that share one beta and field, on one patch that
+    is dropped when they are done."""
+    first = cases[0]
+    patch = build_patch(first.beta, first.d, first.p)
+    return [verify_case(case, patch) for case in cases]
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ def test_structural_invariants():
                     ((1, 2), (2, 4), (3, 4))]:
         from tancone.patch import generator_set
 
-        gens = generator_set(a, b, g, 2)
+        gens = generator_set(a, g, build_patch(b, 2))
         reference = reduced_groebner(gens.polys)
         for _ in range(6):
             shuffled = list(gens.polys)

@@ -76,7 +76,7 @@ def test_verbatim_strict_rule_fails_isotropy_at_d2():
     assert [alternating_eps(j) for j in range(1, 5)] == [1, -1, 1, -1]
     broken_standard = broken_alternating = 0
     for beta in enumerate_indices(d):
-        # a private matrix: build_patch's is cached and shared
+        # a fresh matrix whose mirrored entries are overwritten below
         m = PatchMatrix(beta, d, PolyRing.for_patch(beta, d))
         for r, c in m.entries:
             if r not in beta and not is_upper((r, c), d):
@@ -180,8 +180,24 @@ def test_minor_homogeneous_of_beta_degree(d):
             assert f.degree() == pair.beta_degree(beta)
 
 
+def test_pair_minor_shares_the_memoized_minor_when_already_monic():
+    m = build_patch((1, 3), 2)
+    shared = scaled = 0
+    for pair in admissible_pairs(2):
+        minor = m.minor(pair.rep)
+        f = pair_minor(m, pair)
+        if minor.initial_term()[1] == 1:
+            assert f.terms is m.minor(pair.rep).terms
+            shared += 1
+        else:
+            assert f.initial_term()[1] == 1 and f.terms is not minor.terms
+            assert minor.initial_term()[1] == -1  # the memo is left as it was
+            scaled += 1
+    assert shared and scaled
+
+
 def test_generator_set_point_case():
-    gens = generator_set((1, 3), (1, 3), (1, 3), 2)
+    gens = generator_set((1, 3), (1, 3), build_patch((1, 3), 2))
     ring = gens.ring
     X41, X21, X23 = (ring.gen(v) for v in ring.variables)
     assert set(map(str, gens.polys)) == {
@@ -200,19 +216,19 @@ def test_generator_set_point_case():
 
 
 def test_generator_set_free_case_empty():
-    gens = generator_set((1, 2), (1, 3), (3, 4), 2)
+    gens = generator_set((1, 2), (3, 4), build_patch((1, 3), 2))
     assert gens.polys == []
 
 
 def test_generator_set_requires_valid_triple():
     with pytest.raises(ValueError):
-        generator_set((3, 4), (1, 3), (1, 3), 2)
+        generator_set((3, 4), (1, 3), build_patch((1, 3), 2))
     with pytest.raises(ValueError):
-        generator_set((1, 4), (1, 4), (1, 4), 2)
+        generator_set((1, 4), (1, 4), build_patch((1, 4), 2))
 
 
 def test_good_subset_point_case():
-    gens = generator_set((1, 3), (1, 3), (1, 3), 2)
+    gens = generator_set((1, 3), (1, 3), build_patch((1, 3), 2))
     pairs, polys = good_subset(gens)
     assert set(map(str, polys)) == {"X(2,3)", "X(2,1)", "X(4,1)"}
     # the mixed-sign chain X(4,1)*X(2,3) disqualifies its pair
@@ -222,14 +238,14 @@ def test_good_subset_point_case():
 
 def test_good_subset_is_subset_of_generators():
     for a, b, g in all_triples(2):
-        gens = generator_set(a, b, g, 2)
+        gens = generator_set(a, g, build_patch(b, 2))
         pairs, polys = good_subset(gens)
         assert set(pairs) <= set(gens.pairs)
         assert {str(p) for p in polys} <= {str(p) for p in gens.polys}
 
 
 def test_initial_chain_classification():
-    gens = generator_set((1, 3), (1, 3), (1, 3), 2)
+    gens = generator_set((1, 3), (1, 3), build_patch((1, 3), 2))
     by_str = {str(f): f for f in gens.polys}
     mixed = by_str["X(4,1)*X(2,3) + X(2,1)^2"]
     ch = initial_chain(mixed)
@@ -270,7 +286,7 @@ def test_point_substitution_oracle(d):
     """Generators vanish at the indicator point of a fixed point exactly
     when the point's whole Pluecker support lies inside [alpha, gamma]."""
     for a, b, g in all_triples(d):
-        gens = generator_set(a, b, g, d)
+        gens = generator_set(a, g, build_patch(b, d))
         for bp in enumerate_indices(d):
             coords = fixed_point_coords(bp, b, d, gens.ring)
             vanishes = all(eval_at(f, coords) == 0 for f in gens.polys)

@@ -294,23 +294,23 @@ def assert_same_pair_order(monkeypatch, gens, label):
 @pytest.mark.parametrize("p", [0, 2, 3])
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_pair_queue_matches_oracle_order(monkeypatch, d, p):
-    from tancone.patch import generator_set
+    from tancone.patch import build_patch, generator_set
     from tancone.verify import all_triples
 
     spolys = 0
     for a, b, g in all_triples(d):
-        gens = generator_set(a, b, g, d, p=p)
+        gens = generator_set(a, g, build_patch(b, d, p))
         spolys += assert_same_pair_order(monkeypatch, gens.polys, (a, b, g, p))
     assert spolys > 0 or d < 3  # no case at d <= 2 reduces an S-pair
 
 
 def test_pair_queue_matches_oracle_order_d4_sample(monkeypatch):
-    from tancone.patch import generator_set
+    from tancone.patch import build_patch, generator_set
     from tancone.verify import all_triples
 
     rng = random.Random(4)
     spolys = 0
     for a, b, g in rng.sample(all_triples(4), 120):
-        gens = generator_set(a, b, g, 4)
+        gens = generator_set(a, g, build_patch(b, 4))
         spolys += assert_same_pair_order(monkeypatch, gens.polys, (a, b, g))
     assert spolys > 0

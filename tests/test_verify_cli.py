@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from tancone.cli import main
 from tancone.grid import multiset_from_json
+from tancone.patch import PatchMatrix, build_patch
 from tancone.verify import (
     PRIME_BOUND,
     CaseSpec,
@@ -378,6 +380,34 @@ def test_cli_exit_one_on_failed_verdict(monkeypatch, capsys):
 
 
 def test_sweep_parallel_matches_serial():
-    serial = sweep(1, max_degree=2)
-    parallel = sweep(1, max_degree=2, jobs=2)
-    assert report_json(serial, stable=True) == report_json(parallel, stable=True)
+    for d, kwargs in (
+        (1, dict(max_degree=2)),
+        (2, dict(max_degree=2, field="Fp:3")),
+        (3, dict(max_degree=1, sample=20)),
+    ):
+        serial = sweep(d, **kwargs)
+        parallel = sweep(d, jobs=2, **kwargs)
+        assert report_json(serial, stable=True) == report_json(parallel, stable=True)
+        # input order is lex in (alpha, beta, gamma); at d >= 2 it interleaves
+        # betas, so the per-beta verdicts must have been put back in order
+        triples = [(v.case.alpha, v.case.beta, v.case.gamma) for v in parallel]
+        betas = [beta for _, beta, _ in triples]
+        assert triples == sorted(triples) and (d == 1 or betas != sorted(betas))
+
+
+def test_no_patch_outlives_a_sweep():
+    def live_patches():
+        gc.collect()
+        return sum(isinstance(obj, PatchMatrix) for obj in gc.get_objects())
+
+    before = live_patches()
+    sweep(2, max_degree=2, field="Fp:5")
+    assert live_patches() <= before
+
+
+def test_verify_case_rejects_patch_of_another_fixed_point():
+    case = CaseSpec(2, (1, 2), (1, 3), (3, 4))
+    assert verify_case(case, build_patch((1, 3), 2)).ok
+    for patch in (build_patch((1, 2), 2), build_patch((1, 3), 2, p=3)):
+        with pytest.raises(ValueError, match="does not fit"):
+            verify_case(case, patch)
