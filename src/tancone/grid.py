@@ -132,19 +132,32 @@ def enumerate_chains(points, nonempty: bool = True):
     return chains[1:] if nonempty else chains
 
 
-def maximal_chains(points):
-    """Chains in the support not extendable by another support point."""
-    support = set(points)
-    result = []
-    for ch in enumerate_chains(support, nonempty=True):
-        s = set(ch)
-        extendable = any(
-            is_chain(tuple(sorted(s | {q}, key=lambda p: (-p[0], p[1]))))
-            for q in support - s
-        )
-        if not extendable:
-            result.append(ch)
-    return result
+def maximal_paths(points):
+    """Chains in the support not extendable by another support point.
+
+    These are the maximal paths of the support's cover DAG (a covers b
+    when chain_gt(a, b) and no support point lies strictly between), so
+    a DFS from each maximal point down its covers finds them all.
+    """
+    support = sorted(set(points), key=lambda p: (-p[0], p[1]))
+    covers = {}
+    for a in support:
+        below = [b for b in support if chain_gt(a, b)]
+        covers[a] = [b for b in below if not any(chain_gt(c, b) for c in below)]
+    covered = {b for bs in covers.values() for b in bs}
+    paths = []
+
+    def descend(path):
+        nxt = covers[path[-1]]
+        if not nxt:
+            paths.append(tuple(path))
+        for b in nxt:
+            descend(path + [b])
+
+    for a in support:
+        if a not in covered:
+            descend([a])
+    return paths
 
 
 def fold_chain(points, d: int) -> tuple[Point, ...]:
@@ -192,11 +205,13 @@ def multiset_chain_values(m: Multiset, beta: Index):
 
     Returns (pos_values, neg_values) as sorted tuples; enough to decide
     boundedness against any (alpha, gamma) since subchains of a bounded
-    chain are bounded.
+    chain are bounded.  Only the support ``m.keys()`` is read, so the
+    result is the key of the weighted cell that every special multiset on
+    this support shares (``verify._special_profiles``).
     """
     pos_vals = set()
     neg_vals = set()
-    for ch in maximal_chains(m.keys()):
+    for ch in maximal_paths(m.keys()):
         pos, neg = chain_parts(ch)
         if pos:
             pos_vals.add(chain_value(pos, beta))

@@ -12,6 +12,7 @@ minors.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 
@@ -55,16 +56,54 @@ def monomial_degree(pairs, beta: Index) -> int:
     return sum(w.beta_degree(beta) for w in pairs)
 
 
-# lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
-@lru_cache(maxsize=None)
-def _standard_chains(beta: Index, d: int, max_degree: int):
-    """Every standard pair sequence of degree <= max_degree at this beta,
-    tagged (pairs, degree, bot of first, top of last) for later filtering."""
-    usable = [
+def _usable_pairs(beta: Index, d: int):
+    """(pair, beta-degree) for every plain pair of positive beta-degree."""
+    return [
         (w, w.beta_degree(beta))
         for w in admissible_pairs(d)
         if pair_is_plain(w, beta) and w.beta_degree(beta) > 0
     ]
+
+
+# lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
+@lru_cache(maxsize=None)
+def _standard_chains(beta: Index, d: int, max_degree: int):
+    """Standard pair sequences of degree 1..max_degree at this beta as
+    weighted cells ``((degree, bot of first, top of last), count)``.
+
+    Counted by a dynamic programme over the last pair: ``ways[i][deg]``
+    maps the bottom of the first pair to the number of sequences of
+    degree ``deg`` that end in the i-th usable pair w.  Such a sequence
+    is (w) alone, or one of degree ``deg - deg(w)`` ending in a pair
+    u <= w, extended by w.
+    """
+    usable = _usable_pairs(beta, d)
+    ways: list[dict[int, Counter]] = [{} for _ in usable]
+    preds: dict[int, list[int]] = {}
+    cells: Counter = Counter()
+    for degree in range(1, max_degree + 1):
+        for i, (w, wdeg) in enumerate(usable):
+            if wdeg > degree:
+                continue
+            tally: Counter = Counter()
+            if wdeg == degree:
+                tally[w.bot] = 1
+            else:
+                if i not in preds:
+                    preds[i] = [j for j, (u, _) in enumerate(usable) if pair_leq(u, w)]
+                for j in preds[i]:
+                    tally.update(ways[j].get(degree - wdeg, ()))
+            if tally:
+                ways[i][degree] = tally
+                for bot0, count in tally.items():
+                    cells[(degree, bot0, w.top)] += count
+    return tuple(cells.items())
+
+
+def _standard_sequences(beta: Index, d: int, max_degree: int):
+    """Every standard pair sequence of degree <= max_degree at this beta,
+    tagged (pairs, degree, bot of first, top of last), by DFS."""
+    usable = _usable_pairs(beta, d)
     found = []
 
     def extend(seq, degree):
@@ -80,7 +119,7 @@ def _standard_chains(beta: Index, d: int, max_degree: int):
             extend(nxt, degree + wdeg)
 
     extend([], 0)
-    return tuple(found)
+    return found
 
 
 def enumerate_standard_on_y(
@@ -95,7 +134,7 @@ def enumerate_standard_on_y(
         [] for _ in range(max_degree + 1)
     ]
     by_degree[0].append(())
-    for pairs, degree, bot0, top1 in _standard_chains(tuple(beta), d, max_degree):
+    for pairs, degree, bot0, top1 in _standard_sequences(tuple(beta), d, max_degree):
         if bruhat_leq(alpha, bot0) and bruhat_leq(top1, gamma):
             by_degree[degree].append(pairs)
     return by_degree

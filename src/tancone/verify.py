@@ -15,6 +15,14 @@ Everything that depends on the fixed point alone is shared by every
 (alpha, gamma) above it: ``sweep`` verifies one beta at a time on one
 patch, whose minor memo goes when that beta is done, and the per-beta
 count tables are cached by beta.
+
+The three count tables hold weighted cells ``(key, count)``: the key is
+all a case's (alpha, gamma) filter reads, and the count is how many
+objects share it, so a case makes one Bruhat test per cell and sums the
+counts of the cells that pass.  Specials are counted by support (every
+multiset on one support has the same chain values), standard monomials
+by a dynamic programme over their last pair, and bitableaux by
+enumerating them and grouping by their first and last delta values.
 """
 
 from __future__ import annotations
@@ -22,8 +30,11 @@ from __future__ import annotations
 import json
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import combinations
+from math import comb
 
 from .brsk import delta_sequence, enumerate_on_starred
 from .grid import double_multiset, multiset_chain_values, upper_points
@@ -170,45 +181,56 @@ class Verdict:
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _special_profiles(beta: Index, d: int, degree2: int):
-    """For each special multiset of degree ``degree2``: the chain values of
-    its positive and negative parts (enough to test boundedness)."""
-    from itertools import combinations_with_replacement
+    """Special multisets of degree ``degree2`` as weighted cells
+    ``((pos_values, neg_values), count)``: the chain values of the
+    positive and negative parts (enough to test boundedness), and how
+    many specials have them.
 
-    profiles = []
-    for combo in combinations_with_replacement(upper_points(beta, d), degree2 // 2):
-        u: dict = {}
-        for pt in combo:
-            u[pt] = u.get(pt, 0) + 1
-        m = double_multiset(u, d)
-        profiles.append(multiset_chain_values(m, beta))
-    return tuple(profiles)
+    A special multiset is U union U# for a multiset U of degree k =
+    degree2/2 on the upper region, and its chain values depend only on
+    the support S of U.  So each support S of size 1..k gives one cell of
+    weight C(k-1, |S|-1), the number of degree-k multisets with support
+    exactly S.
+    """
+    k = degree2 // 2
+    if k == 0:
+        return ((((), ()), 1),)
+    upper = upper_points(beta, d)
+    cells: Counter = Counter()
+    for size in range(1, k + 1):
+        weight = comb(k - 1, size - 1)
+        for support in combinations(upper, size):
+            m = double_multiset(dict.fromkeys(support, 1), d)
+            cells[multiset_chain_values(m, beta)] += weight
+    return tuple(cells.items())
 
 
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _bitableau_profiles(beta: Index, d: int, degree2: int):
-    """(first, last) of the delta sequence for each on-starred bitableau."""
-    profiles = []
+    """On-starred bitableaux with ``degree2`` boxes as weighted cells
+    ``((first, last), count)``: the first and last delta values, and how
+    many enumerated bitableaux have them."""
+    cells: Counter = Counter()
     for t in enumerate_on_starred(beta, d, degree2):
         delta = delta_sequence(t, beta)
-        profiles.append((delta[0], delta[-1]))
-    return tuple(profiles)
+        cells[(delta[0], delta[-1])] += 1
+    return tuple(cells.items())
 
 
 def _count_specials(beta, d, degree2, alpha, gamma) -> int:
-    count = 0
-    for pos_vals, neg_vals in _special_profiles(tuple(beta), d, degree2):
-        if all(bruhat_leq(alpha, v) for v in neg_vals) and all(
-            bruhat_leq(v, gamma) for v in pos_vals
-        ):
-            count += 1
-    return count
+    return sum(
+        count
+        for (pos_vals, neg_vals), count in _special_profiles(tuple(beta), d, degree2)
+        if all(bruhat_leq(alpha, v) for v in neg_vals)
+        and all(bruhat_leq(v, gamma) for v in pos_vals)
+    )
 
 
 def _count_bitableaux(beta, d, degree2, alpha, gamma) -> int:
     return sum(
-        1
-        for first, last in _bitableau_profiles(tuple(beta), d, degree2)
+        count
+        for (first, last), count in _bitableau_profiles(tuple(beta), d, degree2)
         if bruhat_leq(alpha, first) and bruhat_leq(last, gamma)
     )
 
@@ -217,8 +239,8 @@ def _count_standard(beta, d, degree, alpha, gamma, max_degree) -> int:
     if degree == 0:
         return 1
     return sum(
-        1
-        for pairs, deg, bot0, top1 in _standard_chains(tuple(beta), d, max_degree)
+        count
+        for (deg, bot0, top1), count in _standard_chains(tuple(beta), d, max_degree)
         if deg == degree and bruhat_leq(alpha, bot0) and bruhat_leq(top1, gamma)
     )
 

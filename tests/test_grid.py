@@ -1,4 +1,5 @@
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,7 +18,7 @@ from tancone.grid import (
     is_special,
     is_upper,
     is_upper_chain,
-    maximal_chains,
+    maximal_paths,
     multiset_bounded,
     multiset_from_json,
     multiset_to_json,
@@ -27,6 +28,22 @@ from tancone.grid import (
     upper_points,
 )
 from tancone.indexsets import enumerate_indices
+
+
+def maximal_chains_oracle(points):
+    """Brute-force maximal chains: every subset of the support that is a
+    chain and that no further support point extends."""
+    support = set(points)
+    result = []
+    for ch in enumerate_chains(support, nonempty=True):
+        s = set(ch)
+        extendable = any(
+            is_chain(tuple(sorted(s | {q}, key=lambda p: (-p[0], p[1]))))
+            for q in support - s
+        )
+        if not extendable:
+            result.append(ch)
+    return result
 
 
 def test_grid_regions_beta_13():
@@ -122,11 +139,36 @@ def test_multiset_bounded_examples():
 
 def test_maximal_chains_cover_support():
     m = {(2, 1): 1, (4, 1): 2, (2, 3): 1}
-    chains = maximal_chains(m.keys())
+    chains = maximal_paths(m.keys())
     covered = {p for ch in chains for p in ch}
     assert covered == set(m)
     for ch in chains:
         assert is_chain(ch)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_maximal_paths_match_oracle_every_support(d):
+    for beta in enumerate_indices(d):
+        pts = grid_points(beta, d)
+        for size in range(1, len(pts) + 1):
+            for support in combinations(pts, size):
+                assert sorted(maximal_paths(support)) == sorted(
+                    maximal_chains_oracle(support)
+                ), (beta, support)
+
+
+def test_maximal_paths_match_oracle_d4_sampled_supports():
+    """Doubled supports of up to six upper points, as the degree <= 6
+    special tables use them: 300 seeded draws per beta."""
+    rng = random.Random(4)
+    for beta in enumerate_indices(4):
+        ups = upper_points(beta, 4)
+        for _ in range(300):
+            u = dict.fromkeys(rng.sample(ups, rng.randint(1, 6)), 1)
+            support = double_multiset(u, 4).keys()
+            assert sorted(maximal_paths(support)) == sorted(
+                maximal_chains_oracle(support)
+            ), (beta, support)
 
 
 def test_sqrt_special_examples():

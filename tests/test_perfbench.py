@@ -2,8 +2,10 @@
 passes, and a deterministic count it reports holds."""
 
 import importlib
+import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import tancone.patch
@@ -44,3 +46,21 @@ def test_d5_groebner_seed0_minor_count(monkeypatch):
     verdicts = sweep(5, max_degree=1, sample=workload.sample, seed=cli_seed)
     assert len(verdicts) == len(expected) == 60
     assert calls == 4635
+
+
+def test_traced_sweep_reports_every_declared_layer(monkeypatch, tmp_path):
+    """One traced sweep through the benchmark's runner, as the self-test
+    makes them: every per-layer metric BENCHMARK.json declares is present
+    and nonzero, so an entry point that a change renames or bypasses
+    cannot leave a metric missing or stuck at 0.  ``trace.overhead`` is
+    left out; it needs a plain sweep beside the traced one."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    run = importlib.import_module("run")
+    runner = run.Runner(str(tmp_path), time.monotonic() + 120)
+    out = str(tmp_path / "report.json")
+    result = runner.spawn(["sweep", "--d", "3", "--max-degree", "1", "--out", out], traced=True)
+    assert result is not None and result["exit_code"] == 0
+    metrics = run.layer_metrics(result["trace"])
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    declared = {m["name"] for m in spec["per_layer"]} - {"trace.overhead"}
+    assert sorted(name for name in declared if not metrics.get(name)) == []
