@@ -220,6 +220,9 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except RecursionError:
+        print("error: input too large: maximum recursion depth exceeded", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -205,9 +205,9 @@ def multiset_chain_values(m: Multiset, beta: Index):
 
     Returns (pos_values, neg_values) as sorted tuples; enough to decide
     boundedness against any (alpha, gamma) since subchains of a bounded
-    chain are bounded.  Only the support ``m.keys()`` is read, so the
-    result is the key of the weighted cell that every special multiset on
-    this support shares (``verify._special_profiles``).
+    chain are bounded.  Only the support ``m.keys()`` is read, so every
+    special multiset on this support shares the result, which keys its
+    cell in ``verify._special_profiles``.
     """
     pos_vals = set()
     neg_vals = set()

@@ -67,36 +67,26 @@ def _usable_pairs(beta: Index, d: int):
 
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
-def _standard_chains(beta: Index, d: int, max_degree: int):
-    """Standard pair sequences of degree 1..max_degree at this beta as
-    weighted cells ``((degree, bot of first, top of last), count)``.
+def _standard_chains(beta: Index, d: int, m: int):
+    """Standard pair sequences of degree m at this beta as cells
+    ``(((bot of first,), (top of last,)), count)``; the empty sequence
+    (m = 0) has neither, and its cell is ``((), ())``.
 
-    Counted by a dynamic programme over the last pair: ``ways[i][deg]``
-    maps the bottom of the first pair to the number of sequences of
-    degree ``deg`` that end in the i-th usable pair w.  Such a sequence
-    is (w) alone, or one of degree ``deg - deg(w)`` ending in a pair
-    u <= w, extended by w.
+    A sequence of degree m that ends in the pair w is (w) alone, or one
+    of degree m - deg(w) whose last top is <= bot(w), extended by w.
+    Whether w may follow reads only that last top, so the cells of lower
+    degree, taken through this function's cache, are the whole state.
     """
-    usable = _usable_pairs(beta, d)
-    ways: list[dict[int, Counter]] = [{} for _ in usable]
-    preds: dict[int, list[int]] = {}
+    if m == 0:
+        return ((((), ()), 1),)
     cells: Counter = Counter()
-    for degree in range(1, max_degree + 1):
-        for i, (w, wdeg) in enumerate(usable):
-            if wdeg > degree:
-                continue
-            tally: Counter = Counter()
-            if wdeg == degree:
-                tally[w.bot] = 1
-            else:
-                if i not in preds:
-                    preds[i] = [j for j, (u, _) in enumerate(usable) if pair_leq(u, w)]
-                for j in preds[i]:
-                    tally.update(ways[j].get(degree - wdeg, ()))
-            if tally:
-                ways[i][degree] = tally
-                for bot0, count in tally.items():
-                    cells[(degree, bot0, w.top)] += count
+    for w, wdeg in _usable_pairs(beta, d):
+        if wdeg == m:
+            cells[((w.bot,), (w.top,))] += 1
+        elif wdeg < m:
+            for (bots, (top,)), count in _standard_chains(beta, d, m - wdeg):
+                if bruhat_leq(top, w.bot):
+                    cells[(bots, (w.top,))] += count
     return tuple(cells.items())
 
 

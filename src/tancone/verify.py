@@ -16,13 +16,17 @@ Everything that depends on the fixed point alone is shared by every
 patch, whose minor memo goes when that beta is done, and the per-beta
 count tables are cached by beta.
 
-The three count tables hold weighted cells ``(key, count)``: the key is
-all a case's (alpha, gamma) filter reads, and the count is how many
-objects share it, so a case makes one Bruhat test per cell and sums the
-counts of the cells that pass.  Specials are counted by support (every
-multiset on one support has the same chain values), standard monomials
-by a dynamic programme over their last pair, and bitableaux by
-enumerating them and grouping by their first and last delta values.
+The three count tables share one contract: ``table(beta, d, m)`` holds
+the column's objects at monomial degree m as cells ``((lows, highs), count)``.
+Every value in ``lows`` must lie at or above alpha and every value in
+``highs`` at or below gamma for the objects to be bounded, and the count
+is how many objects share the key; degree 0 is the one cell
+``(((), ()), 1)``.  One filter, ``_count_cells``, sums the counts of the
+cells that pass, so a case makes its Bruhat tests once per cell.
+Specials are counted by support (every multiset on one support has the
+same chain values), standard monomials by recursion on their last pair
+through the table's own cache, and bitableaux by enumerating them and
+grouping by their first and last delta values.
 """
 
 from __future__ import annotations
@@ -180,69 +184,71 @@ class Verdict:
 
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
-def _special_profiles(beta: Index, d: int, degree2: int):
-    """Special multisets of degree ``degree2`` as weighted cells
-    ``((pos_values, neg_values), count)``: the chain values of the
-    positive and negative parts (enough to test boundedness), and how
-    many specials have them.
+def _special_profiles(beta: Index, d: int, m: int):
+    """Special multisets of degree 2m as cells ``((neg_values,
+    pos_values), count)``: the chain values of the negative and positive
+    parts, and how many specials have them.
 
-    A special multiset is U union U# for a multiset U of degree k =
-    degree2/2 on the upper region, and its chain values depend only on
-    the support S of U.  So each support S of size 1..k gives one cell of
-    weight C(k-1, |S|-1), the number of degree-k multisets with support
-    exactly S.
+    A special multiset is U union U# for a multiset U of degree m on the
+    upper region, and its chain values depend only on the support S of
+    U.  So each support S of size 1..m gives one cell of weight
+    C(m-1, |S|-1), the number of degree-m multisets with support exactly
+    S.
     """
-    k = degree2 // 2
-    if k == 0:
+    if m == 0:
         return ((((), ()), 1),)
     upper = upper_points(beta, d)
     cells: Counter = Counter()
-    for size in range(1, k + 1):
-        weight = comb(k - 1, size - 1)
+    for size in range(1, m + 1):
+        weight = comb(m - 1, size - 1)
         for support in combinations(upper, size):
-            m = double_multiset(dict.fromkeys(support, 1), d)
-            cells[multiset_chain_values(m, beta)] += weight
+            doubled = double_multiset(dict.fromkeys(support, 1), d)
+            pos_vals, neg_vals = multiset_chain_values(doubled, beta)
+            cells[(neg_vals, pos_vals)] += weight
     return tuple(cells.items())
 
 
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
-def _bitableau_profiles(beta: Index, d: int, degree2: int):
-    """On-starred bitableaux with ``degree2`` boxes as weighted cells
-    ``((first, last), count)``: the first and last delta values, and how
-    many enumerated bitableaux have them."""
+def _bitableau_profiles(beta: Index, d: int, m: int):
+    """On-starred bitableaux with 2m boxes as cells ``(((first,),
+    (last,)), count)``: the first and last delta values, and how many
+    enumerated bitableaux have them.  The empty bitableau (m = 0) has
+    neither, and its cell is ``((), ())``."""
     cells: Counter = Counter()
-    for t in enumerate_on_starred(beta, d, degree2):
+    for t in enumerate_on_starred(beta, d, 2 * m):
         delta = delta_sequence(t, beta)
-        cells[(delta[0], delta[-1])] += 1
+        cells[(delta[:1], delta[-1:])] += 1
     return tuple(cells.items())
 
 
-def _count_specials(beta, d, degree2, alpha, gamma) -> int:
-    return sum(
-        count
-        for (pos_vals, neg_vals), count in _special_profiles(tuple(beta), d, degree2)
-        if all(bruhat_leq(alpha, v) for v in neg_vals)
-        and all(bruhat_leq(v, gamma) for v in pos_vals)
-    )
+def _count_cells(cells, alpha, gamma) -> int:
+    """Total count of the cells ``((lows, highs), count)`` whose lows all
+    lie at or above alpha and whose highs all lie at or below gamma."""
+    total = 0
+    for (lows, highs), count in cells:
+        for v in lows:
+            if not bruhat_leq(alpha, v):
+                break
+        else:
+            for v in highs:
+                if not bruhat_leq(v, gamma):
+                    break
+            else:
+                total += count
+    return total
 
 
-def _count_bitableaux(beta, d, degree2, alpha, gamma) -> int:
-    return sum(
-        count
-        for (first, last), count in _bitableau_profiles(tuple(beta), d, degree2)
-        if bruhat_leq(alpha, first) and bruhat_leq(last, gamma)
-    )
+def _count_specials(beta, d, m, alpha, gamma) -> int:
+    return _count_cells(_special_profiles(tuple(beta), d, m), alpha, gamma)
 
 
-def _count_standard(beta, d, degree, alpha, gamma, max_degree) -> int:
-    if degree == 0:
-        return 1
-    return sum(
-        count
-        for (deg, bot0, top1), count in _standard_chains(tuple(beta), d, max_degree)
-        if deg == degree and bruhat_leq(alpha, bot0) and bruhat_leq(top1, gamma)
-    )
+def _count_bitableaux(beta, d, m, alpha, gamma) -> int:
+    return _count_cells(_bitableau_profiles(tuple(beta), d, m), alpha, gamma)
+
+
+def _count_standard(beta, d, m, alpha, gamma) -> int:
+    return _count_cells(_standard_chains(tuple(beta), d, m), alpha, gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -274,18 +280,13 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
 
     per_degree: dict[int, dict[str, int]] = {}
     agree = True
+    alpha, beta, gamma = case.alpha, case.beta, case.gamma
     for m in range(1, case.max_degree + 1):
         row = {
             "outside_good": len(monomials_outside(good_init, ring.nvars, m)),
-            "special_multisets": _count_specials(
-                case.beta, d, 2 * m, case.alpha, case.gamma
-            ),
-            "bitableaux": _count_bitableaux(
-                case.beta, d, 2 * m, case.alpha, case.gamma
-            ),
-            "standard_monomials": _count_standard(
-                case.beta, d, m, case.alpha, case.gamma, case.max_degree
-            ),
+            "special_multisets": _count_specials(beta, d, m, alpha, gamma),
+            "bitableaux": _count_bitableaux(beta, d, m, alpha, gamma),
+            "standard_monomials": _count_standard(beta, d, m, alpha, gamma),
             "outside_init": len(monomials_outside(init_ideal, ring.nvars, m)),
         }
         per_degree[m] = row

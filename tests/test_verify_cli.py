@@ -1,7 +1,9 @@
 import contextlib
 import gc
+import inspect
 import io
 import json
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,23 @@ def test_cli_sweep_writes_file(tmp_path, capsys):
     )
     assert rc == 0
     assert out.read_text() == (tmp_path / "report.json2").read_text()
+
+
+def test_cli_reports_deep_recursion_as_error(capsys):
+    """A degree deep enough to exhaust the recursion limit (about 520 at the
+    default limit) is an error line and exit 2, not a traceback; the limit
+    is lowered so that a small degree reaches it."""
+    argv = ["count", "--d", "1", "--alpha", "1", "--beta", "1", "--gamma", "2",
+            "--max-degree", "40"]
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 60)
+    try:
+        rc = main(argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "recursion" in err
 
 
 def test_cli_rejects_bad_input(capsys):
