@@ -118,10 +118,10 @@ def make_monic(terms, p):
 def normal_form(f, basis, p):
     """Remainder of f modulo a divisor list.
 
-    ``basis`` is a list of (leading monomial, terms) pairs; the caller
-    sorts it by ascending leading monomial, and the first divisor of the
-    currently largest reducible term is always used, which makes the
-    result deterministic for non-Groebner inputs too.
+    ``basis`` is a list of (leading monomial, terms) pairs, and the
+    currently largest term is always reduced by the first pair in list
+    order whose leading monomial divides it, which makes the result
+    deterministic for non-Groebner inputs too.
     """
     work = dict(f)
     remainder = {}

@@ -52,40 +52,44 @@ def mirror_sign(r: int, c: int, d: int) -> int:
 
 
 class PatchMatrix:
-    """2d x d coordinate matrix of the affine patch at e_beta."""
+    """2d x d coordinate matrix of the affine patch at e_beta.
+
+    ``entries`` holds every entry as a polynomial; ``signed_vars`` holds
+    each entry outside beta's rows as the (variable index, sign) it is
+    built from, which is what ``minor`` reads.
+    """
 
     def __init__(self, beta: Index, d: int, ring: PolyRing):
         self.beta = tuple(beta)
         self.d = d
         self.ring = ring
         self.entries: dict[tuple[int, int], Poly] = {}
+        self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
         self._minors: dict[Index, Poly] = {}
         bset = set(beta)
         for r in range(1, 2 * d + 1):
             for c in beta:
                 if r in bset:
                     self.entries[(r, c)] = ring.one() if r == c else ring.zero()
-                elif is_upper((r, c), d):
-                    self.entries[(r, c)] = ring.gen((r, c))
+                    continue
+                if is_upper((r, c), d):
+                    var, s = (r, c), 1
                 else:
-                    s = mirror_sign(r, c, d)
-                    self.entries[(r, c)] = ring.gen(sharp_point((r, c), d)).scale(s)
+                    var, s = sharp_point((r, c), d), mirror_sign(r, c, d)
+                self.signed_vars[(r, c)] = (ring.index[var], s)
+                self.entries[(r, c)] = ring.gen(var).scale(s)
 
     def entry(self, r: int, c: int) -> Poly:
         return self.entries[(r, c)]
 
-    def column(self, c: int) -> list[Poly]:
-        return [self.entries[(r, c)] for r in range(1, 2 * self.d + 1)]
-
     def minor(self, theta: Index) -> Poly:
         """Determinant over rows theta minus beta, columns beta minus theta.
 
-        Those rows lie outside beta, so every entry used is a single term
-        +/- X: the Leibniz sum runs over variable indices with integer
-        signs, and an entry of any other shape raises ``ValueError``.
-        The result is memoized per theta on this matrix, so every case
-        verified on this patch shares it; the returned polynomial must not
-        be mutated.
+        Those rows lie outside beta, so every entry used is +/- one
+        variable, and the Leibniz sum runs over ``signed_vars`` with
+        integer signs.  The result is memoized per theta on this matrix,
+        so every case verified on this patch shares it; the returned
+        polynomial must not be mutated.
         """
         theta = tuple(theta)
         cached = self._minors.get(theta)
@@ -96,10 +100,7 @@ class PatchMatrix:
         if len(rows) != len(cols):
             raise ValueError("theta and beta must have the same size")
         k = len(rows)
-        # in F_2, where -1 = 1, the later key makes that unit +1
-        units = {self.ring.coeff(-1): -1, self.ring.coeff(1): 1}
-        # (variable index, sign) of each entry, by row then column
-        cells = [[self._signed_variable(r, c, units) for c in cols] for r in rows]
+        cells = [[self.signed_vars[(r, c)] for c in cols] for r in rows]
         acc: dict[tuple, int] = {}
         for perm in permutations(range(k)):
             sign = _perm_sign(perm)
@@ -113,16 +114,6 @@ class PatchMatrix:
         result = self.ring.poly(acc)
         self._minors[theta] = result
         return result
-
-    def _signed_variable(self, r: int, c: int, units: dict) -> tuple[int, int]:
-        """(variable index, sign) of an entry that is +/- one variable;
-        ``units`` maps the ring's +1 and -1 to their integer signs."""
-        terms = self.entries[(r, c)].terms
-        if len(terms) == 1:
-            ((mono, coeff),) = terms.items()
-            if sum(mono) == 1 and coeff in units:
-                return mono.index(1), units[coeff]
-        raise ValueError(f"patch entry ({r}, {c}) is not +/- one variable")
 
 
 def _perm_sign(perm) -> int:

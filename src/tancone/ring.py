@@ -214,20 +214,14 @@ class Poly:
 # division and Buchberger
 
 
-def _sorted_basis(polys):
-    """Divisor list sorted by ascending initial monomial; ties by terms."""
-    entries = []
-    for g in polys:
-        if g.terms:
-            entries.append((g.leading_monomial(), g.terms))
-    entries.sort(key=lambda e: ((sum(e[0]), e[0]), sorted(e[1])))
-    return entries
-
-
 def normal_form(f: Poly, divisors) -> Poly:
-    """Deterministic remainder of f modulo a list of polynomials."""
+    """Remainder of f modulo a list of polynomials, taken in the order
+    given: each term is reduced by the first nonzero divisor whose
+    initial monomial divides it.  Modulo a Groebner basis the remainder
+    does not depend on that order; modulo other lists it may.
+    """
     ring = f.ring
-    basis = _sorted_basis(divisors)
+    basis = [(g.leading_monomial(), g.terms) for g in divisors if g.terms]
     return Poly(ring, _reduce_terms(f.terms, basis, ring.p))
 
 
@@ -236,7 +230,9 @@ def reduced_groebner(gens) -> list[Poly]:
 
     Normal selection strategy with the coprime-lead criterion; output
     sorted by ascending initial monomial, each element monic with fully
-    reduced tail.
+    reduced tail.  Divisions take the basis in the order it was built.
+    Reducing a tail keeps its lead, since no other lead of a minimal
+    basis divides it, so the output keeps the minimal basis's order.
 
     Pending pairs wait in a heap of (degree of lcm, lcm, i, j), so the
     pair popped next is the one with the least lcm in the term order,
@@ -287,7 +283,6 @@ def reduced_groebner(gens) -> list[Poly]:
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
         reduced.append(normal_form(g, others).monic())
-    reduced.sort(key=lambda h: mono_key(h.leading_monomial()))
     return reduced
 
 
@@ -329,8 +324,13 @@ def monomials_of_degree(nvars: int, m: int):
 
 
 def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:
-    """Degree-m monomials not divisible by any generator (the staircase)."""
-    gens = minimal_monomial_generators(gen_monos)
+    """Degree-m monomials not divisible by any generator (the staircase).
+
+    Any generating set gives the same staircase, since a monomial has a
+    generator dividing it exactly when it has a minimal one; callers
+    pass minimal lists, the fewest generators to test.
+    """
+    gens = tuple(gen_monos)
     out = []
     for mono in monomials_of_degree(nvars, m):
         if not any(mono_divides(g, mono) for g in gens):

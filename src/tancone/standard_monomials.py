@@ -76,9 +76,13 @@ def _standard_chains(beta: Index, d: int, m: int):
     of degree m - deg(w) whose last top is <= bot(w), extended by w.
     Whether w may follow reads only that last top, so the cells of lower
     degree, taken through this function's cache, are the whole state.
+    A cold call fills the lower degrees in ascending order first, so the
+    recursion stays two calls deep whatever m is.
     """
     if m == 0:
         return ((((), ()), 1),)
+    for lower in range(1, m):
+        _standard_chains(beta, d, lower)
     cells: Counter = Counter()
     for w, wdeg in _usable_pairs(beta, d):
         if wdeg == m:

@@ -106,6 +106,19 @@ def test_standard_cells_match_dfs(d, top):
             ), (beta, m)
 
 
+def test_standard_cells_cold_at_high_degree():
+    beta, d, m = (1, 3), 2, 1001
+    _standard_chains.cache_clear()
+    try:
+        cold = _standard_chains(beta, d, m)
+        _standard_chains.cache_clear()
+        for k in range(1, m + 1):
+            ascending = _standard_chains(beta, d, k)
+        assert dict(cold) == dict(ascending)
+    finally:
+        _standard_chains.cache_clear()
+
+
 @pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 3)])
 def test_bitableau_cells_group_the_enumeration(d, top):
     for beta in enumerate_indices(d):

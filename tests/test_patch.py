@@ -147,18 +147,6 @@ def test_minor_memo_is_per_patch():
                 assert m0.minor(theta) is f0 and m3.minor(theta) is f3
 
 
-def test_minor_rejects_entry_that_is_not_one_variable():
-    beta = (1, 3)
-    m = PatchMatrix(beta, 2, PolyRing.for_patch(beta, 2))
-    X21, X23 = m.ring.gen((2, 1)), m.ring.gen((2, 3))
-    m.entries[(2, 1)] = X21 + X23
-    with pytest.raises(ValueError, match=r"\(2, 1\) is not \+/- one variable"):
-        m.minor((2, 3))
-    m.entries[(2, 1)] = X21.scale(2)
-    with pytest.raises(ValueError, match="not"):
-        m.minor((2, 4))
-
-
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_minor_sign_symmetry_with_sharp(d):
     for beta in enumerate_indices(d):

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import permutations
 from math import comb
 
 import pytest
@@ -114,6 +115,23 @@ def test_reduce_examples(ring13):
     assert normal_form(f, [X23]) == X21 * X21
 
 
+def test_normal_form_divides_in_the_order_given(ring13):
+    X41, X21, X23 = (ring13.gen(v) for v in ring13.variables)
+    # two divisors with the same lead X(4,1): not a Groebner basis
+    g1, g2 = X41 - X21, X41 - X23
+    f = X41 * X41 + X21
+    # X41^2 -> X41*X21 -> X21^2 by g1 alone; X41^2 -> X41*X23 -> X23^2 by g2
+    assert normal_form(f, [g1, g2]) == X21 * X21 + X21
+    assert normal_form(f, [g2, g1]) == X23 * X23 + X21
+    # modulo a Groebner basis every order gives the same remainder
+    gb = reduced_groebner([X21 * X21 - X23 * X41, X41 * X23 - X21 * X23])
+    h = X41 * X41 * X21 + X21 * X21 * X23 + X41 * X23 * X23
+    remainders = {
+        _frozen(normal_form(h, order).terms) for order in permutations(gb)
+    }
+    assert len(remainders) == 1
+
+
 def test_buchberger_examples(ring13):
     X41, X21, X23 = (ring13.gen(v) for v in ring13.variables)
     assert reduced_groebner([X23]) == [X23]
@@ -166,6 +184,29 @@ def test_staircase_of_zero_ideal_counts(nvars, m):
     assert len(mons) == comb(m + nvars - 1, nvars - 1)
     assert len(set(mons)) == len(mons)
     assert all(sum(mono) == m for mono in mons)
+
+
+@pytest.mark.parametrize("nvars", [3, 4, 5, 6])
+def test_staircase_does_not_depend_on_the_generating_set(nvars):
+    rng = random.Random(nvars)
+    for _ in range(6):
+        raw = [random_monomial(rng, nvars, max_exp=2) for _ in range(rng.randint(1, 5))]
+        minimal = minimal_monomial_generators(raw)
+        padded = minimal + raw + [
+            tuple(x + y for x, y in zip(g, random_monomial(rng, nvars, max_exp=1)))
+            for g in minimal
+        ]
+        padded += padded[:2]
+        rng.shuffle(padded)
+        for m in range(5):
+            expected = [
+                mono
+                for mono in monomials_of_degree(nvars, m)
+                if not any(all(x <= y for x, y in zip(g, mono)) for g in raw)
+            ]
+            assert monomials_outside(minimal, nvars, m) == expected, (raw, m)
+            assert monomials_outside(padded, nvars, m) == expected, (raw, m)
+            assert monomials_outside(iter(padded), nvars, m) == expected, (raw, m)
 
 
 def test_minimal_monomial_generators():
