@@ -6,6 +6,13 @@ the largest variable, so the homogeneous-lex term order is the plain
 comparison of (degree, exponents).  A polynomial is a dict mapping
 monomials to nonzero coefficients: Fraction over the rationals (p == 0)
 or ints in [1, p) over a prime field.
+
+Division reads each divisor as a record built once per polynomial
+(``divisor_record``): its lead, a support bitmask of the lead that rules
+out most divisors before any exponent is compared, the inverse of its
+lead coefficient, and its other terms with their degree offsets from the
+lead, which place each product straight into the degree bucket of the
+work polynomial in ``normal_form``.
 """
 
 from fractions import Fraction
@@ -104,48 +111,69 @@ def _inv(c, p):
     return Fraction(1, c)
 
 
-def make_monic(terms, p):
-    """``terms`` scaled to leading coefficient 1; ``terms`` itself when it
-    already is (term dicts are never mutated after construction)."""
-    if not terms:
-        return terms
-    lc = terms[leading_monomial(terms)]
-    if lc == 1:
-        return terms
-    return poly_scale(terms, _inv(lc, p), p)
+def mono_support(m):
+    """Bitmask of the variables that occur in m, one byte per variable."""
+    return int.from_bytes(bytes(map(bool, m)), "little")
 
 
-def normal_form(f, basis, p):
-    """Remainder of f modulo a divisor list.
+def divisor_record(terms, p):
+    """What division by a nonzero polynomial needs, computed once:
+    (lead, support mask of the lead, inverse of the lead coefficient,
+    tail), where the tail holds (monomial, coefficient, degree minus the
+    lead's degree) for every other term.  Raises ValueError on zero."""
+    lead = leading_monomial(terms)
+    degree = sum(lead)
+    tail = tuple((m, c, sum(m) - degree) for m, c in terms.items() if m != lead)
+    return lead, mono_support(lead), _inv(terms[lead], p), tail
 
-    ``basis`` is a list of (leading monomial, terms) pairs, and the
-    currently largest term is always reduced by the first pair in list
-    order whose leading monomial divides it, which makes the result
-    deterministic for non-Groebner inputs too.
+
+def normal_form(f, divisors, p):
+    """Remainder of f modulo a list of divisor records (``divisor_record``).
+
+    The largest remaining term is always reduced by the first record in
+    list order whose lead divides it, which makes the result
+    deterministic for non-Groebner inputs too.  The work polynomial is
+    held in buckets keyed by degree, so the largest term is the plain
+    tuple maximum of the top bucket: the term order compares (degree,
+    exponents).  A record whose lead has a variable the term lacks is
+    skipped on its support mask before the exponents are compared.
     """
-    work = dict(f)
+    buckets = {}
+    for m, c in f.items():
+        buckets.setdefault(sum(m), {})[m] = c
     remainder = {}
-    while work:
-        m = max(work, key=mono_key)
-        c = work.pop(m)
-        for lm, g in basis:
-            q = mono_div(m, lm)
+    while buckets:
+        degree = max(buckets)
+        bucket = buckets[degree]
+        m = max(bucket)
+        c = bucket.pop(m)
+        if not bucket:
+            del buckets[degree]
+        missing = ~mono_support(m)
+        for lead, mask, inv, tail in divisors:
+            if mask & missing:
+                continue
+            q = mono_div(m, lead)
             if q is None:
                 continue
-            factor = c * _inv(g[lm], p)
-            if p:
-                factor %= p
-            for gm, gc in g.items():
-                if gm == lm:
-                    continue
+            if inv == 1:  # a monic divisor: spare a Fraction product
+                factor = c
+            else:
+                factor = c * inv
+                if p:
+                    factor %= p
+            for gm, gc, shift in tail:
                 mm = mono_mul(gm, q)
-                v = work.get(mm, 0) - factor * gc
+                into = buckets.setdefault(degree + shift, {})
+                v = into.get(mm, 0) - factor * gc
                 if p:
                     v %= p
                 if v:
-                    work[mm] = v
+                    into[mm] = v
                 else:
-                    work.pop(mm, None)
+                    del into[mm]
+                    if not into:
+                        del buckets[degree + shift]
             break
         else:
             remainder[m] = c

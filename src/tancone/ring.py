@@ -16,8 +16,7 @@ from heapq import heappop, heappush
 from itertools import combinations
 
 from ._kernel_py import (
-    leading_monomial,
-    make_monic,
+    divisor_record,
     mono_divides,
     mono_key,
     mono_lcm,
@@ -146,13 +145,20 @@ class PolyRing:
 
 
 class Poly:
-    """Immutable-by-convention sparse polynomial bound to a ring."""
+    """Immutable-by-convention sparse polynomial bound to a ring.
 
-    __slots__ = ("ring", "terms")
+    Its divisor record (lead, lead support mask, inverse lead
+    coefficient, tail) is built on first use and kept, which is sound
+    because ``terms`` is never mutated after construction; it takes no
+    part in ``==`` or ``hash``.
+    """
+
+    __slots__ = ("ring", "terms", "_record")
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = terms
+        self._record = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -195,8 +201,14 @@ class Poly:
         degs = {sum(m) for m in self.terms}
         return len(degs) <= 1
 
+    def divisor_record(self):
+        """``_kernel_py.divisor_record`` of this polynomial, built once."""
+        if self._record is None:
+            self._record = divisor_record(self.terms, self.ring.p)
+        return self._record
+
     def leading_monomial(self):
-        return leading_monomial(self.terms)
+        return self.divisor_record()[0]
 
     def initial_term(self):
         """(monomial, coefficient) of the order-largest term."""
@@ -204,7 +216,14 @@ class Poly:
         return lm, self.terms[lm]
 
     def monic(self) -> "Poly":
-        return Poly(self.ring, make_monic(self.terms, self.ring.p))
+        """This polynomial scaled to leading coefficient 1; itself when it
+        already is (or is zero)."""
+        if not self.terms:
+            return self
+        inv = self.divisor_record()[2]
+        if inv == 1:
+            return self
+        return Poly(self.ring, poly_scale(self.terms, inv, self.ring.p))
 
     def __repr__(self):
         return self.ring.format_poly(self)
@@ -219,10 +238,13 @@ def normal_form(f: Poly, divisors) -> Poly:
     given: each term is reduced by the first nonzero divisor whose
     initial monomial divides it.  Modulo a Groebner basis the remainder
     does not depend on that order; modulo other lists it may.
+
+    Each divisor is handed to the kernel as its divisor record, which
+    the ``Poly`` builds once, on first use, and then keeps.
     """
     ring = f.ring
-    basis = [(g.leading_monomial(), g.terms) for g in divisors if g.terms]
-    return Poly(ring, _reduce_terms(f.terms, basis, ring.p))
+    records = [g.divisor_record() for g in divisors if g.terms]
+    return Poly(ring, _reduce_terms(f.terms, records, ring.p))
 
 
 def reduced_groebner(gens) -> list[Poly]:
@@ -238,6 +260,8 @@ def reduced_groebner(gens) -> list[Poly]:
     pair popped next is the one with the least lcm in the term order,
     ties broken by (i, j).  Each lcm is computed once, when its pair is
     pushed, from the leading monomials kept in ``leads`` beside the basis.
+    Every other lead, in the sorts, the minimalization and ``monic``, is
+    read from the polynomial's divisor record, built once per ``Poly``.
     """
     gens = [g for g in gens if g.terms]
     if not gens:

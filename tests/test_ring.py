@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -6,7 +7,9 @@ from math import comb
 import pytest
 
 import tancone.ring as R
+from tancone._kernel_py import _inv, mono_div, mono_mul
 from tancone.ring import (
+    Poly,
     PolyRing,
     initial_ideal_generators,
     minimal_monomial_generators,
@@ -130,6 +133,127 @@ def test_normal_form_divides_in_the_order_given(ring13):
         _frozen(normal_form(h, order).terms) for order in permutations(gb)
     }
     assert len(remainders) == 1
+
+
+# -- division oracle -----------------------------------------------------------
+
+
+def normal_form_oracle(f, basis, p):
+    """The division loop before divisor records, kept as the reference.
+
+    ``basis`` is a list of (leading monomial, terms) pairs.  The largest
+    remaining term is found by a keyed ``max`` over the whole work
+    polynomial, and it is reduced by the first pair in list order whose
+    leading monomial divides it, every pair being tried by ``mono_div``.
+    """
+    work = dict(f)
+    remainder = {}
+    while work:
+        m = max(work, key=mono_key)
+        c = work.pop(m)
+        for lm, g in basis:
+            q = mono_div(m, lm)
+            if q is None:
+                continue
+            factor = c * _inv(g[lm], p)
+            if p:
+                factor %= p
+            for gm, gc in g.items():
+                if gm == lm:
+                    continue
+                mm = mono_mul(gm, q)
+                v = work.get(mm, 0) - factor * gc
+                if p:
+                    v %= p
+                if v:
+                    work[mm] = v
+                else:
+                    work.pop(mm, None)
+            break
+        else:
+            remainder[m] = c
+    return remainder
+
+
+COEFFS = (-3, -2, -1, 1, 2, 3)
+
+
+def random_poly(rng, ring, nterms, max_exp):
+    """Random terms of mixed degrees, so most draws are not homogeneous."""
+    return ring.poly(
+        {
+            random_monomial(rng, ring.nvars, max_exp): rng.choice(COEFFS)
+            for _ in range(nterms)
+        }
+    )
+
+
+def random_divisors(rng, ring):
+    """A divisor list that is rarely a Groebner basis: zero divisors,
+    monomials, and divisors that repeat an earlier divisor's lead with
+    another tail."""
+    divisors = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.random()
+        earlier = [g for g in divisors if g.terms]
+        if kind < 0.15:
+            divisors.append(ring.zero())
+        elif kind < 0.4 and earlier:
+            lead = max(rng.choice(earlier).terms, key=mono_key)
+            lower = random_poly(rng, ring, rng.randint(1, 4), 2).terms
+            tail = {m: c for m, c in lower.items() if mono_key(m) < mono_key(lead)}
+            g = ring.poly({**tail, lead: rng.choice(COEFFS)})
+            if g.terms:
+                divisors.append(g)
+        elif kind < 0.5:
+            divisors.append(random_poly(rng, ring, 1, 2))
+        else:
+            divisors.append(random_poly(rng, ring, rng.randint(2, 4), 2))
+    return divisors
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+def test_normal_form_matches_the_division_oracle(p):
+    """Exactly the oracle's remainder, on non-homogeneous polynomials and
+    non-Groebner divisor lists; every divisor is used three times, so its
+    cached record is read as well as built."""
+    rng = random.Random(8100 + p)
+    mixed_degrees = repeated_leads = reduced = 0
+    for _ in range(250):
+        ring = PolyRing(range(rng.randint(1, 5)), p=p)
+        divisors = random_divisors(rng, ring)
+        basis = [(max(g.terms, key=mono_key), g.terms) for g in divisors if g.terms]
+        leads = [lm for lm, _ in basis]
+        repeated_leads += len(set(leads)) < len(leads)
+        for _ in range(3):
+            f = random_poly(rng, ring, rng.randint(1, 8), 3)
+            expected = normal_form_oracle(f.terms, basis, p)
+            got = normal_form(f, divisors)
+            assert got.ring == ring
+            assert got.terms == expected, (f, divisors)
+            mixed_degrees += len({sum(m) for m in f.terms}) > 1
+            reduced += bool(expected) and expected != f.terms
+    assert mixed_degrees > 300 and repeated_leads > 40 and reduced > 200
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_a_divisor_keeps_its_equality_hash_and_pickle(p):
+    ring = PolyRing.for_patch((1, 3), 2, p=p)
+    X41, X21, X23 = (ring.gen(v) for v in ring.variables)
+    g = (X21 * X21 - X23 * X41).scale(2) + X21
+    twin = Poly(ring, dict(g.terms))
+    before = hash(g)
+    f = X41 * X41 * X23 + X21 * X23
+    remainder = normal_form(f, [g])
+    assert g.divisor_record() is g.divisor_record()
+    reduced_groebner([g, X41 * X23 - X21])
+    assert g == twin and twin == g
+    assert hash(g) == before == hash(twin)
+    assert twin in {g} and g in {twin}
+    clone = pickle.loads(pickle.dumps(g))
+    assert clone == g and hash(clone) == before
+    assert normal_form(f, [clone]) == remainder
+    assert pickle.loads(pickle.dumps(remainder)) == remainder
 
 
 def test_buchberger_examples(ring13):
