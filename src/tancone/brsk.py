@@ -343,27 +343,67 @@ def _row_from_value(v: Index, beta: Index, sign: int) -> Row:
 
 def enumerate_on_starred(beta: Index, d: int, degree: int):
     """All on-starred bitableaux with the given box count, built directly
-    from weakly increasing value sequences (no insertion involved)."""
+    from weakly increasing value sequences (no insertion involved).
+
+    The epsilon pairing of ``delta_sequence`` is followed while a sequence is
+    extended, under both parities of its final row count: no wedge (even
+    count), and beta wedged at the NEG -> POS boundary (odd count).  Each
+    parity holds the eps-degree waiting for its partner, or none; a prefix
+    is dropped once a pair mismatches under both.  A completed sequence is
+    kept when either parity has nothing pending (beta closing the wedged
+    one if no POS row came), and is still certified by ``is_on_starred``.
+    """
     if degree < 0 or degree % 2 == 1:
         return []
-    candidates = _starred_row_values(tuple(beta), d)
+    beta = tuple(beta)
+    beta_eps = epsilon_degree(beta, d)
+    candidates = [
+        (v, w, s, epsilon_degree(v, d), _row_from_value(v, beta, s))
+        for v, w, s in _starred_row_values(beta, d)
+    ]
     results = []
+    seq: list = []
 
-    def extend(seq, remaining):
+    def extend(remaining, even, odd):
+        # even, odd: pending eps-degree without / with the wedge; _FREE when
+        # nothing is pending, _DEAD once a pair has mismatched
         if remaining == 0:
-            t = NotchedBitableau(
-                rows=tuple(_row_from_value(v, beta, s) for v, _, s in seq)
-            )
-            if is_on_starred(t, beta, d):
-                results.append(t)
+            if not seq or seq[-1][2] == NEG:
+                odd = _pair(odd, beta_eps)
+            if even == _FREE or odd == _FREE:
+                t = NotchedBitableau(rows=tuple(cand[4] for cand in seq))
+                if is_on_starred(t, beta, d):
+                    results.append(t)
             return
+        last = seq[-1] if seq else None
         for cand in candidates:
-            v, w, _ = cand
+            v, w, s, e, _ = cand
             if w > remaining:
                 continue
-            if seq and not bruhat_leq(seq[-1][0], v):
+            next_odd = odd
+            if s == POS and (last is None or last[2] == NEG):
+                next_odd = _pair(next_odd, beta_eps)
+            next_even, next_odd = _pair(even, e), _pair(next_odd, e)
+            if next_even == _DEAD and next_odd == _DEAD:
                 continue
-            extend(seq + [cand], remaining - w)
+            if last is not None and not bruhat_leq(last[0], v):
+                continue
+            seq.append(cand)
+            extend(remaining - w, next_even, next_odd)
+            seq.pop()
 
-    extend([], degree)
+    extend(degree, _FREE, _FREE)
     return results
+
+
+# pairing states of enumerate_on_starred besides a pending eps-degree (>= 0)
+_FREE, _DEAD = -1, -2
+
+
+def _pair(pending: int, eps: int) -> int:
+    """Pairing state after one more delta value of eps-degree ``eps``."""
+    if pending == _FREE:
+        return eps
+    if pending == eps:
+        return _FREE
+    return _DEAD

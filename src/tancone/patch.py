@@ -56,7 +56,9 @@ class PatchMatrix:
 
     ``entries`` holds every entry as a polynomial; ``signed_vars`` holds
     each entry outside beta's rows as the (variable index, sign) it is
-    built from, which is what ``minor`` reads.
+    built from, which is what ``minor`` reads.  Each theta's minor is
+    memoized raw, and beside it scaled to initial coefficient 1
+    (``monic_minor``), so neither is computed twice on one patch.
     """
 
     def __init__(self, beta: Index, d: int, ring: PolyRing):
@@ -66,6 +68,7 @@ class PatchMatrix:
         self.entries: dict[tuple[int, int], Poly] = {}
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
         self._minors: dict[Index, Poly] = {}
+        self._monic_minors: dict[Index, Poly] = {}
         bset = set(beta)
         for r in range(1, 2 * d + 1):
             for c in beta:
@@ -115,6 +118,15 @@ class PatchMatrix:
         self._minors[theta] = result
         return result
 
+    def monic_minor(self, theta: Index) -> Poly:
+        """``minor(theta)`` scaled to initial coefficient 1, memoized beside
+        it; the minor itself when it already is monic."""
+        theta = tuple(theta)
+        monic = self._monic_minors.get(theta)
+        if monic is None:
+            monic = self._monic_minors[theta] = self.minor(theta).monic()
+        return monic
+
 
 def _perm_sign(perm) -> int:
     sign = 1
@@ -155,7 +167,7 @@ def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:
 def pair_minor(matrix: PatchMatrix, pair: AdmissiblePair) -> Poly:
     """f attached to an admissible pair: the minor of the lex-smaller
     orbit representative, scaled to initial coefficient 1."""
-    return matrix.minor(pair.rep).monic()
+    return matrix.monic_minor(pair.rep)
 
 
 @dataclass

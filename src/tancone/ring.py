@@ -352,11 +352,18 @@ def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:
 
     Any generating set gives the same staircase, since a monomial has a
     generator dividing it exactly when it has a minimal one; callers
-    pass minimal lists, the fewest generators to test.
+    pass minimal lists, the fewest generators to test.  Each generator
+    is tested on its nonzero exponents only.
     """
-    gens = tuple(gen_monos)
+    gens = [tuple((i, e) for i, e in enumerate(g) if e) for g in gen_monos]
     out = []
     for mono in monomials_of_degree(nvars, m):
-        if not any(mono_divides(g, mono) for g in gens):
+        for g in gens:
+            for i, e in g:
+                if mono[i] < e:
+                    break
+            else:
+                break
+        else:
             out.append(mono)
     return out

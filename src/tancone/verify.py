@@ -25,7 +25,8 @@ is how many objects share the key; degree 0 is the one cell
 cells that pass, so a case makes its Bruhat tests once per cell.
 Specials are counted by support (every multiset on one support has the
 same chain values), standard monomials by recursion on their last pair
-through the table's own cache, and bitableaux by enumerating them and
+through the table's own cache, and bitableaux by enumerating them
+(dropping each value sequence once its epsilon pairing fails) and
 grouping by their first and last delta values.
 """
 
@@ -213,8 +214,10 @@ def _special_profiles(beta: Index, d: int, m: int):
 def _bitableau_profiles(beta: Index, d: int, m: int):
     """On-starred bitableaux with 2m boxes as cells ``(((first,),
     (last,)), count)``: the first and last delta values, and how many
-    enumerated bitableaux have them.  The empty bitableau (m = 0) has
-    neither, and its cell is ``((), ())``."""
+    bitableaux have them.  They are enumerated by ``enumerate_on_starred``,
+    which drops a value sequence as soon as its epsilon pairing fails, and
+    grouped.  The empty bitableau (m = 0) has neither value, and its cell
+    is ``((), ())``."""
     cells: Counter = Counter()
     for t in enumerate_on_starred(beta, d, 2 * m):
         delta = delta_sequence(t, beta)

@@ -154,6 +154,21 @@ def test_exhaustive_d5_degree1_matches_reference():
              "digests", ok)
 
 
+# sha256 of report_json(sweep(4, max_degree=6), stable=True) over Q; every
+# change to a counting layer is held to it
+D4_STABLE_REPORT_SHA256 = "77725c3456e405b2a742c4712956bbf1105059c0309a1c5f19f58d537c18da75"
+
+
+@pytest.mark.slow
+def test_exhaustive_d4_degree6_report_pinned():
+    """Opt in with ``pytest -m slow``: all 672 cases at d=4 up to degree 6
+    (about a minute), against the pinned sha256 of the --stable report."""
+    verdicts = sweep(4, max_degree=6)
+    got = hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()
+    announce("exhaustive d=4, degree 6 sweep (672 cases) matches its pinned "
+             "sha256", all(v.ok for v in verdicts) and got == D4_STABLE_REPORT_SHA256)
+
+
 def _special_multisets(beta, d, degree):
     for combo in combinations_with_replacement(upper_points(beta, d), degree // 2):
         u = {}

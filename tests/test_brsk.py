@@ -9,6 +9,8 @@ from tancone.brsk import (
     NotchedBitableau,
     NotInImageError,
     Row,
+    _row_from_value,
+    _starred_row_values,
     brsk_inverse,
     brsk_map,
     delta_sequence,
@@ -27,6 +29,35 @@ from tancone.grid import (
     upper_points,
 )
 from tancone.indexsets import bruhat_leq, enumerate_indices, is_isotropic
+
+
+def enumerate_on_starred_oracle(beta, d, degree):
+    """Every on-starred bitableau with the given box count, in the order
+    of ``enumerate_on_starred``: each weakly increasing value sequence of
+    that box count, filtered by ``is_on_starred`` alone (no pruning)."""
+    if degree < 0 or degree % 2 == 1:
+        return []
+    candidates = _starred_row_values(tuple(beta), d)
+    results = []
+
+    def extend(seq, remaining):
+        if remaining == 0:
+            t = NotchedBitableau(
+                rows=tuple(_row_from_value(v, beta, s) for v, _, s in seq)
+            )
+            if is_on_starred(t, beta, d):
+                results.append(t)
+            return
+        for cand in candidates:
+            v, w, _ = cand
+            if w > remaining:
+                continue
+            if seq and not bruhat_leq(seq[-1][0], v):
+                continue
+            extend(seq + [cand], remaining - w)
+
+    extend([], degree)
+    return results
 
 
 def special_multisets(beta, d, degree):
@@ -170,6 +201,17 @@ def test_enumerate_on_starred_matches_direct_filter():
         ((3, 4), (3, 4)),
     }
     assert enumerate_on_starred(beta, d, 3) == []
+
+
+@pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 6), (4, 4)])
+def test_enumerate_on_starred_equals_the_unpruned_oracle(d, top):
+    """The pairing-pruned enumerator lists the same bitableaux, in the same
+    order, as the filter over every value sequence; odd box counts too."""
+    for beta in enumerate_indices(d):
+        for degree in range(2 * top + 2):
+            assert enumerate_on_starred(beta, d, degree) == enumerate_on_starred_oracle(
+                beta, d, degree
+            ), (beta, degree)
 
 
 def test_json_round_trip():

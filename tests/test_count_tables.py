@@ -3,7 +3,8 @@
 Each table ``table(beta, d, m)`` holds the column's objects at monomial
 degree m as cells ((lows, highs), count).  The oracles list every object
 the table counts (special multisets by their multiplicities, standard
-sequences by DFS, bitableaux by direct enumeration) and group them by
+sequences by DFS, bitableaux by the unpruned direct enumeration of
+``test_brsk``) and group them by
 the same key; the two must agree cell for cell.  Each column's count is
 also checked against a brute-force count by the column's own predicate.
 """
@@ -14,7 +15,9 @@ from math import comb
 
 import pytest
 
-from tancone.brsk import delta_sequence, enumerate_on_starred, is_bounded_bitableau
+from test_brsk import enumerate_on_starred_oracle
+
+from tancone.brsk import delta_sequence, is_bounded_bitableau
 from tancone.grid import (
     double_multiset,
     multiset_bounded,
@@ -73,7 +76,7 @@ def standard_cells_oracle(beta, d, m):
 
 def bitableau_cells_oracle(beta, d, m):
     cells = Counter()
-    for t in enumerate_on_starred(beta, d, 2 * m):
+    for t in enumerate_on_starred_oracle(beta, d, 2 * m):
         delta = delta_sequence(t, beta)
         cells[((delta[0],), (delta[-1],)) if delta else ((), ())] += 1
     return dict(cells)
@@ -147,7 +150,7 @@ def test_count_columns_match_their_predicates(d, top):
             assert _count_specials(beta, d, m, alpha, gamma) == specials, (case, m)
             bitableaux = sum(
                 is_bounded_bitableau(t, alpha, gamma, beta)
-                for t in enumerate_on_starred(beta, d, 2 * m)
+                for t in enumerate_on_starred_oracle(beta, d, 2 * m)
             )
             assert _count_bitableaux(beta, d, m, alpha, gamma) == bitableaux, (case, m)
             standard = sum(

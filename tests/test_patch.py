@@ -168,6 +168,12 @@ def test_minor_homogeneous_of_beta_degree(d):
             assert f.degree() == pair.beta_degree(beta)
 
 
+def test_pair_minor_scales_each_minor_once_per_patch():
+    m = build_patch((1, 3, 5), 3)
+    for pair in admissible_pairs(3):
+        assert pair_minor(m, pair) is pair_minor(m, pair)
+
+
 def test_pair_minor_shares_the_memoized_minor_when_already_monic():
     m = build_patch((1, 3), 2)
     shared = scaled = 0

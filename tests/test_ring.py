@@ -310,6 +310,14 @@ def test_staircase_of_zero_ideal_counts(nvars, m):
     assert all(sum(mono) == m for mono in mons)
 
 
+def staircase_by_definition(gens, nvars, m):
+    return [
+        mono
+        for mono in monomials_of_degree(nvars, m)
+        if not any(all(x <= y for x, y in zip(g, mono)) for g in gens)
+    ]
+
+
 @pytest.mark.parametrize("nvars", [3, 4, 5, 6])
 def test_staircase_does_not_depend_on_the_generating_set(nvars):
     rng = random.Random(nvars)
@@ -323,14 +331,27 @@ def test_staircase_does_not_depend_on_the_generating_set(nvars):
         padded += padded[:2]
         rng.shuffle(padded)
         for m in range(5):
-            expected = [
-                mono
-                for mono in monomials_of_degree(nvars, m)
-                if not any(all(x <= y for x, y in zip(g, mono)) for g in raw)
-            ]
+            expected = staircase_by_definition(raw, nvars, m)
             assert monomials_outside(minimal, nvars, m) == expected, (raw, m)
             assert monomials_outside(padded, nvars, m) == expected, (raw, m)
             assert monomials_outside(iter(padded), nvars, m) == expected, (raw, m)
+
+
+@pytest.mark.parametrize(
+    "gens, nvars",
+    [
+        ([(0, 0, 0)], 3),  # the zero monomial: the whole ring, empty staircase
+        ([(0, 1, 0), (0, 0, 0)], 3),
+        ([(3, 0, 0, 0), (0, 1, 1, 0), (1, 0, 0, 1)], 4),  # a pure power
+        ([(0, 0, 2)], 3),
+        ([()], 0),  # no variables: only the degree-0 monomial, and 1 = ()
+        ([], 0),
+    ],
+)
+def test_staircase_edge_cases_match_the_definition(gens, nvars):
+    for m in range(6):
+        expected = staircase_by_definition(gens, nvars, m)
+        assert monomials_outside(gens, nvars, m) == expected, m
 
 
 def test_minimal_monomial_generators():
