@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from bisect import insort
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .grid import (
     Multiset,
@@ -50,7 +51,7 @@ class Row:
         return len(self.p)
 
     def value(self, beta: Index) -> Index:
-        return bound_value(self.p, self.q, beta)
+        return _bound_row_value(self.p, self.q, tuple(beta))
 
 
 @dataclass(frozen=True)
@@ -67,7 +68,8 @@ class NotchedBitableau:
         return tuple(r for r in self.rows if r.sign == POS)
 
     def values(self, beta: Index) -> tuple[Index, ...]:
-        return tuple(r.value(beta) for r in self.rows)
+        beta = tuple(beta)
+        return tuple(_bound_row_value(r.p, r.q, beta) for r in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -251,52 +253,103 @@ def top_bot_of_chain(chain, beta: Index, d: int) -> tuple[Index, Index]:
 # predicates
 
 
-def _row_well_formed(r: Row, beta: Index, d: int) -> bool:
+# Row facts depend only on the row's entries, beta and d, and a sweep
+# certifies the same few rows of one beta thousands of times, so they are
+# memoized, keyed by the entry tuples (hashed and compared in C) rather
+# than by the Row.  A memo holds every candidate row of one beta up to
+# d = 10 (2^d - 1 rows).
+_ROW_MEMO_SIZE = 1024
+
+
+@lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _bound_row_value(p: tuple, q: tuple, beta: Index) -> Index:
+    """(beta minus Q) union P; ValueError when P meets beta, Q leaves it,
+    or the lengths differ (a raise is not memoized)."""
+    return bound_value(p, q, beta)
+
+
+@lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _row_value(p: tuple, q: tuple, beta: Index, d: int) -> Index | None:
+    """The value at beta of the row (P, Q) when it is well-formed for
+    (beta, d): nonempty, P and Q strictly increasing of equal length inside
+    [1, 2d], P outside beta and Q inside it.  None otherwise."""
     bset = set(beta)
-    if not r.p or len(r.p) != len(r.q):
-        return False
-    if list(r.p) != sorted(set(r.p)) or list(r.q) != sorted(set(r.q)):
-        return False
-    if set(r.p) & bset or not set(r.q) <= bset:
-        return False
-    return all(1 <= x <= 2 * d for x in r.p + r.q)
+    if not p or len(p) != len(q):
+        return None
+    if list(p) != sorted(set(p)) or list(q) != sorted(set(q)):
+        return None
+    if set(p) & bset or not set(q) <= bset:
+        return None
+    if not all(1 <= x <= 2 * d for x in p + q):
+        return None
+    return bound_value(p, q, beta)
+
+
+@lru_cache(maxsize=_ROW_MEMO_SIZE)
+def _row_mirrored(p: tuple, q: tuple, d: int) -> bool:
+    """P = Q*, the mirror symmetry of an on-starred row.  For entries in
+    [1, 2d] (``star`` raises outside it)."""
+    return p == star_set(q, d)
+
+
+def _semistandard_values(t: NotchedBitableau, beta: Index, d: int):
+    """The row values of ``t`` when it is semistandard at (beta, d), else
+    None: one memo lookup per row, then the sequence checks."""
+    vals = []
+    for r in t.rows:
+        v = _row_value(r.p, r.q, beta, d)
+        if v is None:
+            return None
+        vals.append(v)
+    signs = [r.sign for r in t.rows]
+    if signs != sorted(signs):
+        return None
+    for a, b in zip(vals, vals[1:]):
+        if not bruhat_leq(a, b):
+            return None
+    for r, v in zip(t.rows, vals):
+        if r.sign == NEG and not bruhat_leq(v, beta):
+            return None
+        if r.sign == POS and not bruhat_leq(beta, v):
+            return None
+    return vals
+
+
+def _wedge(vals: list, t: NotchedBitableau, beta: Index) -> list:
+    """Insert beta between the blocks of ``vals`` when the row count is odd."""
+    if len(vals) % 2 == 1:
+        vals.insert(len(t.negative_rows()), beta)
+    return vals
 
 
 def is_semistandard(t: NotchedBitableau, beta: Index, d: int) -> bool:
     """Row values weakly increase through beta, negative block first."""
-    if not all(_row_well_formed(r, beta, d) for r in t.rows):
-        return False
-    signs = [r.sign for r in t.rows]
-    if signs != sorted(signs):
-        return False
-    vals = t.values(beta)
-    for a, b in zip(vals, vals[1:]):
-        if not bruhat_leq(a, b):
-            return False
-    for r, v in zip(t.rows, vals):
-        if r.sign == NEG and not bruhat_leq(v, beta):
-            return False
-        if r.sign == POS and not bruhat_leq(beta, v):
-            return False
-    return True
+    return _semistandard_values(t, tuple(beta), d) is not None
 
 
 def delta_sequence(t: NotchedBitableau, beta: Index) -> tuple[Index, ...]:
     """Row values, with beta wedged between the blocks when the count is odd."""
-    vals = list(t.values(beta))
-    if len(vals) % 2 == 1:
-        vals.insert(len(t.negative_rows()), tuple(beta))
-    return tuple(vals)
+    beta = tuple(beta)
+    return tuple(_wedge(list(t.values(beta)), t, beta))
 
 
 def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
-    """Mirror-symmetric rows with paired grading and even box count."""
-    if not is_semistandard(t, beta, d):
+    """Mirror-symmetric rows with paired grading and even box count.
+
+    The complete predicate, for any input.  The per-row facts (value,
+    well-formedness, mirror symmetry) are read from bounded memos keyed
+    by the row's entries with (beta, d) and with d, so a call costs two
+    lookups per row plus the semistandard, pairing and parity checks on
+    the value sequence.
+    """
+    beta = tuple(beta)
+    vals = _semistandard_values(t, beta, d)
+    if vals is None:
         return False
     for r in t.rows:
-        if r.p != star_set(r.q, d):
+        if not _row_mirrored(r.p, r.q, d):
             return False
-    delta = delta_sequence(t, beta)
+    delta = _wedge(vals, t, beta)
     for j in range(0, len(delta) - 1, 2):
         if epsilon_degree(delta[j], d) != epsilon_degree(delta[j + 1], d):
             return False
@@ -345,13 +398,17 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
     """All on-starred bitableaux with the given box count, built directly
     from weakly increasing value sequences (no insertion involved).
 
-    The epsilon pairing of ``delta_sequence`` is followed while a sequence is
+    The candidate rows are ``_starred_row_values``; which of them may
+    follow each one in Bruhat order is listed once per call, and a
+    sequence is extended only along those successor lists.  The epsilon
+    pairing of ``delta_sequence`` is followed while a sequence is
     extended, under both parities of its final row count: no wedge (even
     count), and beta wedged at the NEG -> POS boundary (odd count).  Each
     parity holds the eps-degree waiting for its partner, or none; a prefix
     is dropped once a pair mismatches under both.  A completed sequence is
     kept when either parity has nothing pending (beta closing the wedged
-    one if no POS row came), and is still certified by ``is_on_starred``.
+    one if no POS row came), and every result is still certified by one
+    full ``is_on_starred`` call, which reads its row facts from memos.
     """
     if degree < 0 or degree % 2 == 1:
         return []
@@ -361,10 +418,20 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
         (v, w, s, epsilon_degree(v, d), _row_from_value(v, beta, s))
         for v, w, s in _starred_row_values(beta, d)
     ]
+    # successors[i]: indices of the candidates that may follow candidate i,
+    # at or above it in Bruhat order and light enough to fit beside it
+    successors = [
+        [
+            j
+            for j, nxt in enumerate(candidates)
+            if w + nxt[1] <= degree and bruhat_leq(v, nxt[0])
+        ]
+        for v, w, *_ in candidates
+    ]
     results = []
     seq: list = []
 
-    def extend(remaining, even, odd):
+    def extend(remaining, even, odd, options):
         # even, odd: pending eps-degree without / with the wedge; _FREE when
         # nothing is pending, _DEAD once a pair has mismatched
         if remaining == 0:
@@ -375,24 +442,23 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
                 if is_on_starred(t, beta, d):
                     results.append(t)
             return
-        last = seq[-1] if seq else None
-        for cand in candidates:
-            v, w, s, e, _ = cand
+        in_neg_block = not seq or seq[-1][2] == NEG
+        for i in options:
+            cand = candidates[i]
+            _, w, s, e, _ = cand
             if w > remaining:
                 continue
             next_odd = odd
-            if s == POS and (last is None or last[2] == NEG):
+            if s == POS and in_neg_block:
                 next_odd = _pair(next_odd, beta_eps)
             next_even, next_odd = _pair(even, e), _pair(next_odd, e)
             if next_even == _DEAD and next_odd == _DEAD:
                 continue
-            if last is not None and not bruhat_leq(last[0], v):
-                continue
             seq.append(cand)
-            extend(remaining - w, next_even, next_odd)
+            extend(remaining - w, next_even, next_odd, successors[i])
             seq.pop()
 
-    extend(degree, _FREE, _FREE)
+    extend(degree, _FREE, _FREE, range(len(candidates)))
     return results
 
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
+from operator import le
 
 Index = tuple[int, ...]
 
@@ -69,7 +70,7 @@ def bruhat_leq(v, w) -> bool:
     """Componentwise order on sorted tuples: v <= w iff v_i <= w_i."""
     if len(v) != len(w):
         raise ValueError("cannot compare indices of different lengths")
-    return all(a <= b for a, b in zip(v, w))
+    return all(map(le, v, w))
 
 
 def join_meet(v, w) -> tuple[Index, Index]:

@@ -1,4 +1,7 @@
-from itertools import combinations_with_replacement
+import importlib
+import random
+from itertools import combinations, combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -22,19 +25,80 @@ from tancone.brsk import (
     top_bot_of_chain,
 )
 from tancone.grid import (
+    bound_value,
     double_multiset,
     enumerate_chains,
     is_upper_chain,
     multiset_bounded,
     upper_points,
 )
-from tancone.indexsets import bruhat_leq, enumerate_indices, is_isotropic
+from tancone.indexsets import bruhat_leq, enumerate_indices, is_isotropic, star_set
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+# The predicates as they were before their row facts were memoized, kept
+# as oracles: every row value comes from ``bound_value`` on each call.
+
+
+def _values_oracle(t, beta):
+    return tuple(bound_value(r.p, r.q, beta) for r in t.rows)
+
+
+def _row_well_formed_oracle(r, beta, d):
+    bset = set(beta)
+    if not r.p or len(r.p) != len(r.q):
+        return False
+    if list(r.p) != sorted(set(r.p)) or list(r.q) != sorted(set(r.q)):
+        return False
+    if set(r.p) & bset or not set(r.q) <= bset:
+        return False
+    return all(1 <= x <= 2 * d for x in r.p + r.q)
+
+
+def is_semistandard_oracle(t, beta, d):
+    if not all(_row_well_formed_oracle(r, beta, d) for r in t.rows):
+        return False
+    signs = [r.sign for r in t.rows]
+    if signs != sorted(signs):
+        return False
+    vals = _values_oracle(t, beta)
+    for a, b in zip(vals, vals[1:]):
+        if not bruhat_leq(a, b):
+            return False
+    for r, v in zip(t.rows, vals):
+        if r.sign == NEG and not bruhat_leq(v, beta):
+            return False
+        if r.sign == POS and not bruhat_leq(beta, v):
+            return False
+    return True
+
+
+def delta_sequence_oracle(t, beta):
+    vals = list(_values_oracle(t, beta))
+    if len(vals) % 2 == 1:
+        vals.insert(len(t.negative_rows()), tuple(beta))
+    return tuple(vals)
+
+
+def is_on_starred_oracle(t, beta, d):
+    if not is_semistandard_oracle(t, beta, d):
+        return False
+    for r in t.rows:
+        if r.p != star_set(r.q, d):
+            return False
+    delta = delta_sequence_oracle(t, beta)
+    for j in range(0, len(delta) - 1, 2):
+        if epsilon_degree(delta[j], d) != epsilon_degree(delta[j + 1], d):
+            return False
+    return t.degree() % 2 == 0
 
 
 def enumerate_on_starred_oracle(beta, d, degree):
     """Every on-starred bitableau with the given box count, in the order
     of ``enumerate_on_starred``: each weakly increasing value sequence of
-    that box count, filtered by ``is_on_starred`` alone (no pruning)."""
+    that box count, filtered by ``is_on_starred_oracle`` alone (no
+    pruning, no memos)."""
     if degree < 0 or degree % 2 == 1:
         return []
     candidates = _starred_row_values(tuple(beta), d)
@@ -45,7 +109,7 @@ def enumerate_on_starred_oracle(beta, d, degree):
             t = NotchedBitableau(
                 rows=tuple(_row_from_value(v, beta, s) for v, _, s in seq)
             )
-            if is_on_starred(t, beta, d):
+            if is_on_starred_oracle(t, beta, d):
                 results.append(t)
             return
         for cand in candidates:
@@ -217,3 +281,127 @@ def test_enumerate_on_starred_equals_the_unpruned_oracle(d, top):
 def test_json_round_trip():
     t = brsk_map({(2, 1): 1, (4, 3): 1, (2, 3): 2}, (1, 3), 2)
     assert NotchedBitableau.from_json(t.to_json()) == t
+
+
+def _rows_of(d):
+    """Every row with P and Q disjoint, nonempty, equal-size strictly
+    increasing subsets of [1, 2d], in both signs."""
+    entries = range(1, 2 * d + 1)
+    return [
+        Row(p=p, q=q, sign=sign)
+        for k in range(1, d + 1)
+        for p in combinations(entries, k)
+        for q in combinations(entries, k)
+        if not set(p) & set(q)
+        for sign in (NEG, POS)
+    ]
+
+
+def _assert_predicates_match_oracles(stacks, beta, d):
+    answers = set()
+    for rows in stacks:
+        t = NotchedBitableau(rows=tuple(rows))
+        semi, starred = is_semistandard(t, beta, d), is_on_starred(t, beta, d)
+        assert semi == is_semistandard_oracle(t, beta, d), (t, beta, d)
+        assert starred == is_on_starred_oracle(t, beta, d), (t, beta, d)
+        if semi:
+            assert t.values(beta) == _values_oracle(t, beta)
+            assert delta_sequence(t, beta) == delta_sequence_oracle(t, beta)
+        answers.add((semi, starred))
+    return answers
+
+
+@pytest.mark.parametrize("d", [1, 2])
+def test_predicates_match_oracles_on_every_small_stack(d):
+    """Every stack of up to three rows at d <= 2, at every beta: the
+    memoized predicates answer as the unmemoized oracles."""
+    rows = _rows_of(d)
+    answers = set()
+    for beta in enumerate_indices(d):
+        for n in range(4):
+            answers |= _assert_predicates_match_oracles(product(rows, repeat=n), beta, d)
+    assert answers == {(False, False), (True, False), (True, True)}
+
+
+def test_predicates_match_oracles_on_a_d3_sample():
+    """A seeded sample of stacks at d = 3, at every beta, half of them
+    drawn from the beta's own candidate rows so that many pass."""
+    d, rng = 3, random.Random(0)
+    rows = _rows_of(d)
+    answers = set()
+    for beta in enumerate_indices(d):
+        own = [_row_from_value(v, beta, s) for v, _, s in _starred_row_values(beta, d)]
+        stacks = [
+            sorted(rng.choices(pool, k=rng.randint(1, 5)), key=lambda r: r.sign)
+            for pool in (rows, own)
+            for _ in range(1500)
+        ]
+        answers |= _assert_predicates_match_oracles(stacks, beta, d)
+    assert answers == {(False, False), (True, False), (True, True)}
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        (Row(p=(), q=(), sign=POS),),  # empty
+        (Row(p=(2, 4), q=(1,), sign=POS),),  # unequal lengths
+        (Row(p=(4, 2), q=(1, 3), sign=POS),),  # unsorted
+        (Row(p=(4, 4), q=(1, 3), sign=POS),),  # repeated
+        (Row(p=(0,), q=(1,), sign=NEG),),  # out of range
+        (Row(p=(5,), q=(1,), sign=POS),),  # out of range
+        (Row(p=(3,), q=(1,), sign=POS),),  # P meets beta
+        (Row(p=(4,), q=(2,), sign=POS),),  # Q outside beta
+        (Row(p=(2,), q=(1,), sign=POS),) * 2,  # mirror violation
+        (Row(p=(4,), q=(1,), sign=POS), Row(p=(2,), q=(3,), sign=NEG)),  # signs
+    ],
+)
+def test_predicates_reject_malformed_rows_as_the_oracles_do(rows):
+    beta, d = (1, 3), 2
+    t = NotchedBitableau(rows=rows)
+    assert not is_on_starred(t, beta, d)
+    assert is_semistandard(t, beta, d) == is_semistandard_oracle(t, beta, d)
+    assert is_on_starred_oracle(t, beta, d) is False
+
+
+def test_row_memos_keep_beta_and_d_apart():
+    """One Row object asked under two betas and under two values of d, in
+    both orders: an answer memoized for one must not leak to the other."""
+    two_box = Row(p=(2, 4), q=(1, 3), sign=POS)  # on-starred at beta (1,3) only
+    one_box = Row(p=(4,), q=(1,), sign=POS)  # entry 4 is out of range at d = 1
+    low = Row(p=(2,), q=(1,), sign=POS)  # mirror-symmetric at d = 1 only
+    for _ in range(2):
+        assert is_on_starred(NotchedBitableau(rows=(two_box,)), (1, 3), 2)
+        assert not is_semistandard(NotchedBitableau(rows=(two_box,)), (1, 2), 2)
+        t = NotchedBitableau(rows=(one_box,))
+        assert t.values((1, 3)) == ((3, 4),) and t.values((1, 2)) == ((2, 4),)
+        assert is_semistandard(t, (1, 3), 2)
+        assert not is_semistandard(t, (1, 3), 1)
+        t = NotchedBitableau(rows=(low, low))
+        assert is_on_starred(t, (1,), 1)
+        assert is_semistandard(t, (1,), 2) and not is_on_starred(t, (1,), 2)
+
+
+def test_enumeration_certifies_each_result_once(monkeypatch):
+    """``enumerate_on_starred`` calls ``is_on_starred`` exactly once per
+    bitableau it returns, counted through the benchmark trace's own
+    rebinding, so the certification (and ``brsk.on_starred_tests``)
+    cannot be dropped silently."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    rebind = importlib.import_module("layertrace").rebind
+    calls = 0
+
+    def counted(*args):
+        nonlocal calls
+        calls += 1
+        return is_on_starred(*args)
+
+    rebind(is_on_starred, counted)
+    try:
+        for d in (1, 2, 3):
+            for beta in enumerate_indices(d):
+                for m in range(1, 7):
+                    calls = 0
+                    found = enumerate_on_starred(beta, d, 2 * m)
+                    assert calls == len(found), (beta, m)
+    finally:
+        rebind(counted, is_on_starred)

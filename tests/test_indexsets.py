@@ -91,6 +91,30 @@ def test_bruhat_is_partial_order(d):
 def test_bruhat_size_mismatch():
     with pytest.raises(ValueError):
         bruhat_leq((1,), (1, 2))
+    with pytest.raises(ValueError):
+        bruhat_leq((), (1,))
+    with pytest.raises(ValueError):
+        bruhat_leq((1, 2, 3), (4, 5))  # each shared entry is <=, still an error
+
+
+def test_bruhat_equal_and_empty():
+    assert bruhat_leq((), ()) is True
+    assert bruhat_leq((2, 5, 6), (2, 5, 6)) is True
+    assert bruhat_leq([1, 3], (1, 3)) is True
+
+
+def _bruhat_leq_genexpr(v, w):
+    if len(v) != len(w):
+        raise ValueError("cannot compare indices of different lengths")
+    return all(a <= b for a, b in zip(v, w))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bruhat_matches_the_genexpr_form(d):
+    elems = enumerate_indices(d, ambient_only=True)
+    for v in elems:
+        for w in elems:
+            assert bruhat_leq(v, w) is _bruhat_leq_genexpr(v, w), (v, w)
 
 
 @pytest.mark.parametrize(
