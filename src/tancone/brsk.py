@@ -50,9 +50,6 @@ class Row:
     def boxes(self) -> int:
         return len(self.p)
 
-    def value(self, beta: Index) -> Index:
-        return _bound_row_value(self.p, self.q, tuple(beta))
-
 
 @dataclass(frozen=True)
 class NotchedBitableau:
@@ -68,8 +65,15 @@ class NotchedBitableau:
         return tuple(r for r in self.rows if r.sign == POS)
 
     def values(self, beta: Index) -> tuple[Index, ...]:
+        """Row values at beta, read from the row memo at d = len(beta); a
+        row the memo rejects goes to ``bound_value``, which may raise."""
         beta = tuple(beta)
-        return tuple(_bound_row_value(r.p, r.q, beta) for r in self.rows)
+        d = len(beta)
+        out = []
+        for r in self.rows:
+            fact = _row_fact(r.p, r.q, r.sign, beta, d)
+            out.append(bound_value(r.p, r.q, beta) if fact is None else fact[0])
+        return tuple(out)
 
     def to_json(self) -> dict:
         return {
@@ -253,26 +257,24 @@ def top_bot_of_chain(chain, beta: Index, d: int) -> tuple[Index, Index]:
 # predicates
 
 
-# Row facts depend only on the row's entries, beta and d, and a sweep
-# certifies the same few rows of one beta thousands of times, so they are
-# memoized, keyed by the entry tuples (hashed and compared in C) rather
-# than by the Row.  A memo holds every candidate row of one beta up to
+# A row's facts depend only on its entries, its sign, beta and d, and a
+# sweep certifies the same few rows of one beta thousands of times, so they
+# are memoized once, keyed by the entry tuples (hashed and compared in C)
+# rather than by the Row.  A sweep asks each candidate row under its own
+# sign only, so the memo holds every candidate row of one beta up to
 # d = 10 (2^d - 1 rows).
 _ROW_MEMO_SIZE = 1024
 
 
 @lru_cache(maxsize=_ROW_MEMO_SIZE)
-def _bound_row_value(p: tuple, q: tuple, beta: Index) -> Index:
-    """(beta minus Q) union P; ValueError when P meets beta, Q leaves it,
-    or the lengths differ (a raise is not memoized)."""
-    return bound_value(p, q, beta)
+def _row_fact(p: tuple, q: tuple, sign: int, beta: Index, d: int):
+    """(value, eps-degree of the value, P = Q*) for the row (P, Q) when it
+    may stand in a semistandard bitableau at (beta, d), else None.
 
-
-@lru_cache(maxsize=_ROW_MEMO_SIZE)
-def _row_value(p: tuple, q: tuple, beta: Index, d: int) -> Index | None:
-    """The value at beta of the row (P, Q) when it is well-formed for
-    (beta, d): nonempty, P and Q strictly increasing of equal length inside
-    [1, 2d], P outside beta and Q inside it.  None otherwise."""
+    It may stand when it is well-formed (nonempty, P and Q strictly
+    increasing of equal length inside [1, 2d], P outside beta and Q inside
+    it) and its value lies at or below beta for NEG, at or above for POS.
+    """
     bset = set(beta)
     if not p or len(p) != len(q):
         return None
@@ -282,49 +284,43 @@ def _row_value(p: tuple, q: tuple, beta: Index, d: int) -> Index | None:
         return None
     if not all(1 <= x <= 2 * d for x in p + q):
         return None
-    return bound_value(p, q, beta)
+    v = bound_value(p, q, beta)
+    if sign == NEG and not bruhat_leq(v, beta):
+        return None
+    if sign == POS and not bruhat_leq(beta, v):
+        return None
+    return v, epsilon_degree(v, d), p == star_set(q, d)
 
 
-@lru_cache(maxsize=_ROW_MEMO_SIZE)
-def _row_mirrored(p: tuple, q: tuple, d: int) -> bool:
-    """P = Q*, the mirror symmetry of an on-starred row.  For entries in
-    [1, 2d] (``star`` raises outside it)."""
-    return p == star_set(q, d)
-
-
-def _semistandard_values(t: NotchedBitableau, beta: Index, d: int):
-    """The row values of ``t`` when it is semistandard at (beta, d), else
-    None: one memo lookup per row, then the sequence checks."""
-    vals = []
+def _semistandard_facts(t: NotchedBitableau, beta: Index, d: int):
+    """The row facts of ``t`` when it is semistandard at (beta, d), else
+    None: one memo lookup per row, then the sign-order and chain checks."""
+    facts = []
     for r in t.rows:
-        v = _row_value(r.p, r.q, beta, d)
-        if v is None:
+        fact = _row_fact(r.p, r.q, r.sign, beta, d)
+        if fact is None:
             return None
-        vals.append(v)
+        facts.append(fact)
     signs = [r.sign for r in t.rows]
     if signs != sorted(signs):
         return None
-    for a, b in zip(vals, vals[1:]):
-        if not bruhat_leq(a, b):
+    for a, b in zip(facts, facts[1:]):
+        if not bruhat_leq(a[0], b[0]):
             return None
-    for r, v in zip(t.rows, vals):
-        if r.sign == NEG and not bruhat_leq(v, beta):
-            return None
-        if r.sign == POS and not bruhat_leq(beta, v):
-            return None
-    return vals
+    return facts
 
 
-def _wedge(vals: list, t: NotchedBitableau, beta: Index) -> list:
-    """Insert beta between the blocks of ``vals`` when the row count is odd."""
-    if len(vals) % 2 == 1:
-        vals.insert(len(t.negative_rows()), beta)
-    return vals
+def _wedge(items: list, t: NotchedBitableau, middle) -> list:
+    """Insert ``middle`` between the blocks of ``items`` when the row count
+    is odd."""
+    if len(items) % 2 == 1:
+        items.insert(len(t.negative_rows()), middle)
+    return items
 
 
 def is_semistandard(t: NotchedBitableau, beta: Index, d: int) -> bool:
     """Row values weakly increase through beta, negative block first."""
-    return _semistandard_values(t, tuple(beta), d) is not None
+    return _semistandard_facts(t, tuple(beta), d) is not None
 
 
 def delta_sequence(t: NotchedBitableau, beta: Index) -> tuple[Index, ...]:
@@ -336,22 +332,18 @@ def delta_sequence(t: NotchedBitableau, beta: Index) -> tuple[Index, ...]:
 def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
     """Mirror-symmetric rows with paired grading and even box count.
 
-    The complete predicate, for any input.  The per-row facts (value,
-    well-formedness, mirror symmetry) are read from bounded memos keyed
-    by the row's entries with (beta, d) and with d, so a call costs two
-    lookups per row plus the semistandard, pairing and parity checks on
-    the value sequence.
+    The complete predicate, for any input.  Each row's facts (value,
+    eps-degree, mirror symmetry, and whether it may stand at (beta, d))
+    come from one memo lookup, so a call costs that plus the sign-order,
+    chain, pairing and parity checks.
     """
     beta = tuple(beta)
-    vals = _semistandard_values(t, beta, d)
-    if vals is None:
+    facts = _semistandard_facts(t, beta, d)
+    if facts is None or not all(mirrored for _, _, mirrored in facts):
         return False
-    for r in t.rows:
-        if not _row_mirrored(r.p, r.q, d):
-            return False
-    delta = _wedge(vals, t, beta)
-    for j in range(0, len(delta) - 1, 2):
-        if epsilon_degree(delta[j], d) != epsilon_degree(delta[j + 1], d):
+    eps = _wedge([e for _, e, _ in facts], t, epsilon_degree(beta, d))
+    for j in range(0, len(eps) - 1, 2):
+        if eps[j] != eps[j + 1]:
             return False
     return t.degree() % 2 == 0
 
@@ -408,7 +400,7 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
     is dropped once a pair mismatches under both.  A completed sequence is
     kept when either parity has nothing pending (beta closing the wedged
     one if no POS row came), and every result is still certified by one
-    full ``is_on_starred`` call, which reads its row facts from memos.
+    full ``is_on_starred`` call, which reads its row facts from a memo.
     """
     if degree < 0 or degree % 2 == 1:
         return []

@@ -94,20 +94,22 @@ def is_prime(n: int) -> bool:
 
 
 def parse_field(text: str) -> int:
-    """'Q' -> 0, 'Fp:<p>' -> p (p a prime below PRIME_BOUND)."""
+    """'Q' -> 0, 'Fp:<p>' -> p (p a prime below PRIME_BOUND, written in
+    ASCII decimal digits only)."""
     if text == "Q":
         return 0
-    if text.startswith("Fp:"):
-        p = int(text[3:])
-        if p >= PRIME_BOUND:
-            raise ValueError(
-                f"Fp:{p} is too large: primality is checked exactly only below "
-                f"{PRIME_BOUND}"
-            )
-        if not is_prime(p):
-            raise ValueError(f"{p} is not prime")
-        return p
-    raise ValueError(f"field must be 'Q' or 'Fp:<p>', got {text!r}")
+    digits = text[3:] if text.startswith("Fp:") else ""
+    if not (digits.isascii() and digits.isdigit()):
+        raise ValueError(f"field must be 'Q' or 'Fp:<p>', got {text!r}")
+    p = int(digits)
+    if p >= PRIME_BOUND:
+        raise ValueError(
+            f"Fp:{p} is too large: primality is checked exactly only below "
+            f"{PRIME_BOUND}"
+        )
+    if not is_prime(p):
+        raise ValueError(f"{p} is not prime")
+    return p
 
 
 @dataclass(frozen=True)

@@ -304,8 +304,16 @@ def _assert_predicates_match_oracles(stacks, beta, d):
         semi, starred = is_semistandard(t, beta, d), is_on_starred(t, beta, d)
         assert semi == is_semistandard_oracle(t, beta, d), (t, beta, d)
         assert starred == is_on_starred_oracle(t, beta, d), (t, beta, d)
+        # every stack, so that rows the memo rejects reach ``bound_value``
+        try:
+            values = _values_oracle(t, beta)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as raised:
+                t.values(beta)
+            assert str(raised.value) == str(exc), (t, beta)
+        else:
+            assert t.values(beta) == values, (t, beta)
         if semi:
-            assert t.values(beta) == _values_oracle(t, beta)
             assert delta_sequence(t, beta) == delta_sequence_oracle(t, beta)
         answers.add((semi, starred))
     return answers
@@ -364,8 +372,9 @@ def test_predicates_reject_malformed_rows_as_the_oracles_do(rows):
 
 
 def test_row_memos_keep_beta_and_d_apart():
-    """One Row object asked under two betas and under two values of d, in
-    both orders: an answer memoized for one must not leak to the other."""
+    """One Row object asked under two betas and under two values of d, and
+    one (P, Q) asked under both signs at one (beta, d), in both orders: an
+    answer memoized for one must not leak to the other."""
     two_box = Row(p=(2, 4), q=(1, 3), sign=POS)  # on-starred at beta (1,3) only
     one_box = Row(p=(4,), q=(1,), sign=POS)  # entry 4 is out of range at d = 1
     low = Row(p=(2,), q=(1,), sign=POS)  # mirror-symmetric at d = 1 only
@@ -379,6 +388,12 @@ def test_row_memos_keep_beta_and_d_apart():
         t = NotchedBitableau(rows=(low, low))
         assert is_on_starred(t, (1,), 1)
         assert is_semistandard(t, (1,), 2) and not is_on_starred(t, (1,), 2)
+    # at beta (1,3), value (2,3) stands only as POS and (1,2) only as NEG;
+    # each (P, Q) is asked first under one sign, then under the other
+    for (p, q), first in (((2,), (1,)), NEG), (((2,), (3,)), POS):
+        for sign in (first, -first):
+            t = NotchedBitableau(rows=(Row(p=p, q=q, sign=sign),))
+            assert is_semistandard(t, (1, 3), 2) == is_semistandard_oracle(t, (1, 3), 2)
 
 
 def test_enumeration_certifies_each_result_once(monkeypatch):

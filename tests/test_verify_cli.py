@@ -43,6 +43,13 @@ def test_parse_field():
         parse_field("Fp:618970019642690137449562111")  # 2^89 - 1, prime
     with pytest.raises(ValueError, match="too large"):
         parse_field(f"Fp:{PRIME_BOUND}")  # strong pseudoprime to the first 13 primes
+    # only ASCII decimal digits follow 'Fp:': what ``int`` would reject, or
+    # accept (blanks, a sign, underscores, non-ASCII digits), gets the
+    # message naming the form, not ``int``'s own
+    for text in ("Fp:abc", "Fp:", "Fp:0x7", "Fp:7.0", "Fp: 7", "Fp:7 ", "Fp:+7", "Fp:7_1",
+                 "Fp:\u0667"):
+        with pytest.raises(ValueError, match=r"^field must be 'Q' or 'Fp:<p>', got "):
+            parse_field(text)
 
 
 def test_is_prime_matches_trial_division():
@@ -263,6 +270,9 @@ def test_cli_rejects_bad_input(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "--d", "1", "--max-degree", "-1"]) == 2
     assert "max degree" in capsys.readouterr().err
+    assert main(["sweep", "--d", "1", "--max-degree", "1", "--field", "Fp:abc"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: field must be 'Q' or 'Fp:<p>', got 'Fp:abc'\n"
     for flag, value in (("--sample", "0"), ("--sample", "-1"), ("--jobs", "0")):
         argv = ["sweep", "--d", "1", "--max-degree", "1", flag, value]
         assert main(argv) == 2, argv
