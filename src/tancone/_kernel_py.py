@@ -4,8 +4,12 @@ Hot-path primitives shared by the Buchberger oracle and the staircase
 counts.  A monomial is a tuple of exponents whose position 0 belongs to
 the largest variable, so the homogeneous-lex term order is the plain
 comparison of (degree, exponents).  A polynomial is a dict mapping
-monomials to nonzero coefficients: Fraction over the rationals (p == 0)
-or ints in [1, p) over a prime field.
+monomials to nonzero coefficients: over the rationals (p == 0) an int
+where the value is integral and a Fraction otherwise (arithmetic may
+leave a Fraction of denominator 1, which is equal to and hashes as the
+int), and over a prime field ints in [1, p).  So reducing integer
+polynomials by divisors whose leads are +/-1, as the monic tangent-cone
+minors are, stays in int arithmetic.
 
 Division reads each divisor as a record built once per polynomial
 (``divisor_record``): its lead, a support bitmask of the lead that rules
@@ -16,33 +20,36 @@ work polynomial in ``normal_form``.
 """
 
 from fractions import Fraction
+from operator import add, le, sub
 
 
 def mono_key(m):
     return (sum(m), m)
 
 
+# The monomial helpers loop in C through ``map`` over ``operator``
+# functions rather than in Python generator frames.
+
+
 def mono_mul(a, b):
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a, b):
     """True when a | b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(b, a):
     """b / a, or None when a does not divide b."""
-    out = []
-    for x, y in zip(b, a):
-        if x < y:
-            return None
-        out.append(x - y)
-    return tuple(out)
+    out = tuple(map(sub, b, a))
+    if out and min(out) < 0:
+        return None
+    return out
 
 
 def mono_lcm(a, b):
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
 def leading_monomial(terms):
@@ -104,11 +111,13 @@ def poly_mul(f, g, p):
 
 
 def _inv(c, p):
+    """1/c in F_p, or over Q an int when c is +/-1/n and a Fraction otherwise."""
     if p:
         return pow(c, p - 2, p)
-    if isinstance(c, Fraction):
-        return Fraction(c.denominator, c.numerator)
-    return Fraction(1, c)
+    num, den = c.as_integer_ratio()
+    if num < 0:
+        num, den = -num, -den
+    return den if num == 1 else Fraction(den, num)
 
 
 def mono_support(m):
@@ -156,7 +165,7 @@ def normal_form(f, divisors, p):
             q = mono_div(m, lead)
             if q is None:
                 continue
-            if inv == 1:  # a monic divisor: spare a Fraction product
+            if inv == 1:  # a monic divisor: spare the product
                 factor = c
             else:
                 factor = c * inv

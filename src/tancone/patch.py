@@ -16,6 +16,7 @@ the choice by ``FORM_LABEL``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 
 from .grid import (
@@ -102,14 +103,12 @@ class PatchMatrix:
         cols = sorted(set(self.beta) - set(theta))
         if len(rows) != len(cols):
             raise ValueError("theta and beta must have the same size")
-        k = len(rows)
         cells = [[self.signed_vars[(r, c)] for c in cols] for r in rows]
         acc: dict[tuple, int] = {}
-        for perm in permutations(range(k)):
-            sign = _perm_sign(perm)
+        for perm, sign in _signed_permutations(len(rows)):
             exps = [0] * self.ring.nvars
-            for i in range(k):
-                var, s = cells[i][perm[i]]
+            for row, j in zip(cells, perm):
+                var, s = row[j]
                 exps[var] += 1
                 sign *= s
             mono = tuple(exps)
@@ -128,13 +127,17 @@ class PatchMatrix:
         return monic
 
 
-def _perm_sign(perm) -> int:
-    sign = 1
-    for i in range(len(perm)):
-        for j in range(i + 1, len(perm)):
-            if perm[i] > perm[j]:
-                sign = -sign
-    return sign
+@lru_cache(maxsize=None)
+def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every (permutation of range(k), its sign), built once per size k:
+    the sign is -1 to the number of inversions."""
+    out = []
+    for perm in permutations(range(k)):
+        inversions = sum(
+            perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)
+        )
+        out.append((perm, -1 if inversions % 2 else 1))
+    return tuple(out)
 
 
 def column_inner_products(matrix: PatchMatrix):

@@ -5,15 +5,18 @@ The variable order is X(r,c) > X(r',c') iff r > r', or r = r' and
 c < c'.  Variables are stored descending in that order, so comparing
 (degree, exponent tuple) realises the term order directly.
 
-Coefficients live in Q (as Fractions) or in a prime field F_p; the
-characteristic is a property of the ring.
+Coefficients live in Q or in a prime field F_p; the characteristic is a
+property of the ring.  Over Q an integral coefficient is an int and any
+other a Fraction (``PolyRing.coeff``), which keeps integer arithmetic
+in ints until a division by a non-unit; over F_p coefficients are ints
+in [1, p).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heappop, heappush
-from itertools import combinations
+from itertools import combinations, compress
 
 from ._kernel_py import (
     divisor_record,
@@ -62,12 +65,15 @@ class PolyRing:
     # -- coefficient helpers ------------------------------------------------
 
     def coeff(self, c):
+        """c as a coefficient of this ring: reduced mod p over F_p; over Q
+        an int when c is integral and a Fraction otherwise, never a float
+        (a float is read exactly, as ``Fraction`` reads it)."""
         if self.p:
-            c = c % self.p
+            return c % self.p
+        if type(c) is int:
             return c
-        if isinstance(c, Fraction):
-            return c
-        return Fraction(c)
+        c = Fraction(c)
+        return c.numerator if c.denominator == 1 else c
 
     def zero(self) -> "Poly":
         return Poly(self, {})
@@ -248,13 +254,55 @@ def normal_form(f: Poly, divisors) -> Poly:
 
 
 def reduced_groebner(gens) -> list[Poly]:
-    """The unique reduced Groebner basis of the ideal generated by ``gens``.
-
-    Normal selection strategy with the coprime-lead criterion; output
+    """The unique reduced Groebner basis of the ideal generated by ``gens``,
     sorted by ascending initial monomial, each element monic with fully
-    reduced tail.  Divisions take the basis in the order it was built.
-    Reducing a tail keeps its lead, since no other lead of a minimal
-    basis divides it, so the output keeps the minimal basis's order.
+    reduced tail.
+
+    The generators that are a scalar times one variable span the
+    variables V of the ideal, and k[x]/(x_V) is again a polynomial ring,
+    so the basis is the monic x_v for v in V together with the reduced
+    basis of the other generators with every term that meets V dropped
+    (unless those generate the unit ideal, whose basis is 1 alone).  That
+    holds for every term order and field.  Whether a term meets V is one
+    ``compress`` of its exponents by V's 0/1 selector.  Many generators
+    of a tangent-cone ideal are 1 x 1 minors, single patch variables, and
+    dropping those variables first leaves far fewer and shorter
+    polynomials to the Buchberger loop (``_buchberger``).
+    """
+    gens = [g for g in gens if g.terms]
+    if not gens:
+        return []
+    ring = gens[0].ring
+    variables: dict[tuple, Poly] = {}
+    for g in gens:
+        if len(g.terms) == 1:
+            (m,) = g.terms
+            if sum(m) == 1:
+                variables.setdefault(m, g)
+    in_v = [0] * ring.nvars
+    for m in variables:
+        in_v = mono_mul(in_v, m)
+    rest = []
+    for g in gens:
+        terms = {m: c for m, c in g.terms.items() if not any(compress(m, in_v))}
+        if terms:
+            rest.append(g if len(terms) == len(g.terms) else Poly(ring, terms))
+    basis = _buchberger(rest)
+    if basis and not any(basis[0].leading_monomial()):
+        return basis  # the unit ideal
+    basis += (g.monic() for g in variables.values())
+    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
+    return basis
+
+
+def _buchberger(gens) -> list[Poly]:
+    """Reduced Groebner basis of nonzero ``gens``, sorted by ascending
+    initial monomial.
+
+    Normal selection strategy with the coprime-lead criterion.  Divisions
+    take the basis in the order it was built.  Reducing a tail keeps its
+    lead, since no other lead of a minimal basis divides it, so the
+    output keeps the minimal basis's order.
 
     Pending pairs wait in a heap of (degree of lcm, lcm, i, j), so the
     pair popped next is the one with the least lcm in the term order,
@@ -263,7 +311,6 @@ def reduced_groebner(gens) -> list[Poly]:
     Every other lead, in the sorts, the minimalization and ``monic``, is
     read from the polynomial's divisor record, built once per ``Poly``.
     """
-    gens = [g for g in gens if g.terms]
     if not gens:
         return []
     ring = gens[0].ring

@@ -129,7 +129,9 @@ class CaseSpec:
             raise ValueError("need alpha <= beta <= gamma")
         if self.max_degree < 0:
             raise ValueError(f"max degree must be >= 0, got {self.max_degree}")
-        parse_field(self.field)
+        # one label per field, so 'Fp:007' and 'Fp:7' report alike
+        p = parse_field(self.field)
+        object.__setattr__(self, "field", f"Fp:{p}" if p else "Q")
 
     @property
     def p(self) -> int:

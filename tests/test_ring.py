@@ -1,3 +1,4 @@
+import heapq
 import pickle
 import random
 from fractions import Fraction
@@ -500,3 +501,189 @@ def test_pair_queue_matches_oracle_order_d4_sample(monkeypatch):
         gens = generator_set(a, g, build_patch(b, 4))
         spolys += assert_same_pair_order(monkeypatch, gens.polys, (a, b, g))
     assert spolys > 0
+
+
+# -- quotient oracle ------------------------------------------------------------
+
+
+def reduced_groebner_oracle(gens):
+    """``reduced_groebner`` as it was before the quotient by the ideal's
+    variables: the heap-queue Buchberger loop on every generator, each
+    variable among them reducing the others inside ``normal_form``."""
+    gens = [g for g in gens if g.terms]
+    if not gens:
+        return []
+    ring = gens[0].ring
+
+    basis = []
+    for g in sorted(gens, key=lambda h: mono_key(h.leading_monomial())):
+        r = R.normal_form(g, basis)
+        if r.terms:
+            basis.append(r.monic())
+    leads = [g.leading_monomial() for g in basis]
+    pairs = []
+
+    def push_pairs(j):
+        for i in range(j):
+            lcm = R.mono_lcm(leads[i], leads[j])
+            heapq.heappush(pairs, (sum(lcm), lcm, i, j))
+
+    for j in range(len(basis)):
+        push_pairs(j)
+    while pairs:
+        _, lcm, i, j = heapq.heappop(pairs)
+        if lcm == R.mono_mul(leads[i], leads[j]):
+            continue
+        s = R.Poly(ring, R.spoly(basis[i].terms, basis[j].terms, ring.p))
+        r = R.normal_form(s, basis)
+        if r.terms:
+            g = r.monic()
+            basis.append(g)
+            leads.append(g.leading_monomial())
+            push_pairs(len(basis) - 1)
+
+    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
+    minimal = []
+    for g in basis:
+        lm = g.leading_monomial()
+        if not any(R.mono_divides(h.leading_monomial(), lm) for h in minimal):
+            minimal.append(g)
+    reduced = []
+    for idx, g in enumerate(minimal):
+        others = minimal[:idx] + minimal[idx + 1 :]
+        reduced.append(R.normal_form(g, others).monic())
+    return reduced
+
+
+def ideal_variables(gens):
+    return {m for g in gens if len(g.terms) == 1 for m in g.terms if sum(m) == 1}
+
+
+def assert_matches_quotient_oracle(gens, label):
+    """The same reduced basis as the oracle, term for term and coefficient
+    for coefficient, with only int (and over Q Fraction) coefficients."""
+    got = reduced_groebner(gens)
+    expected = reduced_groebner_oracle(gens)
+    assert [g.terms for g in got] == [g.terms for g in expected], label
+    allowed = (int,) if gens and gens[0].ring.p else (int, Fraction)
+    for g in got:
+        assert all(type(c) in allowed for c in g.terms.values()), label
+    return got
+
+
+def tangent_cone_cases(d, p, triples):
+    from tancone.patch import build_patch, generator_set
+
+    patches = {}
+    for a, b, g in triples:
+        if b not in patches:
+            patches[b] = build_patch(b, d, p)
+        yield (a, b, g, p), generator_set(a, g, patches[b]).polys
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_quotient_by_variables_matches_oracle(d, p):
+    from tancone.verify import all_triples
+
+    with_variables = with_rest = 0
+    for label, gens in tangent_cone_cases(d, p, all_triples(d)):
+        got = assert_matches_quotient_oracle(gens, label)
+        variables = ideal_variables(gens)
+        with_variables += bool(variables)
+        with_rest += len(got) > len(variables)
+    assert with_variables > 0 and (with_rest > 0 or d < 2)
+
+
+@pytest.mark.parametrize("d, p, size", [(4, 0, 60), (4, 5, 40), (5, 0, 25)])
+def test_quotient_by_variables_matches_oracle_sampled(d, p, size):
+    from tancone.verify import all_triples
+
+    rng = random.Random(1000 * d + p)
+    triples = sorted(rng.sample(all_triples(d), size))
+    for label, gens in tangent_cone_cases(d, p, triples):
+        assert_matches_quotient_oracle(gens, label)
+
+
+@pytest.fixture
+def ring4():
+    """Four variables, x0 > x1 > x2 > x3, over Q; a basis lists x3 before x0."""
+    ring = PolyRing(range(4))
+    return ring, [ring.gen(v) for v in ring.variables]
+
+
+def test_quotient_scaled_variable_is_returned_monic(ring4):
+    ring, (x0, x1, x2, x3) = ring4
+    gens = [x0.scale(-3), x1 * x2 - x0 * x3, x2 * x2 + x0 * x1]
+    got = assert_matches_quotient_oracle(gens, "scaled variable")
+    assert got == [x0, x2 * x2, x1 * x2]
+    assert got[0].terms == {x0.leading_monomial(): 1}
+
+
+def test_quotient_generator_becomes_a_variable(ring4):
+    ring, (x0, x1, x2, x3) = ring4
+    # x0*x1 - x2 leaves -x2 once x0 is zeroed, which then kills x2*x3
+    gens = [x0, x0 * x1 - x2, x2 * x3 + x3 * x3 * x3, x1 * x1 - x3 * x3]
+    got = assert_matches_quotient_oracle(gens, "becomes a variable")
+    assert got == [x2, x0, x1 * x1 - x3 * x3, x3 * x3 * x3]
+
+
+def test_quotient_generator_becomes_zero(ring4):
+    ring, (x0, x1, x2, x3) = ring4
+    gens = [x1, x0 * x1 - x1 * x1.scale(Fraction(2, 3)), x2 * x3]
+    got = assert_matches_quotient_oracle(gens, "becomes zero")
+    assert got == [x1, x2 * x3]
+
+
+def test_quotient_generator_becomes_a_constant(ring4):
+    ring, (x0, x1, x2, x3) = ring4
+    gens = [x2, x1 * x2 + ring.one().scale(5), x0 * x3]
+    got = assert_matches_quotient_oracle(gens, "unit ideal")
+    assert got == [ring.one()]
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_quotient_ideal_of_only_variables(p):
+    ring = PolyRing(range(4), p=p)
+    x0, x1, x2, x3 = (ring.gen(v) for v in ring.variables)
+    gens = [x3.scale(2), x1, x3, x1.scale(-1), ring.zero()]
+    got = assert_matches_quotient_oracle(gens, "only variables")
+    assert got == [x3, x1]
+
+
+def test_quotient_ideal_without_variables(ring4):
+    ring, (x0, x1, x2, x3) = ring4
+    gens = [x0 * x1 - x2 * x3, x1 * x1 - x0 * x2.scale(Fraction(1, 2)), x0 * x0 * x3 - x2]
+    got = assert_matches_quotient_oracle(gens, "no variables")
+    assert len(got) > len(gens)  # the Buchberger loop still runs in full
+
+
+# -- coefficient types --------------------------------------------------------
+
+
+def test_rational_coefficients_are_int_when_integral():
+    ring = PolyRing(range(2))
+    for value, expected, kind in [
+        (4, 4, int),
+        (Fraction(4, 2), 2, int),
+        (Fraction(1, 2), Fraction(1, 2), Fraction),
+        (0.5, Fraction(1, 2), Fraction),
+        (-3.0, -3, int),
+    ]:
+        c = ring.coeff(value)
+        assert c == expected and type(c) is kind, value
+    assert _inv(1, 0) == 1 and type(_inv(1, 0)) is int
+    assert _inv(-1, 0) == -1 and type(_inv(-1, 0)) is int
+    assert _inv(Fraction(-1, 3), 0) == -3 and type(_inv(Fraction(-1, 3), 0)) is int
+    assert _inv(Fraction(1, 1), 0) == 1 and type(_inv(Fraction(1, 1), 0)) is int
+    assert _inv(-2, 0) == Fraction(-1, 2)
+    assert _inv(Fraction(2, 3), 0) == Fraction(3, 2)
+
+
+def test_equality_and_hash_agree_across_int_and_fraction():
+    ring = PolyRing(range(2))
+    as_int = Poly(ring, {(1, 0): 2, (0, 1): -1})
+    as_fraction = Poly(ring, {(1, 0): Fraction(2), (0, 1): Fraction(-1, 1)})
+    assert as_int == as_fraction and as_fraction == as_int
+    assert hash(as_int) == hash(as_fraction)
+    assert len({as_int, as_fraction}) == 1

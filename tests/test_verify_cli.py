@@ -392,6 +392,25 @@ def test_cli_gb_verify_over_large_prime_field(capsys):
     assert modular["per_degree"] == rational["per_degree"]
 
 
+def test_field_label_is_canonical(capsys):
+    """A prime written with leading zeros names the same field, so the
+    reports of both spellings are byte-identical."""
+    assert CaseSpec(1, (1,), (1,), (1,), field="Fp:007").field == "Fp:7"
+    case = ["gb-verify", "--d", "1", "--alpha", "1", "--beta", "1", "--gamma", "1"]
+    reports = []
+    for field in ("Fp:007", "Fp:7"):
+        assert main([*case, "--field", field, "--stable"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["cases"][0]["field"] == "Fp:7"
+    sweeps = []
+    for field in ("Fp:0002", "Fp:2"):
+        assert main(["sweep", "--d", "2", "--max-degree", "2", "--field", field,
+                     "--format", "csv", "--stable"]) == 0
+        sweeps.append(capsys.readouterr().out)
+    assert sweeps[0] == sweeps[1] and ",Fp:2," in sweeps[0]
+
+
 def test_cli_exit_one_on_failed_verdict(monkeypatch, capsys):
     import tancone.cli as cli_mod
 
