@@ -207,7 +207,7 @@ def multiset_chain_values(m: Multiset, beta: Index):
     boundedness against any (alpha, gamma) since subchains of a bounded
     chain are bounded.  Only the support ``m.keys()`` is read, so every
     special multiset on this support shares the result, which keys its
-    cell in ``verify._special_profiles``.
+    cell in ``verify._special_supports``.
     """
     pos_vals = set()
     neg_vals = set()

@@ -15,6 +15,7 @@ in [1, p).
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, compress
 
@@ -378,12 +379,18 @@ def initial_ideal_generators(groebner_basis) -> list[tuple]:
 
 
 def monomials_of_degree(nvars: int, m: int):
-    """All exponent tuples of total degree m, lexicographically."""
+    """All exponent tuples of total degree m, lexicographically, as an
+    iterator over a table built once per (nvars, m)."""
+    return iter(_degree_table(nvars, m))
+
+
+# 16 tables: a sweep asks for one nvars, d(d+1)/2, at each degree up to its maximum
+@lru_cache(maxsize=16)
+def _degree_table(nvars: int, m: int) -> tuple[tuple, ...]:
     if nvars == 0:
-        if m == 0:
-            yield ()
-        return
+        return ((),) if m == 0 else ()
     # stars and bars via combinations of bar positions
+    table = []
     for bars in combinations(range(m + nvars - 1), nvars - 1):
         prev = -1
         exps = []
@@ -391,7 +398,8 @@ def monomials_of_degree(nvars: int, m: int):
             exps.append(b - prev - 1)
             prev = b
         exps.append(m + nvars - 2 - prev)
-        yield tuple(exps)
+        table.append(tuple(exps))
+    return tuple(table)
 
 
 def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:

@@ -24,7 +24,8 @@ is how many objects share the key; degree 0 is the one cell
 ``(((), ()), 1)``.  One filter, ``_count_cells``, sums the counts of the
 cells that pass, so a case makes its Bruhat tests once per cell.
 Specials are counted by support (every multiset on one support has the
-same chain values), standard monomials by recursion on their last pair
+same chain values), from cells of the supports of each exact size that
+every degree reuses, standard monomials by recursion on their last pair
 through the table's own cache, and bitableaux by enumerating them
 (dropping each value sequence once its epsilon pairing fails) and
 grouping by their first and last delta values.
@@ -196,20 +197,31 @@ def _special_profiles(beta: Index, d: int, m: int):
 
     A special multiset is U union U# for a multiset U of degree m on the
     upper region, and its chain values depend only on the support S of
-    U.  So each support S of size 1..m gives one cell of weight
-    C(m-1, |S|-1), the number of degree-m multisets with support exactly
-    S.
+    U.  So the cells of the supports of each size k = 1..m
+    (``_special_supports``) count with weight C(m-1, k-1), the number of
+    degree-m multisets with a given support of size k.
     """
     if m == 0:
         return ((((), ()), 1),)
-    upper = upper_points(beta, d)
     cells: Counter = Counter()
-    for size in range(1, m + 1):
+    for size in range(1, min(m, len(upper_points(beta, d))) + 1):
         weight = comb(m - 1, size - 1)
-        for support in combinations(upper, size):
-            doubled = double_multiset(dict.fromkeys(support, 1), d)
-            pos_vals, neg_vals = multiset_chain_values(doubled, beta)
-            cells[(neg_vals, pos_vals)] += weight
+        for key, supports in _special_supports(beta, d, size):
+            cells[key] += weight * supports
+    return tuple(cells.items())
+
+
+# 16 sizes, one fixed point's: a sweep fills every degree of one beta before the next
+@lru_cache(maxsize=16)
+def _special_supports(beta: Index, d: int, size: int):
+    """The supports of exactly ``size`` upper points as cells
+    ``((neg_values, pos_values), number of supports)``, each support's
+    chain values computed once."""
+    cells: Counter = Counter()
+    for support in combinations(upper_points(beta, d), size):
+        doubled = double_multiset(dict.fromkeys(support, 1), d)
+        pos_vals, neg_vals = multiset_chain_values(doubled, beta)
+        cells[(neg_vals, pos_vals)] += 1
     return tuple(cells.items())
 
 

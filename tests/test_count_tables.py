@@ -37,6 +37,7 @@ from tancone.verify import (
     _count_specials,
     _count_standard,
     _special_profiles,
+    _special_supports,
     all_triples,
 )
 
@@ -98,6 +99,33 @@ def test_special_weights_count_every_multiset(d, top):
         for k in range(top + 1):
             total = sum(count for _, count in _special_profiles(beta, d, k))
             assert total == comb(n + k - 1, k), (beta, k)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_special_supports_count_every_support(d):
+    for beta in enumerate_indices(d):
+        n = len(upper_points(beta, d))
+        for k in range(1, n + 1):
+            total = sum(count for _, count in _special_supports(beta, d, k))
+            assert total == comb(n, k), (beta, k)
+
+
+# (1, 3) at d = 2 has 3 upper points, fewer than m; (1, 3, 5) has 6
+@pytest.mark.parametrize("beta, d", [((1, 3), 2), ((1, 3, 5), 3)])
+def test_special_cells_cold_at_high_degree(beta, d):
+    m = 6
+    _special_profiles.cache_clear()
+    _special_supports.cache_clear()
+    try:
+        cold = _special_profiles(beta, d, m)
+        _special_profiles.cache_clear()
+        _special_supports.cache_clear()
+        for k in range(1, m + 1):
+            ascending = _special_profiles(beta, d, k)
+        assert dict(cold) == dict(ascending)
+    finally:
+        _special_profiles.cache_clear()
+        _special_supports.cache_clear()
 
 
 @pytest.mark.parametrize("d, top", SCALES)

@@ -2,7 +2,7 @@ import heapq
 import pickle
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import islice, permutations, product
 from math import comb
 
 import pytest
@@ -309,6 +309,35 @@ def test_staircase_of_zero_ideal_counts(nvars, m):
     assert len(mons) == comb(m + nvars - 1, nvars - 1)
     assert len(set(mons)) == len(mons)
     assert all(sum(mono) == m for mono in mons)
+
+
+def degree_monomials_oracle(nvars, m):
+    """Every exponent tuple of total degree m, from the full product."""
+    return sorted(e for e in product(range(m + 1), repeat=nvars) if sum(e) == m)
+
+
+SHAPES = [(nvars, m) for nvars in range(5) for m in range(6)]
+
+
+def test_monomials_of_degree_match_the_product_enumeration():
+    for nvars, m in SHAPES:
+        assert list(monomials_of_degree(nvars, m)) == degree_monomials_oracle(
+            nvars, m
+        ), (nvars, m)
+
+
+def test_monomials_of_degree_repeat_and_interleave():
+    # the tables are shared between calls: asking again, in another
+    # order, or while another iterator is half consumed gives the same
+    first = {shape: list(monomials_of_degree(*shape)) for shape in SHAPES}
+    for shape in reversed(SHAPES):
+        assert list(monomials_of_degree(*shape)) == first[shape], shape
+    for a, b in zip(SHAPES, SHAPES[::-1]):
+        iters = {a: monomials_of_degree(*a), b: monomials_of_degree(*b)}
+        seen = {a: [], b: []}
+        for shape in [a, b] * (max(len(first[a]), len(first[b])) + 1):
+            seen[shape].extend(islice(iters[shape], 1))
+        assert seen[a] == first[a] and seen[b] == first[b], (a, b)
 
 
 def staircase_by_definition(gens, nvars, m):
