@@ -388,80 +388,68 @@ def _row_from_value(v: Index, beta: Index, sign: int) -> Row:
 
 def enumerate_on_starred(beta: Index, d: int, degree: int):
     """All on-starred bitableaux with the given box count, built directly
-    from weakly increasing value sequences (no insertion involved).
+    from their delta sequences (no insertion involved), in the
+    lexicographic order of their rows' indices in ``_starred_row_values``.
 
-    The candidate rows are ``_starred_row_values``; which of them may
-    follow each one in Bruhat order is listed once per call, and a
-    sequence is extended only along those successor lists.  The epsilon
-    pairing of ``delta_sequence`` is followed while a sequence is
-    extended, under both parities of its final row count: no wedge (even
-    count), and beta wedged at the NEG -> POS boundary (odd count).  Each
-    parity holds the eps-degree waiting for its partner, or none; a prefix
-    is dropped once a pair mismatches under both.  A completed sequence is
-    kept when either parity has nothing pending (beta closing the wedged
-    one if no POS row came), and every result is still certified by one
-    full ``is_on_starred`` call, which reads its row facts from a memo.
+    A delta sequence is a chain of pairs (a, b), a <= b in Bruhat order
+    and of equal eps-degree, each starting at or above the previous b.
+    Its values are the candidate rows and beta itself: a wedge of no boxes
+    that does not follow itself, so it comes at most once.  Every NEG
+    candidate lies below beta and every POS one above it, so the NEG rows
+    come first, beta falls exactly between the blocks, and it is used
+    exactly when the row count is odd.  Every chain of whole pairs is
+    on-starred, so no prefix is dropped.  Which values may follow each
+    one, and which pairs start at each, are listed once per call.  Every
+    result is still certified by one full ``is_on_starred`` call, which
+    reads its row facts from a memo.
     """
     if degree < 0 or degree % 2 == 1:
         return []
     beta = tuple(beta)
-    beta_eps = epsilon_degree(beta, d)
-    candidates = [
-        (v, w, s, epsilon_degree(v, d), _row_from_value(v, beta, s))
-        for v, w, s in _starred_row_values(beta, d)
+    # values: (value, boxes, eps-degree, indices, rows) of each candidate
+    # that fits in the box count; the wedge beta is last and adds neither
+    # an index nor a row
+    values = [
+        (v, w, epsilon_degree(v, d), (i,), (_row_from_value(v, beta, s),))
+        for i, (v, w, s) in enumerate(_starred_row_values(beta, d))
+        if w <= degree
     ]
-    # successors[i]: indices of the candidates that may follow candidate i,
-    # at or above it in Bruhat order and light enough to fit beside it
+    wedge = len(values)
+    values.append((beta, 0, epsilon_degree(beta, d), (), ()))
+    # successors[i]: the values that may follow value i, at or above it in
+    # Bruhat order and light enough to fit beside it; beta may not follow
+    # itself
     successors = [
-        [
-            j
-            for j, nxt in enumerate(candidates)
-            if w + nxt[1] <= degree and bruhat_leq(v, nxt[0])
-        ]
-        for v, w, *_ in candidates
+        [j for j, u in enumerate(values) if w + u[1] <= degree and bruhat_leq(v, u[0])]
+        for v, w, *_ in values
     ]
-    results = []
-    seq: list = []
+    successors[wedge].remove(wedge)
+    # pairs[i]: (boxes, last value, indices, rows) of each pair of equal
+    # eps-degree starting at value i
+    pairs = [
+        [
+            (w + values[j][1], j, key + values[j][3], rows + values[j][4])
+            for j in successors[i]
+            if values[j][2] == e
+        ]
+        for i, (_, w, e, key, rows) in enumerate(values)
+    ]
+    found = []
 
-    def extend(remaining, even, odd, options):
-        # even, odd: pending eps-degree without / with the wedge; _FREE when
-        # nothing is pending, _DEAD once a pair has mismatched
+    def extend(remaining, starts, key, rows):
+        # starts: the values the next pair may start at
         if remaining == 0:
-            if not seq or seq[-1][2] == NEG:
-                odd = _pair(odd, beta_eps)
-            if even == _FREE or odd == _FREE:
-                t = NotchedBitableau(rows=tuple(cand[4] for cand in seq))
-                if is_on_starred(t, beta, d):
-                    results.append(t)
+            t = NotchedBitableau(rows=rows)
+            if is_on_starred(t, beta, d):
+                found.append((key, t))
             return
-        in_neg_block = not seq or seq[-1][2] == NEG
-        for i in options:
-            cand = candidates[i]
-            _, w, s, e, _ = cand
-            if w > remaining:
-                continue
-            next_odd = odd
-            if s == POS and in_neg_block:
-                next_odd = _pair(next_odd, beta_eps)
-            next_even, next_odd = _pair(even, e), _pair(next_odd, e)
-            if next_even == _DEAD and next_odd == _DEAD:
-                continue
-            seq.append(cand)
-            extend(remaining - w, next_even, next_odd, successors[i])
-            seq.pop()
+        for i in starts:
+            for boxes, j, pair_key, pair_rows in pairs[i]:
+                if boxes <= remaining:
+                    extend(
+                        remaining - boxes, successors[j], key + pair_key, rows + pair_rows
+                    )
 
-    extend(degree, _FREE, _FREE, range(len(candidates)))
-    return results
-
-
-# pairing states of enumerate_on_starred besides a pending eps-degree (>= 0)
-_FREE, _DEAD = -1, -2
-
-
-def _pair(pending: int, eps: int) -> int:
-    """Pairing state after one more delta value of eps-degree ``eps``."""
-    if pending == _FREE:
-        return eps
-    if pending == eps:
-        return _FREE
-    return _DEAD
+    extend(degree, range(len(values)), (), ())
+    found.sort(key=lambda kt: kt[0])
+    return [t for _, t in found]

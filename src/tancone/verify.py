@@ -26,9 +26,9 @@ cells that pass, so a case makes its Bruhat tests once per cell.
 Specials are counted by support (every multiset on one support has the
 same chain values), from cells of the supports of each exact size that
 every degree reuses, standard monomials by recursion on their last pair
-through the table's own cache, and bitableaux by enumerating them
-(dropping each value sequence once its epsilon pairing fails) and
-grouping by their first and last delta values.
+through the table's own cache, and bitableaux by enumerating their delta
+sequences as chains of pairs of equal epsilon degree and grouping them by
+their first and last delta values.
 """
 
 from __future__ import annotations
@@ -231,9 +231,9 @@ def _bitableau_profiles(beta: Index, d: int, m: int):
     """On-starred bitableaux with 2m boxes as cells ``(((first,),
     (last,)), count)``: the first and last delta values, and how many
     bitableaux have them.  They are enumerated by ``enumerate_on_starred``,
-    which drops a value sequence as soon as its epsilon pairing fails, and
-    grouped.  The empty bitableau (m = 0) has neither value, and its cell
-    is ``((), ())``."""
+    which builds each delta sequence as a chain of pairs of equal epsilon
+    degree, and grouped.  The empty bitableau (m = 0) has neither value,
+    and its cell is ``((), ())``."""
     cells: Counter = Counter()
     for t in enumerate_on_starred(beta, d, 2 * m):
         delta = delta_sequence(t, beta)

@@ -46,7 +46,14 @@ from tancone.standard_monomials import (
     is_standard_on_y,
     monomial_degree,
 )
-from tancone.verify import CaseSpec, all_triples, report_json, sweep, verify_case
+from tancone.verify import (
+    CaseSpec,
+    all_triples,
+    report_csv,
+    report_json,
+    sweep,
+    verify_case,
+)
 
 
 def announce(name, ok):
@@ -131,6 +138,35 @@ def test_stable_reports_pinned(sweep_d1, sweep_d2, sweep_d3):
     }
     announce("--stable reports of the exhaustive d=1, 2, 3 sweeps match their "
              "pinned sha256", got == STABLE_REPORT_SHA256)
+
+
+# sha256 of the same sweeps' --stable reports as JSON over F_2 and F_3 and
+# as CSV over Q, pinned alike
+OTHER_STABLE_REPORT_SHA256 = {
+    (1, "json", "Fp:2"): "c52523d6adb0934faf3fbb01194e8b7249e3e2fe8032e4c712dbca5040c006c3",
+    (1, "json", "Fp:3"): "f371b8db724f441cfb4d5e8e6bf3e6e1919dcf33b118a691dba41ffad3d7f6ca",
+    (1, "csv", "Q"): "a04223a5db575d8e6348186ea27af892c45c9eb5ef1261566d0f8f7d5af8e007",
+    (2, "json", "Fp:2"): "ce055687db85a11bab19ccd3904f5f06a71bb47685e3a5ba58b73b7317ba14a0",
+    (2, "json", "Fp:3"): "521edb03b313416a001cdad80294e750ff261e7cc7ca5965a329d7ec86fef8db",
+    (2, "csv", "Q"): "e7be26c0869304b06c4a46b3fef0cac81ae02ef4cee62b0d9ebbf2b9ac6c6591",
+    (3, "json", "Fp:2"): "8a5e054a2214c539e36cae24927117094c01188032e829ac942274b5da7f4f72",
+    (3, "json", "Fp:3"): "ae8f095579167ed47cf78461e44224b7c8d678e3ae9c80d379ff76cca85dac17",
+    (3, "csv", "Q"): "8194ce5dffcda7be56150040f923f229be35d922aad16530880e3c422eb902b1",
+}
+
+
+def test_stable_reports_pinned_over_finite_fields_and_as_csv(sweep_d1, sweep_d2, sweep_d3):
+    got = {}
+    for d, verdicts in ((1, sweep_d1), (2, sweep_d2), (3, sweep_d3)):
+        got[(d, "csv", "Q")] = report_csv(verdicts, stable=True)
+        for field in ("Fp:2", "Fp:3"):
+            got[(d, "json", field)] = report_json(
+                sweep(d, max_degree=6, field=field), stable=True
+            )
+    got = {k: hashlib.sha256(text.encode()).hexdigest() for k, text in got.items()}
+    announce("--stable reports of the exhaustive d=1, 2, 3 sweeps as JSON over F_2 "
+             "and F_3 and as CSV over Q match their pinned sha256",
+             got == OTHER_STABLE_REPORT_SHA256)
 
 
 D5_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "d5_deg1.json"

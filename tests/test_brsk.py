@@ -267,15 +267,52 @@ def test_enumerate_on_starred_matches_direct_filter():
     assert enumerate_on_starred(beta, d, 3) == []
 
 
-@pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 6), (4, 4)])
+# a seeded sample of the 32 betas at d = 5, plus (2,3,4,5,10)
+D5_BETAS = sorted({(2, 3, 4, 5, 10), *random.Random(0).sample(enumerate_indices(5), 8)})
+
+
+@pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 6), (4, 4), (5, 3)])
 def test_enumerate_on_starred_equals_the_unpruned_oracle(d, top):
-    """The pairing-pruned enumerator lists the same bitableaux, in the same
-    order, as the filter over every value sequence; odd box counts too."""
-    for beta in enumerate_indices(d):
+    """The enumerator over delta pairs lists the same bitableaux, in the
+    same order, as the filter over every value sequence; odd box counts
+    too.  Every beta at d <= 4, the sample above at d = 5."""
+    for beta in enumerate_indices(d) if d <= 4 else D5_BETAS:
         for degree in range(2 * top + 2):
             assert enumerate_on_starred(beta, d, degree) == enumerate_on_starred_oracle(
                 beta, d, degree
             ), (beta, degree)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_candidate_rows_lie_below_then_above_beta(d):
+    """NEG candidates lie at or below beta, POS ones at or above it, and no
+    POS value lies at or below a NEG one: so in a Bruhat-weakly-increasing
+    delta sequence the NEG rows come first and beta falls between the
+    blocks, as ``enumerate_on_starred`` assumes."""
+    for beta in enumerate_indices(d):
+        candidates = _starred_row_values(beta, d)
+        neg = [v for v, _, s in candidates if s == NEG]
+        pos = [v for v, _, s in candidates if s == POS]
+        assert all(bruhat_leq(v, beta) for v in neg), beta
+        assert all(bruhat_leq(beta, v) for v in pos), beta
+        assert not any(bruhat_leq(u, v) for u in pos for v in neg), beta
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_removing_the_last_delta_pair_leaves_an_enumerated_bitableau(d):
+    """Every chain of whole delta pairs is itself on-starred, so the
+    enumeration drops no prefix: an enumerated bitableau with its last
+    delta pair removed is enumerated at its own box count (up to 8)."""
+    for beta in enumerate_indices(d):
+        found = {degree: set(enumerate_on_starred(beta, d, degree)) for degree in range(0, 9, 2)}
+        for degree in range(2, 9, 2):
+            for t in found[degree]:
+                delta = delta_sequence(t, beta)
+                wedged = len(delta) > len(t.rows)
+                # the last pair holds one row when beta is wedged into it
+                cut = 1 if wedged and len(t.negative_rows()) >= len(delta) - 2 else 2
+                rest = NotchedBitableau(rows=t.rows[:-cut])
+                assert rest in found.get(rest.degree(), ()), (beta, t)
 
 
 def test_json_round_trip():

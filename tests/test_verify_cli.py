@@ -249,11 +249,11 @@ def test_cli_sweep_writes_file(tmp_path, capsys):
 
 
 def test_cli_reports_deep_recursion_as_error(capsys):
-    """A degree deep enough to exhaust the recursion limit (about 520 at the
+    """A degree deep enough to exhaust the recursion limit (about 980 at the
     default limit) is an error line and exit 2, not a traceback; the limit
     is lowered so that a small degree reaches it."""
     argv = ["count", "--d", "1", "--alpha", "1", "--beta", "1", "--gamma", "2",
-            "--max-degree", "40"]
+            "--max-degree", "80"]
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack(0)) + 60)
     try:
