@@ -68,12 +68,7 @@ class NotchedBitableau:
         """Row values at beta, read from the row memo at d = len(beta); a
         row the memo rejects goes to ``bound_value``, which may raise."""
         beta = tuple(beta)
-        d = len(beta)
-        out = []
-        for r in self.rows:
-            fact = _row_fact(r.p, r.q, r.sign, beta, d)
-            out.append(bound_value(r.p, r.q, beta) if fact is None else fact[0])
-        return tuple(out)
+        return tuple(_row_value(r, beta, len(beta)) for r in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -292,6 +287,13 @@ def _row_fact(p: tuple, q: tuple, sign: int, beta: Index, d: int):
     return v, epsilon_degree(v, d), p == star_set(q, d)
 
 
+def _row_value(r: Row, beta: Index, d: int) -> Index:
+    """The row's value at beta, from the row memo when it accepts the row,
+    else from ``bound_value``, which may raise."""
+    fact = _row_fact(r.p, r.q, r.sign, beta, d)
+    return bound_value(r.p, r.q, beta) if fact is None else fact[0]
+
+
 def _semistandard_facts(t: NotchedBitableau, beta: Index, d: int):
     """The row facts of ``t`` when it is semistandard at (beta, d), else
     None: one memo lookup per row, then the sign-order and chain checks."""
@@ -327,6 +329,24 @@ def delta_sequence(t: NotchedBitableau, beta: Index) -> tuple[Index, ...]:
     """Row values, with beta wedged between the blocks when the count is odd."""
     beta = tuple(beta)
     return tuple(_wedge(list(t.values(beta)), t, beta))
+
+
+def delta_ends(t: NotchedBitableau, beta: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
+    """``(delta[:1], delta[-1:])`` of ``delta = delta_sequence(t, beta)``,
+    read from the end rows alone: with an odd row count beta is wedged
+    after the negative rows, so it comes first when there are none and
+    last when every row is negative.  Both are () for the empty
+    bitableau."""
+    rows = t.rows
+    if not rows:
+        return (), ()
+    beta = tuple(beta)
+    d = len(beta)
+    wedged = len(rows) % 2 == 1
+    negative = len(t.negative_rows())
+    first = beta if wedged and negative == 0 else _row_value(rows[0], beta, d)
+    last = beta if wedged and negative == len(rows) else _row_value(rows[-1], beta, d)
+    return (first,), (last,)
 
 
 def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
@@ -406,24 +426,26 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
     if degree < 0 or degree % 2 == 1:
         return []
     beta = tuple(beta)
-    # values: (value, boxes, eps-degree, indices, rows) of each candidate
-    # that fits in the box count; the wedge beta is last and adds neither
-    # an index nor a row
+    # values: (value, boxes, eps-degree, indices, rows, sign) of each
+    # candidate that fits in the box count; the wedge beta is last, adds
+    # neither an index nor a row, and has no sign
     values = [
-        (v, w, epsilon_degree(v, d), (i,), (_row_from_value(v, beta, s),))
+        (v, w, epsilon_degree(v, d), (i,), (_row_from_value(v, beta, s),), s)
         for i, (v, w, s) in enumerate(_starred_row_values(beta, d))
         if w <= degree
     ]
     wedge = len(values)
-    values.append((beta, 0, epsilon_degree(beta, d), (), ()))
     # successors[i]: the values that may follow value i, at or above it in
-    # Bruhat order and light enough to fit beside it; beta may not follow
-    # itself
+    # Bruhat order and light enough to fit beside it.  The wedge follows
+    # exactly the NEG candidates and is followed exactly by the POS ones,
+    # which is read off their signs; beta may not follow itself
     successors = [
         [j for j, u in enumerate(values) if w + u[1] <= degree and bruhat_leq(v, u[0])]
-        for v, w, *_ in values
+        + ([wedge] if s == NEG else [])
+        for v, w, *_, s in values
     ]
-    successors[wedge].remove(wedge)
+    successors.append([j for j, u in enumerate(values) if u[5] == POS])
+    values.append((beta, 0, epsilon_degree(beta, d), (), (), None))
     # pairs[i]: (boxes, last value, indices, rows) of each pair of equal
     # eps-degree starting at value i
     pairs = [
@@ -432,7 +454,7 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
             for j in successors[i]
             if values[j][2] == e
         ]
-        for i, (_, w, e, key, rows) in enumerate(values)
+        for i, (_, w, e, key, rows, _) in enumerate(values)
     ]
     found = []
 

@@ -25,7 +25,6 @@ from .grid import (
     is_positive,
     is_upper,
     sharp_point,
-    upper_points,
 )
 from .indexsets import (
     AdmissiblePair,
@@ -58,8 +57,9 @@ class PatchMatrix:
     ``entries`` holds every entry as a polynomial; ``signed_vars`` holds
     each entry outside beta's rows as the (variable index, sign) it is
     built from, which is what ``minor`` reads.  Each theta's minor is
-    memoized raw, and beside it scaled to initial coefficient 1
-    (``monic_minor``), so neither is computed twice on one patch.
+    memoized raw, and beside it scaled to initial coefficient 1 with its
+    divisor record (``monic_minor``) and the fact of its initial chain
+    (``chain_fact``), so none of them is computed twice on one patch.
     """
 
     def __init__(self, beta: Index, d: int, ring: PolyRing):
@@ -70,6 +70,7 @@ class PatchMatrix:
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
         self._minors: dict[Index, Poly] = {}
         self._monic_minors: dict[Index, Poly] = {}
+        self._chain_facts: dict[Index, tuple[bool, Index] | None] = {}
         bset = set(beta)
         for r in range(1, 2 * d + 1):
             for c in beta:
@@ -119,12 +120,32 @@ class PatchMatrix:
 
     def monic_minor(self, theta: Index) -> Poly:
         """``minor(theta)`` scaled to initial coefficient 1, memoized beside
-        it; the minor itself when it already is monic."""
+        it; the minor itself when it already is monic.  A minor is
+        homogeneous of degree |theta - beta|, so it is scaled and given its
+        divisor record in one step (``Poly.monic_homogeneous``)."""
         theta = tuple(theta)
         monic = self._monic_minors.get(theta)
         if monic is None:
-            monic = self._monic_minors[theta] = self.minor(theta).monic()
+            monic = self._monic_minors[theta] = self.minor(theta).monic_homogeneous()
         return monic
+
+    def chain_fact(self, theta: Index) -> tuple[bool, Index] | None:
+        """(whether every point is positive, chain value at beta) of the
+        initial chain of ``monic_minor(theta)`` when that chain is
+        one-signed, else None (no chain, or a mixed-sign one); memoized
+        beside the monic minor."""
+        theta = tuple(theta)
+        if theta in self._chain_facts:
+            return self._chain_facts[theta]
+        fact = None
+        ch = initial_chain(self.monic_minor(theta))
+        if ch is not None:
+            assert all(is_upper(q, self.d) for q in ch)
+            signs = {is_positive(q) for q in ch}
+            if len(signs) == 1:
+                fact = (signs.pop(), chain_value(ch, self.beta))
+        self._chain_facts[theta] = fact
+        return fact
 
 
 @lru_cache(maxsize=None)
@@ -229,26 +250,26 @@ def initial_chain(f: Poly):
 
 def good_subset(gens: GeneratorSet) -> tuple[list[AdmissiblePair], list[Poly]]:
     """Pairs of the generator set whose initial monomial is a one-signed
-    upper chain violating the matching bound."""
+    upper chain violating the matching bound: a positive chain whose
+    value is not at or below gamma, or a negative one whose value is not
+    at or above alpha.  Each generator's chain fact is read from the
+    patch (``PatchMatrix.chain_fact``), so a case makes one Bruhat test
+    per generator with a one-signed chain."""
+    patch, alpha, gamma = gens.matrix, gens.alpha, gens.gamma
     good_pairs = []
     good_polys = []
     for pair, f in zip(gens.pairs, gens.polys):
-        ch = initial_chain(f)
-        if ch is None:
+        fact = patch.chain_fact(pair.rep)
+        if fact is None:
             continue
-        assert all(is_upper(q, gens.d) for q in ch)
-        signs = {is_positive(q) for q in ch}
-        if len(signs) != 1:
+        positive, value = fact
+        if positive:
+            if bruhat_leq(value, gamma):
+                continue
+        elif bruhat_leq(alpha, value):
             continue
-        value = chain_value(ch, gens.beta)
-        if signs == {True}:
-            if not bruhat_leq(value, gens.gamma):
-                good_pairs.append(pair)
-                good_polys.append(f)
-        else:
-            if not bruhat_leq(gens.alpha, value):
-                good_pairs.append(pair)
-                good_polys.append(f)
+        good_pairs.append(pair)
+        good_polys.append(f)
     return good_pairs, good_polys
 
 

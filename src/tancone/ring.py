@@ -25,6 +25,7 @@ from ._kernel_py import (
     mono_key,
     mono_lcm,
     mono_mul,
+    monic_homogeneous,
     poly_add,
     poly_mul,
     poly_scale,
@@ -231,6 +232,17 @@ class Poly:
         if inv == 1:
             return self
         return Poly(self.ring, poly_scale(self.terms, inv, self.ring.p))
+
+    def monic_homogeneous(self) -> "Poly":
+        """``monic()`` of a homogeneous polynomial, built together with its
+        divisor record (``_kernel_py.monic_homogeneous``), so neither this
+        polynomial nor the scaled one builds a generic record for it."""
+        if not self.terms:
+            return self
+        terms, record = monic_homogeneous(self.terms, self.ring.p)
+        out = self if terms is self.terms else Poly(self.ring, terms)
+        out._record = record
+        return out
 
     def __repr__(self):
         return self.ring.format_poly(self)

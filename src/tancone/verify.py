@@ -22,7 +22,8 @@ Every value in ``lows`` must lie at or above alpha and every value in
 ``highs`` at or below gamma for the objects to be bounded, and the count
 is how many objects share the key; degree 0 is the one cell
 ``(((), ()), 1)``.  One filter, ``_count_cells``, sums the counts of the
-cells that pass, so a case makes its Bruhat tests once per cell.
+cells that pass, so a case makes one Bruhat test per distinct value in
+a table.
 Specials are counted by support (every multiset on one support has the
 same chain values), from cells of the supports of each exact size that
 every degree reuses, standard monomials by recursion on their last pair
@@ -42,7 +43,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .brsk import delta_sequence, enumerate_on_starred
+from .brsk import delta_ends, enumerate_on_starred
 from .grid import double_multiset, multiset_chain_values, upper_points
 from .indexsets import (
     Index,
@@ -232,26 +233,44 @@ def _bitableau_profiles(beta: Index, d: int, m: int):
     (last,)), count)``: the first and last delta values, and how many
     bitableaux have them.  They are enumerated by ``enumerate_on_starred``,
     which builds each delta sequence as a chain of pairs of equal epsilon
-    degree, and grouped.  The empty bitableau (m = 0) has neither value,
-    and its cell is ``((), ())``."""
+    degree, and grouped by ``delta_ends``, which reads the two values off
+    the end rows.  The empty bitableau (m = 0) has neither value, and its
+    cell is ``((), ())``."""
     cells: Counter = Counter()
     for t in enumerate_on_starred(beta, d, 2 * m):
-        delta = delta_sequence(t, beta)
-        cells[(delta[:1], delta[-1:])] += 1
+        cells[delta_ends(t, beta)] += 1
     return tuple(cells.items())
+
+
+class _LazyTests(dict):
+    """A lazy dict from a value to ``test(value)``, each computed on first
+    lookup."""
+
+    def __init__(self, test):
+        self.test = test
+
+    def __missing__(self, value):
+        result = self[value] = self.test(value)
+        return result
 
 
 def _count_cells(cells, alpha, gamma) -> int:
     """Total count of the cells ``((lows, highs), count)`` whose lows all
-    lie at or above alpha and whose highs all lie at or below gamma."""
+    lie at or above alpha and whose highs all lie at or below gamma.
+
+    Cells share values, so each distinct value is tested once per call,
+    on first meeting it.  Special chain values lie in I(d, 2d), not only
+    in I(d), so the values are not listed beforehand."""
+    above = _LazyTests(lambda v: bruhat_leq(alpha, v))
+    below = _LazyTests(lambda v: bruhat_leq(v, gamma))
     total = 0
     for (lows, highs), count in cells:
         for v in lows:
-            if not bruhat_leq(alpha, v):
+            if not above[v]:
                 break
         else:
             for v in highs:
-                if not bruhat_leq(v, gamma):
+                if not below[v]:
                     break
             else:
                 total += count
@@ -324,16 +343,11 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
 
 
 def all_triples(d: int):
-    """Weakly increasing Bruhat triples (alpha, beta, gamma), lex order."""
+    """Weakly increasing Bruhat triples (alpha, beta, gamma), lex order.
+    Each index's up-set is listed once, in lex order."""
     iso = enumerate_indices(d)
-    return [
-        (a, b, g)
-        for a in iso
-        for b in iso
-        if bruhat_leq(a, b)
-        for g in iso
-        if bruhat_leq(b, g)
-    ]
+    above = {v: [w for w in iso if bruhat_leq(v, w)] for v in iso}
+    return [(a, b, g) for a in iso for b in above[a] for g in above[b]]
 
 
 def sweep(
@@ -346,9 +360,10 @@ def sweep(
 ) -> list[Verdict]:
     """Verify all triples at this d, or a seeded uniform sample of them.
 
-    Cases are verified one fixed point at a time, on one patch per beta;
-    with ``jobs`` > 1 whole fixed points go to a pool of that many worker
-    processes.  Verdicts come back in the lex order of the triples.
+    Cases are verified one fixed point at a time, on one patch per beta,
+    the fixed points with the most cases first; with ``jobs`` > 1 whole
+    fixed points go to a pool of that many worker processes.  Verdicts
+    come back in the lex order of the triples.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
@@ -365,7 +380,9 @@ def sweep(
     by_beta: dict[Index, list[int]] = {}
     for i, case in enumerate(cases):
         by_beta.setdefault(case.beta, []).append(i)
-    groups = [[cases[i] for i in indices] for indices in by_beta.values()]
+    # the largest fixed points first, so that no large one starts last in a pool
+    positions = sorted(by_beta.values(), key=len, reverse=True)
+    groups = [[cases[i] for i in indices] for indices in positions]
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -374,7 +391,7 @@ def sweep(
     else:
         results = map(_verify_fixed_point, groups)
     verdicts = [None] * len(cases)
-    for indices, group in zip(by_beta.values(), results):
+    for indices, group in zip(positions, results):
         for i, verdict in zip(indices, group):
             verdicts[i] = verdict
     return verdicts

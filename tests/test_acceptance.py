@@ -190,6 +190,15 @@ def test_exhaustive_d5_degree1_matches_reference():
              "digests", ok)
 
 
+@pytest.mark.slow
+def test_sampled_d6_degree1_sweep_is_ok():
+    """Opt in with ``pytest -m slow``: 500 seeded cases of the d = 6,
+    degree 1 sweep (27456 cases on 64 betas), every verdict ok."""
+    verdicts = sweep(6, max_degree=1, sample=500, seed=0)
+    announce("sampled d=6, degree 1 sweep (500 cases) verifies every case",
+             len(verdicts) == 500 and all(v.ok for v in verdicts))
+
+
 # sha256 of report_json(sweep(4, max_degree=6), stable=True) over Q; every
 # change to a counting layer is held to it
 D4_STABLE_REPORT_SHA256 = "77725c3456e405b2a742c4712956bbf1105059c0309a1c5f19f58d537c18da75"

@@ -16,6 +16,7 @@ from tancone.brsk import (
     _starred_row_values,
     brsk_inverse,
     brsk_map,
+    delta_ends,
     delta_sequence,
     enumerate_on_starred,
     epsilon_degree,
@@ -296,6 +297,20 @@ def test_candidate_rows_lie_below_then_above_beta(d):
         assert all(bruhat_leq(v, beta) for v in neg), beta
         assert all(bruhat_leq(beta, v) for v in pos), beta
         assert not any(bruhat_leq(u, v) for u in pos for v in neg), beta
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_delta_ends_match_the_delta_sequence(d):
+    """The first and last delta values read off the end rows, on every
+    bitableau enumerated at d <= 3 up to 12 boxes, the empty one too."""
+    for beta in enumerate_indices(d):
+        seen_empty = False
+        for degree in range(0, 13, 2):
+            for t in enumerate_on_starred(beta, d, degree):
+                delta = delta_sequence(t, beta)
+                assert delta_ends(t, beta) == (delta[:1], delta[-1:]), (beta, t)
+                seen_empty |= not t.rows
+        assert seen_empty, beta
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])

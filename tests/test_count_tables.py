@@ -31,9 +31,11 @@ from tancone.standard_monomials import (
     is_standard_on_y,
     monomial_degree,
 )
+from tancone.indexsets import bruhat_leq
 from tancone.verify import (
     _bitableau_profiles,
     _count_bitableaux,
+    _count_cells,
     _count_specials,
     _count_standard,
     _special_profiles,
@@ -43,6 +45,18 @@ from tancone.verify import (
 
 # (d, highest degree m checked); specials have degree 2m
 SCALES = [(1, 6), (2, 6), (3, 6), (4, 4)]
+
+
+def count_cells_oracle(cells, alpha, gamma):
+    """``_count_cells`` as it was before it kept each value's test: every
+    value of every cell is tested afresh."""
+    total = 0
+    for (lows, highs), count in cells:
+        if all(bruhat_leq(alpha, v) for v in lows) and all(
+            bruhat_leq(v, gamma) for v in highs
+        ):
+            total += count
+    return total
 
 
 def special_multisets(beta, d, m):
@@ -186,3 +200,15 @@ def test_count_columns_match_their_predicates(d, top):
                 for pairs in standard_sequences(beta, d, m)
             )
             assert _count_standard(beta, d, m, alpha, gamma) == standard, (case, m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_count_cells_matches_oracle_on_every_table(d):
+    """Every table at d <= 3 up to degree 6, filtered for every triple."""
+    for alpha, beta, gamma in all_triples(d):
+        for table in (_special_profiles, _bitableau_profiles, _standard_chains):
+            for m in range(7):
+                cells = table(beta, d, m)
+                assert _count_cells(cells, alpha, gamma) == count_cells_oracle(
+                    cells, alpha, gamma
+                ), (table.__name__, alpha, beta, gamma, m)

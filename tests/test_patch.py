@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
 
-from tancone.grid import is_upper, sharp_point, upper_points
+from tancone._kernel_py import divisor_record
+from tancone.grid import chain_value, is_positive, is_upper, sharp_point, upper_points
 from tancone.indexsets import (
     admissible_pairs,
     bruhat_leq,
@@ -24,6 +26,31 @@ from tancone.patch import (
 )
 from tancone.ring import PolyRing, reduced_groebner, initial_ideal_generators
 from tancone.verify import all_triples
+
+
+def good_subset_oracle(gens):
+    """``good_subset`` as it was before chain facts were memoized on the
+    patch: each generator's initial chain is read afresh."""
+    good_pairs = []
+    good_polys = []
+    for pair, f in zip(gens.pairs, gens.polys):
+        ch = initial_chain(f)
+        if ch is None:
+            continue
+        assert all(is_upper(q, gens.d) for q in ch)
+        signs = {is_positive(q) for q in ch}
+        if len(signs) != 1:
+            continue
+        value = chain_value(ch, gens.beta)
+        if signs == {True}:
+            if not bruhat_leq(value, gens.gamma):
+                good_pairs.append(pair)
+                good_polys.append(f)
+        else:
+            if not bruhat_leq(gens.alpha, value):
+                good_pairs.append(pair)
+                good_polys.append(f)
+    return good_pairs, good_polys
 
 
 def cofactor_det(entries, rows, cols, ring):
@@ -188,6 +215,66 @@ def test_pair_minor_shares_the_memoized_minor_when_already_monic():
             assert minor.initial_term()[1] == -1  # the memo is left as it was
             scaled += 1
     assert shared and scaled
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_monic_minor_and_its_record_match_the_generic_ones(d):
+    """The monic minor is ``minor.monic()``, and the record built with it
+    is the generic ``divisor_record`` of its terms."""
+    for p, beta in product((0, 3), enumerate_indices(d)):
+        m = build_patch(beta, d, p)
+        for pair in admissible_pairs(d):
+            minor = m.minor(pair.rep)
+            f = pair_minor(m, pair)
+            assert f == minor.monic(), (p, beta, pair)
+            assert f._record == divisor_record(f.terms, p), (p, beta, pair)
+
+
+def test_monic_homogeneous_leaves_a_zero_polynomial_as_monic_does():
+    """No minor of a pair vanishes at d <= 4, even over F_2, so the zero
+    case is checked on the ring: it stays itself, with no record."""
+    for p in (0, 2):
+        zero = PolyRing.for_patch((1, 3), 2, p=p).zero()
+        assert zero.monic_homogeneous() is zero.monic() is zero
+        assert zero._record is None
+
+
+def test_chain_facts_are_per_patch():
+    """Two patches at one beta keep their own chain facts, each read off
+    their own monic minors."""
+    beta, d = (1, 3, 5), 3
+    m1, m2 = build_patch(beta, d), build_patch(beta, d)
+    assert m1._chain_facts is not m2._chain_facts
+    for pair in admissible_pairs(d):
+        m1.chain_fact(pair.rep)
+    assert m1._chain_facts and not m2._chain_facts
+    for pair in admissible_pairs(d):
+        assert m2.chain_fact(pair.rep) == m1.chain_fact(pair.rep)
+    assert m1._chain_facts.keys() == m2._chain_facts.keys()
+
+
+def _assert_good_subset_matches_oracle(alpha, beta, gamma, patch):
+    gens = generator_set(alpha, gamma, patch)
+    pairs, polys = good_subset(gens)
+    want_pairs, want_polys = good_subset_oracle(gens)
+    assert pairs == want_pairs, (alpha, beta, gamma)
+    assert all(f is g for f, g in zip(polys, want_polys)), (alpha, beta, gamma)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_good_subset_matches_oracle(d):
+    patches = {}
+    for alpha, beta, gamma in all_triples(d):
+        patch = patches.setdefault(beta, build_patch(beta, d))
+        _assert_good_subset_matches_oracle(alpha, beta, gamma, patch)
+
+
+def test_good_subset_matches_oracle_on_a_d5_sample():
+    triples = random.Random(5).sample(all_triples(5), 40)
+    patches = {}
+    for alpha, beta, gamma in triples:
+        patch = patches.setdefault(beta, build_patch(beta, 5))
+        _assert_good_subset_matches_oracle(alpha, beta, gamma, patch)
 
 
 def test_generator_set_point_case():

@@ -443,6 +443,36 @@ def test_sweep_parallel_matches_serial():
         assert triples == sorted(triples) and (d == 1 or betas != sorted(betas))
 
 
+def test_parallel_sweep_hands_out_the_largest_fixed_points_first(monkeypatch):
+    """With jobs > 1 the pool gets the betas with the most cases first;
+    the verdicts still come back in the lex order of the triples."""
+    import concurrent.futures
+
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, groups):
+            groups = list(groups)
+            sizes.extend(len(group) for group in groups)
+            return map(fn, groups)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    parallel = sweep(3, max_degree=1, jobs=2)
+    assert sizes == sorted(sizes, reverse=True) and sizes != sorted(sizes)
+    assert sum(sizes) == len(parallel) == 112
+    serial = sweep(3, max_degree=1)
+    assert report_json(parallel, stable=True) == report_json(serial, stable=True)
+
+
 def test_no_patch_outlives_a_sweep():
     def live_patches():
         gc.collect()
