@@ -26,9 +26,7 @@ from .grid import (
     Multiset,
     Point,
     bound_value,
-    double_multiset,
     is_positive,
-    is_upper_chain,
     json_field,
     json_int,
 )
@@ -63,12 +61,6 @@ class NotchedBitableau:
 
     def positive_rows(self) -> tuple[Row, ...]:
         return tuple(r for r in self.rows if r.sign == POS)
-
-    def values(self, beta: Index) -> tuple[Index, ...]:
-        """Row values at beta, read from the row memo at d = len(beta); a
-        row the memo rejects goes to ``bound_value``, which may raise."""
-        beta = tuple(beta)
-        return tuple(_row_value(r, beta, len(beta)) for r in self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -233,22 +225,6 @@ def brsk_inverse(t: NotchedBitableau, beta: Index, d: int) -> Multiset:
 
 
 # ---------------------------------------------------------------------------
-# chains
-
-
-def top_bot_of_chain(chain, beta: Index, d: int) -> tuple[Index, Index]:
-    """(bottom row value, top row value) of the doubled chain's bitableau."""
-    if not chain:
-        raise ValueError("chain must be nonempty")
-    if not is_upper_chain(tuple(chain), d):
-        raise ValueError("not an extended upper chain")
-    m = double_multiset({p: 1 for p in chain}, d)
-    t = brsk_map(m, beta, d)
-    vals = t.values(beta)
-    return vals[-1], vals[0]
-
-
-# ---------------------------------------------------------------------------
 # predicates
 
 
@@ -312,28 +288,10 @@ def _semistandard_facts(t: NotchedBitableau, beta: Index, d: int):
     return facts
 
 
-def _wedge(items: list, t: NotchedBitableau, middle) -> list:
-    """Insert ``middle`` between the blocks of ``items`` when the row count
-    is odd."""
-    if len(items) % 2 == 1:
-        items.insert(len(t.negative_rows()), middle)
-    return items
-
-
-def is_semistandard(t: NotchedBitableau, beta: Index, d: int) -> bool:
-    """Row values weakly increase through beta, negative block first."""
-    return _semistandard_facts(t, tuple(beta), d) is not None
-
-
-def delta_sequence(t: NotchedBitableau, beta: Index) -> tuple[Index, ...]:
-    """Row values, with beta wedged between the blocks when the count is odd."""
-    beta = tuple(beta)
-    return tuple(_wedge(list(t.values(beta)), t, beta))
-
-
 def delta_ends(t: NotchedBitableau, beta: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
-    """``(delta[:1], delta[-1:])`` of ``delta = delta_sequence(t, beta)``,
-    read from the end rows alone: with an odd row count beta is wedged
+    """``(delta[:1], delta[-1:])`` of the delta sequence
+    ``delta = definitions.delta_sequence(t, beta)``, read from the end
+    rows alone through the row memo: with an odd row count beta is wedged
     after the negative rows, so it comes first when there are none and
     last when every row is negative.  Both are () for the empty
     bitableau."""
@@ -361,21 +319,13 @@ def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
     facts = _semistandard_facts(t, beta, d)
     if facts is None or not all(mirrored for _, _, mirrored in facts):
         return False
-    eps = _wedge([e for _, e, _ in facts], t, epsilon_degree(beta, d))
+    eps = [e for _, e, _ in facts]
+    if len(eps) % 2 == 1:
+        eps.insert(len(t.negative_rows()), epsilon_degree(beta, d))
     for j in range(0, len(eps) - 1, 2):
         if eps[j] != eps[j + 1]:
             return False
     return t.degree() % 2 == 0
-
-
-def is_bounded_bitableau(
-    t: NotchedBitableau, alpha: Index, gamma: Index, beta: Index
-) -> bool:
-    """alpha <= first delta value and last delta value <= gamma."""
-    if not t.rows:
-        return True
-    delta = delta_sequence(t, beta)
-    return bruhat_leq(alpha, delta[0]) and bruhat_leq(delta[-1], gamma)
 
 
 # ---------------------------------------------------------------------------

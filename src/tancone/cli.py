@@ -26,7 +26,6 @@ from .indexsets import (
 from .patch import FORM_LABEL, build_patch, generator_set, good_subset
 from .verify import (
     CaseSpec,
-    parse_field,
     report_csv,
     report_json,
     sweep,

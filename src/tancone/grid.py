@@ -12,9 +12,7 @@ tuples of points strictly decreasing in the order
 
 from __future__ import annotations
 
-from itertools import combinations
-
-from .indexsets import Index, bruhat_leq, is_isotropic, star
+from .indexsets import Index, is_isotropic, star
 
 Point = tuple[int, int]
 Multiset = dict[Point, int]
@@ -32,11 +30,6 @@ def is_upper(p: Point, d: int) -> bool:
     """Upper region: r <= c*.  Its complement is the strictly-lower region."""
     r, c = p
     return r <= star(c, d)
-
-
-def is_diagonal(p: Point, d: int) -> bool:
-    r, c = p
-    return r == star(c, d)
 
 
 def is_positive(p: Point) -> bool:
@@ -62,39 +55,12 @@ def sharp_multiset(m: Multiset, d: int) -> Multiset:
     return out
 
 
-def is_special(m: Multiset, d: int) -> bool:
-    """Invariant under sharp, with even multiplicity on the diagonal."""
-    if sharp_multiset(m, d) != m:
-        return False
-    return all(k % 2 == 0 for p, k in m.items() if is_diagonal(p, d))
-
-
 def double_multiset(m: Multiset, d: int) -> Multiset:
     """U -> U union U#; always special."""
     out = dict(m)
     for p, k in sharp_multiset(m, d).items():
         out[p] = out.get(p, 0) + k
     return out
-
-
-def sqrt_special(m: Multiset, d: int) -> Multiset:
-    """Inverse of doubling: fold strictly-lower points up, then halve.
-
-    Raises on a non-special input (odd folded multiplicity, or a folded
-    profile that is not sharp-symmetric).
-    """
-    folded: Multiset = {}
-    for p, k in m.items():
-        q = p if is_upper(p, d) else sharp_point(p, d)
-        folded[q] = folded.get(q, 0) + k
-    root: Multiset = {}
-    for p, k in folded.items():
-        if k % 2:
-            raise ValueError(f"multiset is not special: odd count at {p}")
-        root[p] = k // 2
-    if double_multiset(root, d) != m:
-        raise ValueError("multiset is not special: not sharp-symmetric")
-    return root
 
 
 # ---------------------------------------------------------------------------
@@ -110,26 +76,11 @@ def is_chain(points) -> bool:
     return all(chain_gt(a, b) for a, b in zip(points, points[1:]))
 
 
-def is_upper_chain(points, d: int) -> bool:
-    return is_chain(points) and all(is_upper(p, d) for p in points)
-
-
 def chain_parts(points) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     """(positive part, negative part)."""
     pos = tuple(p for p in points if is_positive(p))
     neg = tuple(p for p in points if not is_positive(p))
     return pos, neg
-
-
-def enumerate_chains(points, nonempty: bool = True):
-    """Every chain supported on ``points`` (each point used at most once)."""
-    ordered = sorted(set(points), key=lambda p: (-p[0], p[1]))
-    chains = [()]
-    for n in range(1, len(ordered) + 1):
-        for sub in combinations(ordered, n):
-            if is_chain(sub):
-                chains.append(sub)
-    return chains[1:] if nonempty else chains
 
 
 def maximal_paths(points):
@@ -160,11 +111,6 @@ def maximal_paths(points):
     return paths
 
 
-def fold_chain(points, d: int) -> tuple[Point, ...]:
-    """Replace strictly-lower chain entries by their mirrors."""
-    return tuple(p if is_upper(p, d) else sharp_point(p, d) for p in points)
-
-
 # ---------------------------------------------------------------------------
 # bounds
 
@@ -187,25 +133,13 @@ def chain_value(points, beta: Index) -> Index:
     return bound_value([p[0] for p in points], [p[1] for p in points], beta)
 
 
-def chain_bounded(points, alpha: Index, gamma: Index, beta: Index) -> bool:
-    """alpha <= value(negative part) and value(positive part) <= gamma.
-
-    Empty parts impose no constraint.
-    """
-    pos, neg = chain_parts(points)
-    if neg and not bruhat_leq(alpha, chain_value(neg, beta)):
-        return False
-    if pos and not bruhat_leq(chain_value(pos, beta), gamma):
-        return False
-    return True
-
-
 def multiset_chain_values(m: Multiset, beta: Index):
     """Values of positive/negative parts over all maximal support chains.
 
     Returns (pos_values, neg_values) as sorted tuples; enough to decide
-    boundedness against any (alpha, gamma) since subchains of a bounded
-    chain are bounded.  Only the support ``m.keys()`` is read, so every
+    boundedness against any (alpha, gamma), which
+    ``definitions.multiset_bounded`` decides over every chain, since
+    subchains of a bounded chain are bounded.  Only the support ``m.keys()`` is read, so every
     special multiset on this support shares the result, which keys its
     cell in ``verify._special_supports``.
     """
@@ -218,14 +152,6 @@ def multiset_chain_values(m: Multiset, beta: Index):
         if neg:
             neg_vals.add(chain_value(neg, beta))
     return tuple(sorted(pos_vals)), tuple(sorted(neg_vals))
-
-
-def multiset_bounded(m: Multiset, alpha: Index, gamma: Index, beta: Index) -> bool:
-    """Every chain drawn from the support is bounded."""
-    pos_vals, neg_vals = multiset_chain_values(m, beta)
-    return all(bruhat_leq(alpha, v) for v in neg_vals) and all(
-        bruhat_leq(v, gamma) for v in pos_vals
-    )
 
 
 def multiset_to_json(m: Multiset) -> list[dict]:

@@ -140,14 +140,3 @@ def admissible_pairs(d: int) -> tuple[AdmissiblePair, ...]:
         AdmissiblePair(top=top, bot=bot, rep=rep, d=d)
         for (top, bot), rep in sorted(by_ends.items(), key=lambda kv: kv[1])
     )
-
-
-@lru_cache(maxsize=None)
-def admissible_pair_by_ends(d: int) -> dict[tuple[Index, Index], AdmissiblePair]:
-    """Lookup (top, bot) -> pair.  Not every top >= bot is admissible."""
-    return {(p.top, p.bot): p for p in admissible_pairs(d)}
-
-
-def pair_leq(w1: AdmissiblePair, w2: AdmissiblePair) -> bool:
-    """Order used in standard-monomial chains: w1 <= w2 iff top(w1) <= bot(w2)."""
-    return bruhat_leq(w1.top, w2.bot)

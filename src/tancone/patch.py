@@ -5,12 +5,13 @@ The patch matrix is 2d x d with identity rows on beta; the remaining
 entries are the upper-region coordinates, with each strictly-lower
 position (r, c) identified to +/- the mirrored coordinate X(c*, r*).
 The sign follows the split rule (``mirror_sign``) and the symplectic
-form is the standard one (``form_eps``).  Of the readings of the
-paper's boundary convention, this is the one that makes the patch
+form is the standard one (``definitions.form_eps``).  Of the readings of
+the paper's boundary convention, this is the one that makes the patch
 columns isotropic identically in the variables for every beta at every
-d; the tests check that with ``column_inner_products`` for d <= 5, and
-check that the strict-inequality reading fails at d = 2.  Reports name
-the choice by ``FORM_LABEL``.
+d; the tests check that with ``definitions.column_inner_products`` on
+the explicit matrix ``definitions.patch_entries`` for d <= 5, and check
+that the strict-inequality reading fails at d = 2.  Reports name the
+choice by ``FORM_LABEL``.
 """
 
 from __future__ import annotations
@@ -40,11 +41,6 @@ from .ring import Poly, PolyRing
 FORM_LABEL = "form=standard;rule=split"
 
 
-def form_eps(i: int, d: int) -> int:
-    """<e_i, e_{i*}> for the standard skew form."""
-    return 1 if i <= d else -1
-
-
 def mirror_sign(r: int, c: int, d: int) -> int:
     """Sign in X(r,c) = sign * X(c*, r*): minus when r and c* lie on
     opposite sides of d, with c* = d counted on the low side."""
@@ -54,10 +50,10 @@ def mirror_sign(r: int, c: int, d: int) -> int:
 class PatchMatrix:
     """2d x d coordinate matrix of the affine patch at e_beta.
 
-    ``entries`` holds every entry as a polynomial; ``signed_vars`` holds
-    each entry outside beta's rows as the (variable index, sign) it is
-    built from, which is what ``minor`` reads.  Each theta's minor is
-    memoized raw, and beside it scaled to initial coefficient 1 with its
+    Beta's rows are the identity; ``signed_vars`` holds every other entry
+    as the (variable index, sign) it is built from, which is what
+    ``minor`` reads (``definitions.patch_entries`` builds the explicit
+    matrix).  Each theta's minor is memoized raw, and beside it scaled to initial coefficient 1 with its
     divisor record (``monic_minor``) and the fact of its initial chain
     (``chain_fact``), so none of them is computed twice on one patch.
     """
@@ -66,26 +62,19 @@ class PatchMatrix:
         self.beta = tuple(beta)
         self.d = d
         self.ring = ring
-        self.entries: dict[tuple[int, int], Poly] = {}
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
         self._minors: dict[Index, Poly] = {}
         self._monic_minors: dict[Index, Poly] = {}
         self._chain_facts: dict[Index, tuple[bool, Index] | None] = {}
-        bset = set(beta)
         for r in range(1, 2 * d + 1):
-            for c in beta:
-                if r in bset:
-                    self.entries[(r, c)] = ring.one() if r == c else ring.zero()
-                    continue
+            if r in self.beta:
+                continue
+            for c in self.beta:
                 if is_upper((r, c), d):
                     var, s = (r, c), 1
                 else:
                     var, s = sharp_point((r, c), d), mirror_sign(r, c, d)
                 self.signed_vars[(r, c)] = (ring.index[var], s)
-                self.entries[(r, c)] = ring.gen(var).scale(s)
-
-    def entry(self, r: int, c: int) -> Poly:
-        return self.entries[(r, c)]
 
     def minor(self, theta: Index) -> Poly:
         """Determinant over rows theta minus beta, columns beta minus theta.
@@ -159,26 +148,6 @@ def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         )
         out.append((perm, -1 if inversions % 2 else 1))
     return tuple(out)
-
-
-def column_inner_products(matrix: PatchMatrix):
-    """<u_c, u_c'> for all column pairs, as polynomials.
-
-    The form is <x, y> = sum_j eps_j x_j y_{j*}; isotropy of the patch
-    means every one of these vanishes identically.
-    """
-    d = matrix.d
-    prods = []
-    for i, c in enumerate(matrix.beta):
-        for c2 in matrix.beta[i + 1 :]:
-            acc = matrix.ring.zero()
-            for j in range(1, 2 * d + 1):
-                eps = form_eps(j, d)
-                acc = acc + (
-                    matrix.entries[(j, c)] * matrix.entries[(star(j, d), c2)]
-                ).scale(eps)
-            prods.append(acc)
-    return prods
 
 
 def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:

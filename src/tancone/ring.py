@@ -396,8 +396,7 @@ def monomials_of_degree(nvars: int, m: int):
     return iter(_degree_table(nvars, m))
 
 
-# 16 tables: a sweep asks for one nvars, d(d+1)/2, at each degree up to its maximum
-@lru_cache(maxsize=16)
+@lru_cache(maxsize=None)
 def _degree_table(nvars: int, m: int) -> tuple[tuple, ...]:
     if nvars == 0:
         return ((),) if m == 0 else ()

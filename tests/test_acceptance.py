@@ -16,21 +16,22 @@ from pathlib import Path
 
 import pytest
 
-from tancone.brsk import (
-    brsk_inverse,
-    brsk_map,
-    enumerate_on_starred,
+from tancone.brsk import brsk_inverse, brsk_map, enumerate_on_starred, is_on_starred
+from tancone.definitions import (
+    column_inner_products,
+    doubling_injection,
+    enumerate_chains,
+    halving_injection,
     is_bounded_bitableau,
-    is_on_starred,
     is_semistandard,
+    is_standard_on_y,
+    monomial_degree,
+    multiset_bounded,
+    patch_entries,
+    special_multisets,
     top_bot_of_chain,
 )
-from tancone.grid import (
-    double_multiset,
-    enumerate_chains,
-    multiset_bounded,
-    upper_points,
-)
+from tancone.grid import upper_points
 from tancone.indexsets import (
     admissible_pairs,
     bruhat_leq,
@@ -38,14 +39,8 @@ from tancone.indexsets import (
     is_isotropic,
     sharp,
 )
-from tancone.patch import build_patch, column_inner_products, pair_minor
+from tancone.patch import build_patch, pair_minor
 from tancone.ring import reduced_groebner
-from tancone.standard_monomials import (
-    doubling_injection,
-    halving_injection,
-    is_standard_on_y,
-    monomial_degree,
-)
 from tancone.verify import (
     CaseSpec,
     all_triples,
@@ -215,14 +210,6 @@ def test_exhaustive_d4_degree6_report_pinned():
              "sha256", all(v.ok for v in verdicts) and got == D4_STABLE_REPORT_SHA256)
 
 
-def _special_multisets(beta, d, degree):
-    for combo in combinations_with_replacement(upper_points(beta, d), degree // 2):
-        u = {}
-        for p in combo:
-            u[p] = u.get(p, 0) + 1
-        yield double_multiset(u, d)
-
-
 def test_brsk_bijection():
     ok = True
     for d in (1, 2, 3):
@@ -237,7 +224,7 @@ def test_brsk_bijection():
             for degree in (2, 4):
                 images = set()
                 count = 0
-                for m in _special_multisets(beta, d, degree):
+                for m in special_multisets(beta, d, degree // 2):
                     count += 1
                     t = brsk_map(m, beta, d)
                     ok &= t.degree() == sum(m.values())  # degree preserving
@@ -295,7 +282,10 @@ def test_structural_invariants():
     for d in (1, 2, 3):
         for beta in enumerate_indices(d):
             matrix = build_patch(beta, d)
-            ok &= all(not p.terms for p in column_inner_products(matrix))
+            ok &= all(
+                not p.terms
+                for p in column_inner_products(patch_entries(matrix), beta, d)
+            )
             for theta in enumerate_indices(d, ambient_only=True):
                 f = matrix.minor(theta)
                 g = matrix.minor(sharp(theta, d))

@@ -1,6 +1,6 @@
 import importlib
 import random
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, product
 from pathlib import Path
 
 import pytest
@@ -13,82 +13,48 @@ from tancone.brsk import (
     NotInImageError,
     Row,
     _row_from_value,
+    _row_value,
+    _semistandard_facts,
     _starred_row_values,
     brsk_inverse,
     brsk_map,
     delta_ends,
-    delta_sequence,
     enumerate_on_starred,
     epsilon_degree,
-    is_bounded_bitableau,
     is_on_starred,
-    is_semistandard,
-    top_bot_of_chain,
 )
-from tancone.grid import (
-    bound_value,
-    double_multiset,
+from tancone.definitions import (
+    delta_sequence,
     enumerate_chains,
+    is_bounded_bitableau,
+    is_semistandard,
     is_upper_chain,
     multiset_bounded,
-    upper_points,
+    row_values,
+    special_multisets,
+    top_bot_of_chain,
 )
+from tancone.grid import upper_points
 from tancone.indexsets import bruhat_leq, enumerate_indices, is_isotropic, star_set
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-# The predicates as they were before their row facts were memoized, kept
-# as oracles: every row value comes from ``bound_value`` on each call.
-
-
-def _values_oracle(t, beta):
-    return tuple(bound_value(r.p, r.q, beta) for r in t.rows)
-
-
-def _row_well_formed_oracle(r, beta, d):
-    bset = set(beta)
-    if not r.p or len(r.p) != len(r.q):
-        return False
-    if list(r.p) != sorted(set(r.p)) or list(r.q) != sorted(set(r.q)):
-        return False
-    if set(r.p) & bset or not set(r.q) <= bset:
-        return False
-    return all(1 <= x <= 2 * d for x in r.p + r.q)
-
-
-def is_semistandard_oracle(t, beta, d):
-    if not all(_row_well_formed_oracle(r, beta, d) for r in t.rows):
-        return False
-    signs = [r.sign for r in t.rows]
-    if signs != sorted(signs):
-        return False
-    vals = _values_oracle(t, beta)
-    for a, b in zip(vals, vals[1:]):
-        if not bruhat_leq(a, b):
-            return False
-    for r, v in zip(t.rows, vals):
-        if r.sign == NEG and not bruhat_leq(v, beta):
-            return False
-        if r.sign == POS and not bruhat_leq(beta, v):
-            return False
-    return True
-
-
-def delta_sequence_oracle(t, beta):
-    vals = list(_values_oracle(t, beta))
-    if len(vals) % 2 == 1:
-        vals.insert(len(t.negative_rows()), tuple(beta))
-    return tuple(vals)
+def memo_semistandard(t, beta, d):
+    """Semistandardness as the bitableau fast path decides it, from the
+    row memo."""
+    return _semistandard_facts(t, tuple(beta), d) is not None
 
 
 def is_on_starred_oracle(t, beta, d):
-    if not is_semistandard_oracle(t, beta, d):
+    """``is_on_starred`` by the definitions: every row value from
+    ``bound_value``, on each call."""
+    if not is_semistandard(t, beta, d):
         return False
     for r in t.rows:
         if r.p != star_set(r.q, d):
             return False
-    delta = delta_sequence_oracle(t, beta)
+    delta = delta_sequence(t, beta)
     for j in range(0, len(delta) - 1, 2):
         if epsilon_degree(delta[j], d) != epsilon_degree(delta[j + 1], d):
             return False
@@ -125,17 +91,6 @@ def enumerate_on_starred_oracle(beta, d, degree):
     return results
 
 
-def special_multisets(beta, d, degree):
-    """All special multisets of even degree: doubles of upper multisets."""
-    out = []
-    for combo in combinations_with_replacement(upper_points(beta, d), degree // 2):
-        u = {}
-        for p in combo:
-            u[p] = u.get(p, 0) + 1
-        out.append(double_multiset(u, d))
-    return out
-
-
 @pytest.mark.parametrize(
     "v, d, expected", [((1, 3), 2, 1), ((1, 2), 2, 0), ((3, 4), 2, 2)]
 )
@@ -151,7 +106,8 @@ def test_brsk_empty():
 def test_brsk_single_positive_row_fixture():
     t = brsk_map({(2, 1): 1, (4, 3): 1}, (1, 3), 2)
     assert t.rows == (Row(p=(2, 4), q=(1, 3), sign=POS),)
-    assert t.values((1, 3)) == ((2, 4),)
+    assert row_values(t, (1, 3)) == ((2, 4),)
+    assert delta_ends(t, (1, 3)) == (((1, 3),), ((2, 4),))
     assert is_on_starred(t, (1, 3), 2)
     # odd row count wedges beta into the delta sequence
     assert delta_sequence(t, (1, 3)) == ((1, 3), (2, 4))
@@ -172,7 +128,7 @@ def test_brsk_stacks_negative_above_positive():
 def test_round_trip_and_image_small(d):
     for beta in enumerate_indices(d):
         for degree in (2, 4):
-            for m in special_multisets(beta, d, degree):
+            for m in special_multisets(beta, d, degree // 2):
                 t = brsk_map(m, beta, d)
                 assert t.degree() == sum(m.values())
                 assert is_semistandard(t, beta, d)
@@ -260,7 +216,7 @@ def test_enumerate_on_starred_matches_direct_filter():
     beta, d = (1, 3), 2
     found = enumerate_on_starred(beta, d, 2)
     # 2 boxes: either the two-box row (2,4), or a one-box value twice
-    assert {t.values(beta) for t in found} == {
+    assert {row_values(t, beta) for t in found} == {
         ((2, 4),),
         ((1, 2), (1, 2)),
         ((3, 4), (3, 4)),
@@ -354,19 +310,19 @@ def _assert_predicates_match_oracles(stacks, beta, d):
     for rows in stacks:
         t = NotchedBitableau(rows=tuple(rows))
         semi, starred = is_semistandard(t, beta, d), is_on_starred(t, beta, d)
-        assert semi == is_semistandard_oracle(t, beta, d), (t, beta, d)
+        assert memo_semistandard(t, beta, d) == semi, (t, beta, d)
         assert starred == is_on_starred_oracle(t, beta, d), (t, beta, d)
         # every stack, so that rows the memo rejects reach ``bound_value``
         try:
-            values = _values_oracle(t, beta)
+            values = row_values(t, beta)
         except ValueError as exc:
             with pytest.raises(ValueError) as raised:
-                t.values(beta)
+                [_row_value(r, beta, d) for r in t.rows]
             assert str(raised.value) == str(exc), (t, beta)
         else:
-            assert t.values(beta) == values, (t, beta)
-        if semi:
-            assert delta_sequence(t, beta) == delta_sequence_oracle(t, beta)
+            assert tuple(_row_value(r, beta, d) for r in t.rows) == values, (t, beta)
+            delta = delta_sequence(t, beta)
+            assert delta_ends(t, beta) == (delta[:1], delta[-1:]), (t, beta)
         answers.add((semi, starred))
     return answers
 
@@ -374,7 +330,8 @@ def _assert_predicates_match_oracles(stacks, beta, d):
 @pytest.mark.parametrize("d", [1, 2])
 def test_predicates_match_oracles_on_every_small_stack(d):
     """Every stack of up to three rows at d <= 2, at every beta: the
-    memoized predicates answer as the unmemoized oracles."""
+    memoized predicates, row values and delta ends answer as the
+    definitions do."""
     rows = _rows_of(d)
     answers = set()
     for beta in enumerate_indices(d):
@@ -419,7 +376,7 @@ def test_predicates_reject_malformed_rows_as_the_oracles_do(rows):
     beta, d = (1, 3), 2
     t = NotchedBitableau(rows=rows)
     assert not is_on_starred(t, beta, d)
-    assert is_semistandard(t, beta, d) == is_semistandard_oracle(t, beta, d)
+    assert memo_semistandard(t, beta, d) == is_semistandard(t, beta, d)
     assert is_on_starred_oracle(t, beta, d) is False
 
 
@@ -432,20 +389,23 @@ def test_row_memos_keep_beta_and_d_apart():
     low = Row(p=(2,), q=(1,), sign=POS)  # mirror-symmetric at d = 1 only
     for _ in range(2):
         assert is_on_starred(NotchedBitableau(rows=(two_box,)), (1, 3), 2)
-        assert not is_semistandard(NotchedBitableau(rows=(two_box,)), (1, 2), 2)
+        assert not memo_semistandard(NotchedBitableau(rows=(two_box,)), (1, 2), 2)
         t = NotchedBitableau(rows=(one_box,))
-        assert t.values((1, 3)) == ((3, 4),) and t.values((1, 2)) == ((2, 4),)
-        assert is_semistandard(t, (1, 3), 2)
-        assert not is_semistandard(t, (1, 3), 1)
+        assert _row_value(one_box, (1, 3), 2) == (3, 4)
+        assert _row_value(one_box, (1, 2), 2) == (2, 4)
+        assert delta_ends(t, (1, 3)) == (((1, 3),), ((3, 4),))
+        assert delta_ends(t, (1, 2)) == (((1, 2),), ((2, 4),))
+        assert memo_semistandard(t, (1, 3), 2)
+        assert not memo_semistandard(t, (1, 3), 1)
         t = NotchedBitableau(rows=(low, low))
         assert is_on_starred(t, (1,), 1)
-        assert is_semistandard(t, (1,), 2) and not is_on_starred(t, (1,), 2)
+        assert memo_semistandard(t, (1,), 2) and not is_on_starred(t, (1,), 2)
     # at beta (1,3), value (2,3) stands only as POS and (1,2) only as NEG;
     # each (P, Q) is asked first under one sign, then under the other
     for (p, q), first in (((2,), (1,)), NEG), (((2,), (3,)), POS):
         for sign in (first, -first):
             t = NotchedBitableau(rows=(Row(p=p, q=q, sign=sign),))
-            assert is_semistandard(t, (1, 3), 2) == is_semistandard_oracle(t, (1, 3), 2)
+            assert memo_semistandard(t, (1, 3), 2) == is_semistandard(t, (1, 3), 2)
 
 
 def test_enumeration_certifies_each_result_once(monkeypatch):

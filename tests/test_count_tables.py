@@ -10,28 +10,24 @@ also checked against a brute-force count by the column's own predicate.
 """
 
 from collections import Counter
-from itertools import combinations_with_replacement
 from math import comb
 
 import pytest
 
 from test_brsk import enumerate_on_starred_oracle
 
-from tancone.brsk import delta_sequence, is_bounded_bitableau
-from tancone.grid import (
-    double_multiset,
-    multiset_bounded,
-    multiset_chain_values,
-    upper_points,
-)
-from tancone.indexsets import enumerate_indices
-from tancone.standard_monomials import (
-    _standard_chains,
+from tancone.definitions import (
     _standard_sequences,
+    delta_sequence,
+    is_bounded_bitableau,
     is_standard_on_y,
     monomial_degree,
+    multiset_bounded,
+    special_multisets,
 )
-from tancone.indexsets import bruhat_leq
+from tancone.grid import multiset_chain_values, upper_points
+from tancone.indexsets import bruhat_leq, enumerate_indices
+from tancone.standard_monomials import _standard_chains
 from tancone.verify import (
     _bitableau_profiles,
     _count_bitableaux,
@@ -57,12 +53,6 @@ def count_cells_oracle(cells, alpha, gamma):
         ):
             total += count
     return total
-
-
-def special_multisets(beta, d, m):
-    """Every special multiset of degree 2m, one by one."""
-    for combo in combinations_with_replacement(upper_points(beta, d), m):
-        yield double_multiset(dict(Counter(combo)), d)
 
 
 def special_cells_oracle(beta, d, m):

@@ -4,27 +4,29 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, strategies as st
 
-from tancone.grid import (
-    bound_value,
+from tancone.definitions import (
     chain_bounded,
-    chain_value,
-    double_multiset,
     enumerate_chains,
     fold_chain,
+    is_diagonal,
+    is_special,
+    is_upper_chain,
+    multiset_bounded,
+    sqrt_special,
+)
+from tancone.grid import (
+    bound_value,
+    chain_value,
+    double_multiset,
     grid_points,
     is_chain,
-    is_diagonal,
     is_positive,
-    is_special,
     is_upper,
-    is_upper_chain,
     maximal_paths,
-    multiset_bounded,
     multiset_from_json,
     multiset_to_json,
     sharp_multiset,
     sharp_point,
-    sqrt_special,
     upper_points,
 )
 from tancone.indexsets import enumerate_indices

@@ -3,15 +3,14 @@ from itertools import combinations
 import pytest
 from hypothesis import given, strategies as st
 
+from tancone.definitions import admissible_pair_by_ends, pair_leq
 from tancone.indexsets import (
-    admissible_pair_by_ends,
     admissible_pairs,
     bruhat_leq,
     enumerate_indices,
     format_index,
     is_isotropic,
     join_meet,
-    pair_leq,
     parse_index,
     sharp,
     star,

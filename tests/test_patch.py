@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 
 from tancone._kernel_py import divisor_record
+from tancone.definitions import column_inner_products, form_eps, patch_entries
 from tancone.grid import chain_value, is_positive, is_upper, sharp_point, upper_points
 from tancone.indexsets import (
     admissible_pairs,
@@ -16,8 +17,6 @@ from tancone.indexsets import (
 from tancone.patch import (
     PatchMatrix,
     build_patch,
-    column_inner_products,
-    form_eps,
     generator_set,
     good_subset,
     initial_chain,
@@ -70,8 +69,8 @@ def cofactor_det(entries, rows, cols, ring):
 def test_selected_convention_is_isotropic():
     for d in (1, 2, 3, 4, 5):
         for beta in enumerate_indices(d):
-            m = build_patch(beta, d)
-            assert all(not p.terms for p in column_inner_products(m))
+            entries = patch_entries(build_patch(beta, d))
+            assert all(not p.terms for p in column_inner_products(entries, beta, d))
 
 
 def test_verbatim_strict_rule_fails_isotropy_at_d2():
@@ -88,13 +87,13 @@ def test_verbatim_strict_rule_fails_isotropy_at_d2():
     def alternating_eps(j):
         return 1 if j % 2 == 1 else -1
 
-    def alternating_products(m):
+    def alternating_products(entries, beta, ring):
         prods = []
-        for i, c in enumerate(m.beta):
-            for c2 in m.beta[i + 1 :]:
-                acc = m.ring.zero()
+        for i, c in enumerate(beta):
+            for c2 in beta[i + 1 :]:
+                acc = ring.zero()
                 for j in range(1, 2 * d + 1):
-                    term = m.entries[(j, c)] * m.entries[(star(j, d), c2)]
+                    term = entries[(j, c)] * entries[(star(j, d), c2)]
                     acc = acc + term.scale(alternating_eps(j))
                 prods.append(acc)
         return prods
@@ -103,14 +102,15 @@ def test_verbatim_strict_rule_fails_isotropy_at_d2():
     assert [alternating_eps(j) for j in range(1, 5)] == [1, -1, 1, -1]
     broken_standard = broken_alternating = 0
     for beta in enumerate_indices(d):
-        # a fresh matrix whose mirrored entries are overwritten below
-        m = PatchMatrix(beta, d, PolyRing.for_patch(beta, d))
-        for r, c in m.entries:
+        # the explicit matrix, its mirrored entries overwritten below
+        m = build_patch(beta, d)
+        entries = patch_entries(m)
+        for r, c in entries:
             if r not in beta and not is_upper((r, c), d):
                 mirror = m.ring.gen(sharp_point((r, c), d))
-                m.entries[(r, c)] = mirror.scale(strict_sign(r, c))
-        broken_standard += any(p.terms for p in column_inner_products(m))
-        broken_alternating += any(p.terms for p in alternating_products(m))
+                entries[(r, c)] = mirror.scale(strict_sign(r, c))
+        broken_standard += any(p.terms for p in column_inner_products(entries, beta, d))
+        broken_alternating += any(p.terms for p in alternating_products(entries, beta, m.ring))
     assert broken_standard > 0 and broken_alternating > 0
 
 
@@ -118,13 +118,14 @@ def test_patch_matrix_beta_13():
     m = build_patch((1, 3), 2)
     ring = m.ring
     X = {v: ring.gen(v) for v in ring.variables}
-    assert m.entry(1, 1) == ring.one() and m.entry(3, 3) == ring.one()
-    assert m.entry(1, 3) == ring.zero() and m.entry(3, 1) == ring.zero()
-    assert m.entry(2, 1) == X[(2, 1)]
-    assert m.entry(2, 3) == X[(2, 3)]
-    assert m.entry(4, 1) == X[(4, 1)]
+    entry = patch_entries(m)
+    assert entry[(1, 1)] == ring.one() and entry[(3, 3)] == ring.one()
+    assert entry[(1, 3)] == ring.zero() and entry[(3, 1)] == ring.zero()
+    assert entry[(2, 1)] == X[(2, 1)]
+    assert entry[(2, 3)] == X[(2, 3)]
+    assert entry[(4, 1)] == X[(4, 1)]
     # the mirrored entry carries the split rule's sign
-    assert m.entry(4, 3) == X[(2, 1)].scale(-1)
+    assert entry[(4, 3)] == X[(2, 1)].scale(-1)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -132,10 +133,8 @@ def test_patch_variable_count(d):
     for beta in enumerate_indices(d):
         m = build_patch(beta, d)
         seen = set()
-        for r in range(1, 2 * d + 1):
-            for c in beta:
-                for mono in m.entry(r, c).terms:
-                    seen.add(mono)
+        for entry in patch_entries(m).values():
+            seen.update(entry.terms)
         seen.discard((0,) * m.ring.nvars)
         assert len(seen) == d * (d + 1) // 2
 
@@ -154,11 +153,12 @@ def test_minor_matches_cofactor_oracle(d):
     for p, beta in product((0, 2, 3), enumerate_indices(d)):
         # a fresh matrix, so every minor is computed here, not recalled
         m = PatchMatrix(beta, d, PolyRing.for_patch(beta, d, p=p))
+        entries = patch_entries(m)
         for theta in enumerate_indices(d, ambient_only=True):
             rows = sorted(set(theta) - set(beta))
             cols = sorted(set(beta) - set(theta))
             f = m.minor(theta)
-            assert f == cofactor_det(m.entries, rows, cols, m.ring), (p, beta, theta)
+            assert f == cofactor_det(entries, rows, cols, m.ring), (p, beta, theta)
             assert m.minor(theta) is f
 
 

@@ -19,6 +19,7 @@ from tancone.ring import (
     normal_form,
     reduced_groebner,
 )
+from tancone.verify import sweep
 
 
 @pytest.fixture
@@ -338,6 +339,19 @@ def test_monomials_of_degree_repeat_and_interleave():
         for shape in [a, b] * (max(len(first[a]), len(first[b])) + 1):
             seen[shape].extend(islice(iters[shape], 1))
         assert seen[a] == first[a] and seen[b] == first[b], (a, b)
+
+
+def test_a_sweep_builds_each_degree_table_once():
+    """A sweep to degree 17 asks for 17 tables of one nvars, once per case
+    and degree; each is built once, whatever the maximum degree."""
+    R._degree_table.cache_clear()
+    try:
+        verdicts = sweep(2, max_degree=17)
+        info = R._degree_table.cache_info()
+    finally:
+        R._degree_table.cache_clear()
+    assert len(verdicts) == 20 and all(v.ok for v in verdicts)
+    assert (info.misses, info.currsize) == (17, 17)
 
 
 def staircase_by_definition(gens, nvars, m):

@@ -2,21 +2,23 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from tancone.brsk import brsk_map, enumerate_on_starred, is_bounded_bitableau
-from tancone.grid import double_multiset, multiset_bounded, sqrt_special, upper_points
-from tancone.indexsets import admissible_pair_by_ends, bruhat_leq, enumerate_indices
-from tancone.patch import build_patch, generator_set, good_subset
-from tancone.ring import reduced_groebner
-from tancone.standard_monomials import (
+from tancone.brsk import EMPTY, brsk_map, enumerate_on_starred
+from tancone.definitions import (
+    admissible_pair_by_ends,
     doubling_injection,
     enumerate_standard_on_y,
     evaluate,
     halving_injection,
+    is_bounded_bitableau,
     is_standard_on_y,
     monomial_degree,
-    monomial_to_json,
+    multiset_bounded,
+    sqrt_special,
     standard_basis_agrees,
 )
+from tancone.indexsets import bruhat_leq, enumerate_indices
+from tancone.patch import build_patch, generator_set
+from tancone.ring import reduced_groebner
 from tancone.verify import all_triples
 
 
@@ -57,14 +59,6 @@ def test_evaluate_examples(pairs2):
     assert evaluate((), m) == m.ring.one()
 
 
-def test_monomial_json(pairs2):
-    w = pairs2[((2, 4), (1, 3))]
-    assert monomial_to_json((w,), (1, 3)) == {
-        "pairs": [{"top": "2,4", "bot": "1,3"}],
-        "degree": 1,
-    }
-
-
 def test_doubling_injection_example():
     ring = build_patch((1, 3), 2).ring
     mono = tuple(1 if v == (2, 1) else 0 for v in ring.variables)
@@ -102,8 +96,6 @@ def test_halving_injection_fixture():
     pairs = halving_injection(t, (1, 3), 2)
     assert [(w.top, w.bot) for w in pairs] == [((2, 4), (1, 3))]
     assert monomial_degree(pairs, (1, 3)) == 1
-    from tancone.brsk import EMPTY
-
     assert halving_injection(EMPTY, (1, 3), 2) == ()
 
 
