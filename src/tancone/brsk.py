@@ -270,24 +270,6 @@ def _row_value(r: Row, beta: Index, d: int) -> Index:
     return bound_value(r.p, r.q, beta) if fact is None else fact[0]
 
 
-def _semistandard_facts(t: NotchedBitableau, beta: Index, d: int):
-    """The row facts of ``t`` when it is semistandard at (beta, d), else
-    None: one memo lookup per row, then the sign-order and chain checks."""
-    facts = []
-    for r in t.rows:
-        fact = _row_fact(r.p, r.q, r.sign, beta, d)
-        if fact is None:
-            return None
-        facts.append(fact)
-    signs = [r.sign for r in t.rows]
-    if signs != sorted(signs):
-        return None
-    for a, b in zip(facts, facts[1:]):
-        if not bruhat_leq(a[0], b[0]):
-            return None
-    return facts
-
-
 def delta_ends(t: NotchedBitableau, beta: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
     """``(delta[:1], delta[-1:])`` of the delta sequence
     ``delta = definitions.delta_sequence(t, beta)``, read from the end
@@ -300,32 +282,45 @@ def delta_ends(t: NotchedBitableau, beta: Index) -> tuple[tuple[Index, ...], tup
         return (), ()
     beta = tuple(beta)
     d = len(beta)
-    wedged = len(rows) % 2 == 1
-    negative = len(t.negative_rows())
-    first = beta if wedged and negative == 0 else _row_value(rows[0], beta, d)
-    last = beta if wedged and negative == len(rows) else _row_value(rows[-1], beta, d)
+    # with an odd row count beta stands after the negative rows
+    wedge = [r.sign for r in rows].count(NEG) if len(rows) % 2 == 1 else -1
+    first = beta if wedge == 0 else _row_value(rows[0], beta, d)
+    last = beta if wedge == len(rows) else _row_value(rows[-1], beta, d)
     return (first,), (last,)
 
 
 def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
-    """Mirror-symmetric rows with paired grading and even box count.
+    """Semistandard, mirror-symmetric rows with paired grading and an
+    even box count.
 
-    The complete predicate, for any input.  Each row's facts (value,
-    eps-degree, mirror symmetry, and whether it may stand at (beta, d))
-    come from one memo lookup, so a call costs that plus the sign-order,
-    chain, pairing and parity checks.
+    The complete predicate, for any input, in one pass over the rows.
+    Each row's facts (value, eps-degree, mirror symmetry, and whether it
+    may stand at (beta, d)) come from one memo lookup, and the same loop
+    checks the sign order and the Bruhat chain of the values, and lists
+    the eps-degrees of the delta sequence: the rows', with beta's wedged
+    in after the negative rows when the row count is odd.  Its entries
+    must pair up, (0, 1), (2, 3), ..., by equal eps-degree.
     """
     beta = tuple(beta)
-    facts = _semistandard_facts(t, beta, d)
-    if facts is None or not all(mirrored for _, _, mirrored in facts):
-        return False
-    eps = [e for _, e, _ in facts]
-    if len(eps) % 2 == 1:
-        eps.insert(len(t.negative_rows()), epsilon_degree(beta, d))
-    for j in range(0, len(eps) - 1, 2):
-        if eps[j] != eps[j + 1]:
+    rows = t.rows
+    wedge = [r.sign for r in rows].count(NEG) if len(rows) % 2 == 1 else -1
+    eps_seq = []
+    boxes = 0
+    last_sign = last_value = None
+    for i, r in enumerate(rows):
+        fact = _row_fact(r.p, r.q, r.sign, beta, d)
+        if fact is None or not fact[2]:
             return False
-    return t.degree() % 2 == 0
+        if i and (r.sign < last_sign or not bruhat_leq(last_value, fact[0])):
+            return False
+        last_sign, last_value = r.sign, fact[0]
+        if i == wedge:
+            eps_seq.append(epsilon_degree(beta, d))
+        eps_seq.append(fact[1])
+        boxes += len(r.p)
+    if wedge == len(rows):
+        eps_seq.append(epsilon_degree(beta, d))
+    return eps_seq[::2] == eps_seq[1::2] and boxes % 2 == 0
 
 
 # ---------------------------------------------------------------------------

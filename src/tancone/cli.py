@@ -28,17 +28,22 @@ from .verify import (
     CaseSpec,
     report_csv,
     report_json,
+    report_json_chunks,
     sweep,
     verify_case,
 )
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(text, out: str | None) -> None:
+    """Write ``text``, a string or an iterable of strings, to the file
+    ``out`` or to stdout."""
+    if isinstance(text, str):
+        text = (text,)
     if out:
         with open(out, "w") as fh:
-            fh.write(text)
+            fh.writelines(text)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(text)
 
 
 def _case_from_args(args) -> CaseSpec:
@@ -144,7 +149,7 @@ def cmd_sweep(args) -> int:
     if args.format == "csv":
         text = report_csv(verdicts, stable=args.stable)
     else:
-        text = report_json(verdicts, stable=args.stable)
+        text = report_json_chunks(verdicts, stable=args.stable)
     _write(text, args.out)
     ok = all(v.ok for v in verdicts)
     print(

@@ -12,6 +12,8 @@ tuples of points strictly decreasing in the order
 
 from __future__ import annotations
 
+from itertools import filterfalse
+
 from .indexsets import Index, is_isotropic, star
 
 Point = tuple[int, int]
@@ -78,9 +80,7 @@ def is_chain(points) -> bool:
 
 def chain_parts(points) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     """(positive part, negative part)."""
-    pos = tuple(p for p in points if is_positive(p))
-    neg = tuple(p for p in points if not is_positive(p))
-    return pos, neg
+    return tuple(filter(is_positive, points)), tuple(filterfalse(is_positive, points))
 
 
 def maximal_paths(points):
@@ -88,26 +88,25 @@ def maximal_paths(points):
 
     These are the maximal paths of the support's cover DAG (a covers b
     when chain_gt(a, b) and no support point lies strictly between), so
-    a DFS from each maximal point down its covers finds them all.
+    a DFS from each maximal point down its covers finds them all.  The
+    support is sorted by descending row, so every point below a comes
+    after it.
     """
     support = sorted(set(points), key=lambda p: (-p[0], p[1]))
     covers = {}
-    for a in support:
-        below = [b for b in support if chain_gt(a, b)]
+    for i, a in enumerate(support):
+        below = [b for b in support[i + 1 :] if chain_gt(a, b)]
         covers[a] = [b for b in below if not any(chain_gt(c, b) for c in below)]
     covered = {b for bs in covers.values() for b in bs}
     paths = []
-
-    def descend(path):
+    stack = [(a,) for a in reversed(support) if a not in covered]
+    while stack:
+        path = stack.pop()
         nxt = covers[path[-1]]
-        if not nxt:
-            paths.append(tuple(path))
-        for b in nxt:
-            descend(path + [b])
-
-    for a in support:
-        if a not in covered:
-            descend([a])
+        if nxt:
+            stack.extend(path + (b,) for b in reversed(nxt))
+        else:
+            paths.append(path)
     return paths
 
 
@@ -130,7 +129,8 @@ def bound_value(rows, cols, beta: Index) -> Index:
 
 
 def chain_value(points, beta: Index) -> Index:
-    return bound_value([p[0] for p in points], [p[1] for p in points], beta)
+    rows, cols = zip(*points) if points else ((), ())
+    return bound_value(rows, cols, beta)
 
 
 def multiset_chain_values(m: Multiset, beta: Index):
@@ -140,8 +140,8 @@ def multiset_chain_values(m: Multiset, beta: Index):
     boundedness against any (alpha, gamma), which
     ``definitions.multiset_bounded`` decides over every chain, since
     subchains of a bounded chain are bounded.  Only the support ``m.keys()`` is read, so every
-    special multiset on this support shares the result, which keys its
-    cell in ``verify._special_supports``.
+    special multiset on this support shares the result, from which
+    ``verify._sign_supports`` keys the support's cell.
     """
     pos_vals = set()
     neg_vals = set()

@@ -22,14 +22,14 @@ Every value in ``lows`` must lie at or above alpha and every value in
 ``highs`` at or below gamma for the objects to be bounded, and the count
 is how many objects share the key; degree 0 is the one cell
 ``(((), ()), 1)``.  One filter, ``_count_cells``, sums the counts of the
-cells that pass, so a case makes one Bruhat test per distinct value in
-a table.
+cells that pass, through two lazy Bruhat tests that a case builds once
+(``_bruhat_tests``) for all its tables and degrees.
 Specials are counted by support (every multiset on one support has the
-same chain values), from cells of the supports of each exact size that
-every degree reuses, standard monomials by recursion on their last pair
-through the table's own cache, and bitableaux by enumerating their delta
-sequences as chains of pairs of equal epsilon degree and grouping them by
-their first and last delta values.
+same chain values), as products of the cells of one-sign supports of
+each size, which every degree reuses; standard monomials by recursion
+on their last pair through the table's own cache; and bitableaux by
+enumerating their delta sequences as chains of pairs of equal epsilon
+degree, grouped by their first and last delta values.
 """
 
 from __future__ import annotations
@@ -40,11 +40,11 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, repeat
 from math import comb
 
 from .brsk import delta_ends, enumerate_on_starred
-from .grid import double_multiset, multiset_chain_values, upper_points
+from .grid import chain_parts, double_multiset, multiset_chain_values, upper_points
 from .indexsets import (
     Index,
     bruhat_leq,
@@ -193,37 +193,69 @@ class Verdict:
 @lru_cache(maxsize=None)
 def _special_profiles(beta: Index, d: int, m: int):
     """Special multisets of degree 2m as cells ``((neg_values,
-    pos_values), count)``: the chain values of the negative and positive
-    parts, and how many specials have them.
+    pos_values), count)``: the minimal negative and the maximal positive
+    chain values of their supports, and how many specials have them.
 
     A special multiset is U union U# for a multiset U of degree m on the
-    upper region, and its chain values depend only on the support S of
-    U.  So the cells of the supports of each size k = 1..m
-    (``_special_supports``) count with weight C(m-1, k-1), the number of
-    degree-m multisets with a given support of size k.
+    upper region, and its chain values depend only on the support of U.
+    A support of a positive and b negative points carries C(m-1, a+b-1)
+    such U, and its key pairs those of its two one-sign parts
+    (``_sign_supports``), since sharp keeps a point's sign.
     """
     if m == 0:
         return ((((), ()), 1),)
-    cells: Counter = Counter()
-    for size in range(1, min(m, len(upper_points(beta, d))) + 1):
-        weight = comb(m - 1, size - 1)
-        for key, supports in _special_supports(beta, d, size):
-            cells[key] += weight * supports
+    positive, negative = chain_parts(upper_points(beta, d))
+    empty = (((), 1),)  # the one empty part, of either sign
+    cells: dict = {}
+    for a in range(min(m, len(positive)) + 1):
+        pos_cells = _sign_supports(beta, d, positive, a) if a else empty
+        for b in range(max(1 - a, 0), min(m - a, len(negative)) + 1):
+            weight = comb(m - 1, a + b - 1)
+            for neg_key, neg_count in _sign_supports(beta, d, negative, b) if b else empty:
+                scale = weight * neg_count
+                for pos_key, pos_count in pos_cells:
+                    key = (neg_key, pos_key)
+                    cells[key] = cells.get(key, 0) + scale * pos_count
     return tuple(cells.items())
 
 
-# 16 sizes, one fixed point's: a sweep fills every degree of one beta before the next
-@lru_cache(maxsize=16)
-def _special_supports(beta: Index, d: int, size: int):
-    """The supports of exactly ``size`` upper points as cells
-    ``((neg_values, pos_values), number of supports)``, each support's
-    chain values computed once."""
+# one fixed point's tables, both signs and every size up to 31: a sweep fills
+# every degree of one beta before the next
+@lru_cache(maxsize=64)
+def _sign_supports(beta: Index, d: int, points: tuple, size: int):
+    """The supports of exactly ``size`` of ``points``, the upper points of
+    one sign, as cells ``(key, number of supports)``; size 0 is the empty
+    support.  The key is the antichain of the doubled support's maximal
+    positive or minimal negative chain values: a sub-chain's positive
+    value lies at or below the chain's and its negative value at or
+    above, so a bound that holds on the key holds on every chain."""
     cells: Counter = Counter()
-    for support in combinations(upper_points(beta, d), size):
-        doubled = double_multiset(dict.fromkeys(support, 1), d)
-        pos_vals, neg_vals = multiset_chain_values(doubled, beta)
-        cells[(neg_vals, pos_vals)] += 1
+    for support in combinations(points, size):
+        pos_vals, neg_vals = multiset_chain_values(
+            double_multiset(dict.fromkeys(support, 1), d), beta
+        )
+        key = _extremes(pos_vals, True) if pos_vals else _extremes(neg_vals, False)
+        cells[key] += 1
     return tuple(cells.items())
+
+
+def _extremes(values, maximal: bool):
+    """The Bruhat-maximal (or minimal) members of distinct values in lex
+    order.  Lex order extends Bruhat order, so only a later value can lie
+    above one (an earlier one below), and a value below any later one is
+    below a later extreme one."""
+    if len(values) < 2:
+        return values
+    kept: list = []
+    if maximal:
+        for v in reversed(values):
+            if not any(map(bruhat_leq, repeat(v), kept)):
+                kept.append(v)
+        return tuple(reversed(kept))
+    for v in values:
+        if not any(map(bruhat_leq, kept, repeat(v))):
+            kept.append(v)
+    return tuple(kept)
 
 
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
@@ -254,15 +286,21 @@ class _LazyTests(dict):
         return result
 
 
-def _count_cells(cells, alpha, gamma) -> int:
-    """Total count of the cells ``((lows, highs), count)`` whose lows all
-    lie at or above alpha and whose highs all lie at or below gamma.
+def _bruhat_tests(alpha, gamma) -> tuple[_LazyTests, _LazyTests]:
+    """The lazy tests alpha <= v and v <= gamma of one case, which every
+    table and degree of that case reads."""
+    return (
+        _LazyTests(lambda v: bruhat_leq(alpha, v)),
+        _LazyTests(lambda v: bruhat_leq(v, gamma)),
+    )
 
-    Cells share values, so each distinct value is tested once per call,
-    on first meeting it.  Special chain values lie in I(d, 2d), not only
-    in I(d), so the values are not listed beforehand."""
-    above = _LazyTests(lambda v: bruhat_leq(alpha, v))
-    below = _LazyTests(lambda v: bruhat_leq(v, gamma))
+
+def _count_cells(cells, above, below) -> int:
+    """Total count of the cells ``((lows, highs), count)`` whose lows all
+    pass ``above`` and whose highs all pass ``below``: a case's
+    ``_bruhat_tests``, which test each distinct value once per case, on
+    first meeting it.  Special chain values lie in I(d, 2d), not only in
+    I(d), so the values are not listed beforehand."""
     total = 0
     for (lows, highs), count in cells:
         for v in lows:
@@ -277,16 +315,16 @@ def _count_cells(cells, alpha, gamma) -> int:
     return total
 
 
-def _count_specials(beta, d, m, alpha, gamma) -> int:
-    return _count_cells(_special_profiles(tuple(beta), d, m), alpha, gamma)
+def _count_specials(beta, d, m, above, below) -> int:
+    return _count_cells(_special_profiles(tuple(beta), d, m), above, below)
 
 
-def _count_bitableaux(beta, d, m, alpha, gamma) -> int:
-    return _count_cells(_bitableau_profiles(tuple(beta), d, m), alpha, gamma)
+def _count_bitableaux(beta, d, m, above, below) -> int:
+    return _count_cells(_bitableau_profiles(tuple(beta), d, m), above, below)
 
 
-def _count_standard(beta, d, m, alpha, gamma) -> int:
-    return _count_cells(_standard_chains(tuple(beta), d, m), alpha, gamma)
+def _count_standard(beta, d, m, above, below) -> int:
+    return _count_cells(_standard_chains(tuple(beta), d, m), above, below)
 
 
 # ---------------------------------------------------------------------------
@@ -318,13 +356,14 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
 
     per_degree: dict[int, dict[str, int]] = {}
     agree = True
-    alpha, beta, gamma = case.alpha, case.beta, case.gamma
+    beta = case.beta
+    above, below = _bruhat_tests(case.alpha, case.gamma)
     for m in range(1, case.max_degree + 1):
         row = {
             "outside_good": len(monomials_outside(good_init, ring.nvars, m)),
-            "special_multisets": _count_specials(beta, d, m, alpha, gamma),
-            "bitableaux": _count_bitableaux(beta, d, m, alpha, gamma),
-            "standard_monomials": _count_standard(beta, d, m, alpha, gamma),
+            "special_multisets": _count_specials(beta, d, m, above, below),
+            "bitableaux": _count_bitableaux(beta, d, m, above, below),
+            "standard_monomials": _count_standard(beta, d, m, above, below),
             "outside_init": len(monomials_outside(init_ideal, ring.nvars, m)),
         }
         per_degree[m] = row
@@ -409,16 +448,25 @@ def _verify_fixed_point(cases: list[CaseSpec]) -> list[Verdict]:
 # reports
 
 
-def report_json(verdicts, stable: bool = False) -> str:
-    payload = {
-        "schema": SCHEMA,
-        "all_ok": all(v.ok for v in verdicts),
-        "cases": [v.to_json() for v in verdicts],
-    }
-    if stable:
-        for case in payload["cases"]:
+def report_json_chunks(verdicts, stable: bool = False):
+    """The JSON report in pieces, one per case, so that a writer never
+    holds the whole text.  The bytes are those of
+    ``json.dumps({"schema", "all_ok", "cases"}, indent=2, sort_keys=True)``
+    and a newline: each case is dumped alone and indented two levels,
+    which is safe because ``json.dumps`` escapes newlines inside strings."""
+    yield f'{{\n  "all_ok": {json.dumps(all(v.ok for v in verdicts))},\n  "cases": ['
+    separator = "\n    "
+    for v in verdicts:
+        case = v.to_json()
+        if stable:
             case["runtime_ms"] = 0
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        yield separator + json.dumps(case, indent=2, sort_keys=True).replace("\n", "\n    ")
+        separator = ",\n    "
+    yield ("\n  ]" if verdicts else "]") + f',\n  "schema": {json.dumps(SCHEMA)}\n}}\n'
+
+
+def report_json(verdicts, stable: bool = False) -> str:
+    return "".join(report_json_chunks(verdicts, stable))
 
 
 def report_csv(verdicts, stable: bool = False) -> str:

@@ -194,6 +194,16 @@ def test_sampled_d6_degree1_sweep_is_ok():
              len(verdicts) == 500 and all(v.ok for v in verdicts))
 
 
+@pytest.mark.slow
+def test_sampled_d5_degree6_sweep_is_ok():
+    """Opt in with ``pytest -m slow``: 8 seeded cases of the d = 5,
+    degree 6 sweep, on 7 betas, each of whose count tables is built at
+    every degree up to 6; every verdict ok."""
+    verdicts = sweep(5, max_degree=6, sample=8, seed=3)
+    announce("sampled d=5, degree 6 sweep (8 cases) verifies every case",
+             len(verdicts) == 8 and all(v.ok for v in verdicts))
+
+
 # sha256 of report_json(sweep(4, max_degree=6), stable=True) over Q; every
 # change to a counting layer is held to it
 D4_STABLE_REPORT_SHA256 = "77725c3456e405b2a742c4712956bbf1105059c0309a1c5f19f58d537c18da75"

@@ -12,9 +12,9 @@ from tancone.brsk import (
     NotchedBitableau,
     NotInImageError,
     Row,
+    _row_fact,
     _row_from_value,
     _row_value,
-    _semistandard_facts,
     _starred_row_values,
     brsk_inverse,
     brsk_map,
@@ -41,9 +41,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def memo_semistandard(t, beta, d):
-    """Semistandardness as the bitableau fast path decides it, from the
-    row memo."""
-    return _semistandard_facts(t, tuple(beta), d) is not None
+    """Semistandardness from the row memo, as ``is_on_starred`` reads it:
+    every row accepted by ``_row_fact``, the signs in order and the values
+    a Bruhat chain."""
+    beta = tuple(beta)
+    facts = [_row_fact(r.p, r.q, r.sign, beta, d) for r in t.rows]
+    if None in facts:
+        return False
+    signs = [r.sign for r in t.rows]
+    if signs != sorted(signs):
+        return False
+    return all(bruhat_leq(a[0], b[0]) for a, b in zip(facts, facts[1:]))
 
 
 def is_on_starred_oracle(t, beta, d):

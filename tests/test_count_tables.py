@@ -7,9 +7,14 @@ sequences by DFS, bitableaux by the unpruned direct enumeration of
 ``test_brsk``) and group them by
 the same key; the two must agree cell for cell.  Each column's count is
 also checked against a brute-force count by the column's own predicate.
+The special table was once built from two-sign support tables, kept here
+as ``special_profiles_oracle``; its keys differ, so the two are compared
+by their filtered counts.
 """
 
+import random
 from collections import Counter
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -25,17 +30,28 @@ from tancone.definitions import (
     multiset_bounded,
     special_multisets,
 )
-from tancone.grid import multiset_chain_values, upper_points
+from tancone.grid import (
+    chain_parts,
+    chain_value,
+    double_multiset,
+    grid_points,
+    is_chain,
+    is_positive,
+    multiset_chain_values,
+    sharp_point,
+    upper_points,
+)
 from tancone.indexsets import bruhat_leq, enumerate_indices
 from tancone.standard_monomials import _standard_chains
 from tancone.verify import (
     _bitableau_profiles,
+    _bruhat_tests,
     _count_bitableaux,
     _count_cells,
     _count_specials,
     _count_standard,
+    _sign_supports,
     _special_profiles,
-    _special_supports,
     all_triples,
 )
 
@@ -55,12 +71,47 @@ def count_cells_oracle(cells, alpha, gamma):
     return total
 
 
+def antichain(values, leq):
+    """The members of ``values`` with no other member above them in
+    ``leq``: every pair is compared."""
+    return tuple(sorted(v for v in values if not any(v != w and leq(v, w) for w in values)))
+
+
 def special_cells_oracle(beta, d, m):
+    """Every special multiset of degree 2m, keyed as the table keys it:
+    the minimal negative and the maximal positive chain values of its
+    support."""
     cells = Counter()
     for multiset in special_multisets(beta, d, m):
         pos_vals, neg_vals = multiset_chain_values(multiset, beta)
-        cells[(neg_vals, pos_vals)] += 1
+        key = (antichain(neg_vals, lambda v, w: bruhat_leq(w, v)), antichain(pos_vals, bruhat_leq))
+        cells[key] += 1
     return dict(cells)
+
+
+def special_supports_oracle(beta, d, size):
+    """The supports of exactly ``size`` upper points of both signs as cells
+    ``((neg_values, pos_values), number of supports)``, keyed by every
+    chain value."""
+    cells = Counter()
+    for support in combinations(upper_points(beta, d), size):
+        doubled = double_multiset(dict.fromkeys(support, 1), d)
+        pos_vals, neg_vals = multiset_chain_values(doubled, beta)
+        cells[(neg_vals, pos_vals)] += 1
+    return tuple(cells.items())
+
+
+def special_profiles_oracle(beta, d, m):
+    """The special table as two-sign support tables give it: the cells of
+    the supports of each size k weighted by C(m-1, k-1)."""
+    if m == 0:
+        return ((((), ()), 1),)
+    cells = Counter()
+    for size in range(1, min(m, len(upper_points(beta, d))) + 1):
+        weight = comb(m - 1, size - 1)
+        for key, supports in special_supports_oracle(beta, d, size):
+            cells[key] += weight * supports
+    return tuple(cells.items())
 
 
 def standard_sequences(beta, d, m):
@@ -105,13 +156,39 @@ def test_special_weights_count_every_multiset(d, top):
             assert total == comb(n + k - 1, k), (beta, k)
 
 
+def _filtered_special_counts_agree(d, betas, top):
+    iso = enumerate_indices(d)
+    for beta in betas:
+        below = [v for v in iso if bruhat_leq(v, beta)]
+        above = [v for v in iso if bruhat_leq(beta, v)]
+        for m in range(top + 1):
+            new, old = _special_profiles(beta, d, m), special_profiles_oracle(beta, d, m)
+            for alpha in below:
+                for gamma in above:
+                    got = _count_cells(new, *_bruhat_tests(alpha, gamma))
+                    assert got == count_cells_oracle(old, alpha, gamma), (alpha, beta, gamma, m)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_special_counts_match_two_sign_tables(d):
+    """Every (alpha, gamma) and m <= 6 at d <= 3."""
+    _filtered_special_counts_agree(d, enumerate_indices(d), 6)
+
+
+# (d, seed, betas drawn, highest m)
+@pytest.mark.parametrize("d, seed, draws, top", [(4, 1, 4, 6), (5, 2, 2, 4)])
+def test_special_counts_match_two_sign_tables_on_a_sample(d, seed, draws, top):
+    betas = random.Random(seed).sample(enumerate_indices(d), draws)
+    _filtered_special_counts_agree(d, betas, top)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_special_supports_count_every_support(d):
     for beta in enumerate_indices(d):
-        n = len(upper_points(beta, d))
-        for k in range(1, n + 1):
-            total = sum(count for _, count in _special_supports(beta, d, k))
-            assert total == comb(n, k), (beta, k)
+        for points in chain_parts(upper_points(beta, d)):
+            for k in range(len(points) + 1):
+                total = sum(count for _, count in _sign_supports(beta, d, points, k))
+                assert total == comb(len(points), k), (beta, points, k)
 
 
 # (1, 3) at d = 2 has 3 upper points, fewer than m; (1, 3, 5) has 6
@@ -119,17 +196,48 @@ def test_special_supports_count_every_support(d):
 def test_special_cells_cold_at_high_degree(beta, d):
     m = 6
     _special_profiles.cache_clear()
-    _special_supports.cache_clear()
+    _sign_supports.cache_clear()
     try:
         cold = _special_profiles(beta, d, m)
         _special_profiles.cache_clear()
-        _special_supports.cache_clear()
+        _sign_supports.cache_clear()
         for k in range(1, m + 1):
             ascending = _special_profiles(beta, d, k)
         assert dict(cold) == dict(ascending)
     finally:
         _special_profiles.cache_clear()
-        _special_supports.cache_clear()
+        _sign_supports.cache_clear()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_sub_chain_values_move_one_way(d):
+    """What the one-sign special tables rest on, over every chain of grid
+    points and every sub-chain of it: sharp keeps a point's sign, a
+    sub-chain's positive value lies at or below the chain's, and its
+    negative value at or above."""
+    for beta in enumerate_indices(d):
+        points = grid_points(beta, d)
+        for p in points:
+            assert is_positive(sharp_point(p, d)) == is_positive(p), (beta, p)
+        # a chain takes k rows descending and k columns ascending
+        rows = sorted({r for r, _ in points}, reverse=True)
+        for k in range(1, d + 1):
+            for chain in (
+                tuple(zip(rs, cs)) for rs in combinations(rows, k) for cs in combinations(beta, k)
+            ):
+                assert is_chain(chain)
+                pos, neg = chain_parts(chain)
+                for j in range(1, k + 1):
+                    for sub in combinations(chain, j):
+                        sub_pos, sub_neg = chain_parts(sub)
+                        if sub_pos:
+                            assert bruhat_leq(
+                                chain_value(sub_pos, beta), chain_value(pos, beta)
+                            ), (beta, chain, sub)
+                        if sub_neg:
+                            assert bruhat_leq(
+                                chain_value(neg, beta), chain_value(sub_neg, beta)
+                            ), (beta, chain, sub)
 
 
 @pytest.mark.parametrize("d, top", SCALES)
@@ -179,26 +287,29 @@ def test_count_columns_match_their_predicates(d, top):
                 multiset_bounded(multiset, alpha, gamma, beta)
                 for multiset in special_multisets(beta, d, m)
             )
-            assert _count_specials(beta, d, m, alpha, gamma) == specials, (case, m)
+            tests = _bruhat_tests(alpha, gamma)
+            assert _count_specials(beta, d, m, *tests) == specials, (case, m)
             bitableaux = sum(
                 is_bounded_bitableau(t, alpha, gamma, beta)
                 for t in enumerate_on_starred_oracle(beta, d, 2 * m)
             )
-            assert _count_bitableaux(beta, d, m, alpha, gamma) == bitableaux, (case, m)
+            assert _count_bitableaux(beta, d, m, *tests) == bitableaux, (case, m)
             standard = sum(
                 is_standard_on_y(pairs, alpha, beta, gamma)
                 for pairs in standard_sequences(beta, d, m)
             )
-            assert _count_standard(beta, d, m, alpha, gamma) == standard, (case, m)
+            assert _count_standard(beta, d, m, *tests) == standard, (case, m)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_count_cells_matches_oracle_on_every_table(d):
-    """Every table at d <= 3 up to degree 6, filtered for every triple."""
+    """Every table at d <= 3 up to degree 6, filtered for every triple
+    through one pair of lazy tests per triple, as ``verify_case`` does."""
     for alpha, beta, gamma in all_triples(d):
+        tests = _bruhat_tests(alpha, gamma)
         for table in (_special_profiles, _bitableau_profiles, _standard_chains):
             for m in range(7):
                 cells = table(beta, d, m)
-                assert _count_cells(cells, alpha, gamma) == count_cells_oracle(
+                assert _count_cells(cells, *tests) == count_cells_oracle(
                     cells, alpha, gamma
                 ), (table.__name__, alpha, beta, gamma, m)

@@ -16,7 +16,7 @@ edge; the graph can only over-approximate what runs.
       reachable, and none is reachable from the Groebner side
       (``reduced_groebner``, ``generator_set``, ``good_subset``).
   R4  the definitions reach none of the fast paths they are the oracles
-      of: the three count tables, the special supports, the bitableau
+      of: the three count tables, the one-sign support tables, the bitableau
       enumeration and its end reader, or the row memo.
 """
 
@@ -42,7 +42,7 @@ FAST_PATHS = (
     ("verify", "_special_profiles"),
     ("verify", "_bitableau_profiles"),
     ("standard_monomials", "_standard_chains"),
-    ("verify", "_special_supports"),
+    ("verify", "_sign_supports"),
     ("brsk", "enumerate_on_starred"),
     ("brsk", "delta_ends"),
     ("brsk", "_row_value"),

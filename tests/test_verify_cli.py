@@ -8,11 +8,13 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tancone.cli
 from tancone.cli import main
 from tancone.grid import multiset_from_json
 from tancone.patch import PatchMatrix, build_patch
 from tancone.verify import (
     PRIME_BOUND,
+    SCHEMA,
     CaseSpec,
     all_triples,
     is_prime,
@@ -139,7 +141,42 @@ def test_report_csv_columns():
     )
 
 
+def report_json_oracle(verdicts, stable=False):
+    """The JSON report built whole, as it once was: every case's dict, then
+    one dump of them all."""
+    payload = {
+        "schema": SCHEMA,
+        "all_ok": all(v.ok for v in verdicts),
+        "cases": [v.to_json() for v in verdicts],
+    }
+    if stable:
+        for case in payload["cases"]:
+            case["runtime_ms"] = 0
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_streamed_report_matches_the_whole_dump(d, tmp_path, monkeypatch, capsys):
+    """The sweep command writes its JSON report case by case; the bytes are
+    those of the whole dump, with and without --stable, to a file and to
+    stdout.  The CLI reports fixed verdicts here, so that runtimes and a
+    failing case show too."""
+    verdicts = sweep(d, max_degree=6)
+    verdicts[-1].counts_agree = False
+    monkeypatch.setattr(tancone.cli, "sweep", lambda *args, **kwargs: verdicts)
+    for flags in ([], ["--stable"]):
+        expected = report_json_oracle(verdicts, stable=bool(flags))
+        assert report_json(verdicts, stable=bool(flags)) == expected
+        out = tmp_path / "report.json"
+        assert main(["sweep", "--d", str(d), "--out", str(out)] + flags) == 1
+        assert out.read_text() == expected
+        capsys.readouterr()
+        assert main(["sweep", "--d", str(d)] + flags) == 1
+        assert capsys.readouterr().out == expected
+
+
 def test_report_empty_is_valid():
+    assert report_json([]) == report_json_oracle([])
     payload = json.loads(report_json([]))
     assert payload["cases"] == []
     assert payload["all_ok"] is True
