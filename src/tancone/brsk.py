@@ -270,23 +270,23 @@ def _row_value(r: Row, beta: Index, d: int) -> Index:
     return bound_value(r.p, r.q, beta) if fact is None else fact[0]
 
 
-def delta_ends(t: NotchedBitableau, beta: Index) -> tuple[tuple[Index, ...], tuple[Index, ...]]:
-    """``(delta[:1], delta[-1:])`` of the delta sequence
+def delta_ends(t: NotchedBitableau, beta: Index) -> tuple[Index, Index]:
+    """``(delta[0], delta[-1])`` of the delta sequence
     ``delta = definitions.delta_sequence(t, beta)``, read from the end
     rows alone through the row memo: with an odd row count beta is wedged
     after the negative rows, so it comes first when there are none and
-    last when every row is negative.  Both are () for the empty
+    last when every row is negative.  Both are beta for the empty
     bitableau."""
+    beta = tuple(beta)
     rows = t.rows
     if not rows:
-        return (), ()
-    beta = tuple(beta)
+        return beta, beta
     d = len(beta)
     # with an odd row count beta stands after the negative rows
     wedge = [r.sign for r in rows].count(NEG) if len(rows) % 2 == 1 else -1
     first = beta if wedge == 0 else _row_value(rows[0], beta, d)
     last = beta if wedge == len(rows) else _row_value(rows[-1], beta, d)
-    return (first,), (last,)
+    return first, last
 
 
 def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:

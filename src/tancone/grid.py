@@ -139,9 +139,11 @@ def multiset_chain_values(m: Multiset, beta: Index):
     Returns (pos_values, neg_values) as sorted tuples; enough to decide
     boundedness against any (alpha, gamma), which
     ``definitions.multiset_bounded`` decides over every chain, since
-    subchains of a bounded chain are bounded.  Only the support ``m.keys()`` is read, so every
+    subchains of a bounded chain are bounded, and by the componentwise
+    min of the negative values and max of the positive ones, since Bruhat
+    order is componentwise.  Only the support ``m.keys()`` is read, so every
     special multiset on this support shares the result, from which
-    ``verify._sign_supports`` keys the support's cell.
+    ``verify._sign_supports`` keys the support's cell by that min or max.
     """
     pos_vals = set()
     neg_vals = set()

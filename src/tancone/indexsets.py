@@ -15,6 +15,10 @@ from operator import le
 
 Index = tuple[int, ...]
 
+# the largest d accepted: three sampled d = 8, degree 1 cases take about
+# 10 s and 280 MB, and d = 9 is not measured
+MAX_D = 8
+
 
 def star(j: int, d: int) -> int:
     """Mirror index j* = 2d+1-j.  Involution on [1, 2d]."""
@@ -41,6 +45,8 @@ def enumerate_indices(d: int, ambient_only: bool = False) -> tuple[Index, ...]:
     """
     if d < 1:
         raise ValueError("d must be >= 1")
+    if d > MAX_D:
+        raise ValueError(f"d must be <= {MAX_D}, got {d}")
     allsets = combinations(range(1, 2 * d + 1), d)
     if ambient_only:
         return tuple(allsets)

@@ -5,7 +5,8 @@ A standard monomial is a weakly increasing sequence of admissible pairs
 none straddling beta; it lies on the variety when alpha <= bot of the
 first pair and top of the last pair <= gamma.  Its degree is the sum of
 the pairs' beta-degrees.  The table counts them per degree by their
-first bot and last top; the definitions they are checked against
+first bot and last top, the meet of the bots and the join of the tops,
+which rise along the sequence; the definitions they are checked against
 (``is_standard_on_y``, the DFS enumeration, evaluation as products of
 minors, the counting injections) are in ``definitions``.
 """
@@ -38,8 +39,8 @@ def _usable_pairs(beta: Index, d: int):
 @lru_cache(maxsize=None)
 def _standard_chains(beta: Index, d: int, m: int):
     """Standard pair sequences of degree m at this beta as cells
-    ``(((bot of first,), (top of last,)), count)``; the empty sequence
-    (m = 0) has neither, and its cell is ``((), ())``.
+    ``((bot of first, top of last), count)``; the empty sequence (m = 0)
+    has neither end, and its cell is ``((beta, beta), 1)``.
 
     A sequence of degree m that ends in the pair w is (w) alone, or one
     of degree m - deg(w) whose last top is <= bot(w), extended by w.
@@ -49,15 +50,15 @@ def _standard_chains(beta: Index, d: int, m: int):
     recursion stays two calls deep whatever m is.
     """
     if m == 0:
-        return ((((), ()), 1),)
+        return (((beta, beta), 1),)
     for lower in range(1, m):
         _standard_chains(beta, d, lower)
     cells: Counter = Counter()
     for w, wdeg in _usable_pairs(beta, d):
         if wdeg == m:
-            cells[((w.bot,), (w.top,))] += 1
+            cells[(w.bot, w.top)] += 1
         elif wdeg < m:
-            for (bots, (top,)), count in _standard_chains(beta, d, m - wdeg):
+            for (bot, top), count in _standard_chains(beta, d, m - wdeg):
                 if bruhat_leq(top, w.bot):
-                    cells[(bots, (w.top,))] += count
+                    cells[(bot, w.top)] += count
     return tuple(cells.items())

@@ -17,13 +17,16 @@ patch, whose minor memo goes when that beta is done, and the per-beta
 count tables are cached by beta.
 
 The three count tables share one contract: ``table(beta, d, m)`` holds
-the column's objects at monomial degree m as cells ``((lows, highs), count)``.
-Every value in ``lows`` must lie at or above alpha and every value in
-``highs`` at or below gamma for the objects to be bounded, and the count
-is how many objects share the key; degree 0 is the one cell
-``(((), ()), 1)``.  One filter, ``_count_cells``, sums the counts of the
-cells that pass, through two lazy Bruhat tests that a case builds once
-(``_bruhat_tests``) for all its tables and degrees.
+the column's objects at monomial degree m as cells ``((low, high),
+count)``: they are bounded exactly when alpha <= low and high <= gamma.
+Bruhat order is componentwise, so values lie at or above alpha exactly
+when their meet (componentwise min) does, and at or below gamma exactly
+when their join (max) does; low and high are those of the values an
+object must bound, or beta, which every case bounds, for a side with
+none.  Degree 0 is the one cell ``((beta, beta), 1)``.  One filter,
+``_count_cells``, sums the counts of the cells that pass, through two
+lazy Bruhat tests that a case builds once (``_bruhat_tests``) for all
+its tables and degrees.
 Specials are counted by support (every multiset on one support has the
 same chain values), as products of the cells of one-sign supports of
 each size, which every degree reuses; standard monomials by recursion
@@ -40,7 +43,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations, repeat
+from itertools import combinations
 from math import comb
 
 from .brsk import delta_ends, enumerate_on_starred
@@ -192,29 +195,30 @@ class Verdict:
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _special_profiles(beta: Index, d: int, m: int):
-    """Special multisets of degree 2m as cells ``((neg_values,
-    pos_values), count)``: the minimal negative and the maximal positive
-    chain values of their supports, and how many specials have them.
+    """Special multisets of degree 2m as cells ``((low, high), count)``:
+    the meet of the negative and the join of the positive chain values of
+    their supports, and how many specials have them.
 
     A special multiset is U union U# for a multiset U of degree m on the
     upper region, and its chain values depend only on the support of U.
     A support of a positive and b negative points carries C(m-1, a+b-1)
     such U, and its key pairs those of its two one-sign parts
-    (``_sign_supports``), since sharp keeps a point's sign.
+    (``_sign_supports``), since sharp keeps a point's sign; an empty part
+    is keyed by beta.
     """
     if m == 0:
-        return ((((), ()), 1),)
+        return (((beta, beta), 1),)
     positive, negative = chain_parts(upper_points(beta, d))
-    empty = (((), 1),)  # the one empty part, of either sign
+    empty = ((beta, 1),)  # the one empty part, of either sign
     cells: dict = {}
     for a in range(min(m, len(positive)) + 1):
         pos_cells = _sign_supports(beta, d, positive, a) if a else empty
         for b in range(max(1 - a, 0), min(m - a, len(negative)) + 1):
             weight = comb(m - 1, a + b - 1)
-            for neg_key, neg_count in _sign_supports(beta, d, negative, b) if b else empty:
+            for low, neg_count in _sign_supports(beta, d, negative, b) if b else empty:
                 scale = weight * neg_count
-                for pos_key, pos_count in pos_cells:
-                    key = (neg_key, pos_key)
+                for high, pos_count in pos_cells:
+                    key = (low, high)
                     cells[key] = cells.get(key, 0) + scale * pos_count
     return tuple(cells.items())
 
@@ -224,50 +228,32 @@ def _special_profiles(beta: Index, d: int, m: int):
 @lru_cache(maxsize=64)
 def _sign_supports(beta: Index, d: int, points: tuple, size: int):
     """The supports of exactly ``size`` of ``points``, the upper points of
-    one sign, as cells ``(key, number of supports)``; size 0 is the empty
-    support.  The key is the antichain of the doubled support's maximal
-    positive or minimal negative chain values: a sub-chain's positive
-    value lies at or below the chain's and its negative value at or
-    above, so a bound that holds on the key holds on every chain."""
+    one sign, as cells ``(key, number of supports)``: the join of the
+    doubled support's positive chain values or the meet of its negative
+    ones, and beta for the empty support.  A support of both signs has
+    the join and meet of its parts, as each of its chains' one-sign parts
+    is a sub-chain of a maximal chain of that part, whose positive value
+    lies at or above the sub-chain's and negative value at or below."""
     cells: Counter = Counter()
     for support in combinations(points, size):
         pos_vals, neg_vals = multiset_chain_values(
             double_multiset(dict.fromkeys(support, 1), d), beta
         )
-        key = _extremes(pos_vals, True) if pos_vals else _extremes(neg_vals, False)
-        cells[key] += 1
+        join, meet = tuple(map(max, zip(*pos_vals))), tuple(map(min, zip(*neg_vals)))
+        cells[join or meet or beta] += 1
     return tuple(cells.items())
-
-
-def _extremes(values, maximal: bool):
-    """The Bruhat-maximal (or minimal) members of distinct values in lex
-    order.  Lex order extends Bruhat order, so only a later value can lie
-    above one (an earlier one below), and a value below any later one is
-    below a later extreme one."""
-    if len(values) < 2:
-        return values
-    kept: list = []
-    if maximal:
-        for v in reversed(values):
-            if not any(map(bruhat_leq, repeat(v), kept)):
-                kept.append(v)
-        return tuple(reversed(kept))
-    for v in values:
-        if not any(map(bruhat_leq, kept, repeat(v))):
-            kept.append(v)
-    return tuple(kept)
 
 
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _bitableau_profiles(beta: Index, d: int, m: int):
-    """On-starred bitableaux with 2m boxes as cells ``(((first,),
-    (last,)), count)``: the first and last delta values, and how many
-    bitableaux have them.  They are enumerated by ``enumerate_on_starred``,
-    which builds each delta sequence as a chain of pairs of equal epsilon
-    degree, and grouped by ``delta_ends``, which reads the two values off
-    the end rows.  The empty bitableau (m = 0) has neither value, and its
-    cell is ``((), ())``."""
+    """On-starred bitableaux with 2m boxes as cells ``((first, last),
+    count)``: the first and last delta values, and how many bitableaux
+    have them (the meet and join of the increasing delta sequence).  They
+    are enumerated by ``enumerate_on_starred``, which builds each delta
+    sequence as a chain of pairs of equal epsilon degree, and grouped by
+    ``delta_ends``, which reads the two values off the end rows and
+    gives ``(beta, beta)`` for the empty bitableau (m = 0)."""
     cells: Counter = Counter()
     for t in enumerate_on_starred(beta, d, 2 * m):
         cells[delta_ends(t, beta)] += 1
@@ -296,22 +282,15 @@ def _bruhat_tests(alpha, gamma) -> tuple[_LazyTests, _LazyTests]:
 
 
 def _count_cells(cells, above, below) -> int:
-    """Total count of the cells ``((lows, highs), count)`` whose lows all
-    pass ``above`` and whose highs all pass ``below``: a case's
-    ``_bruhat_tests``, which test each distinct value once per case, on
-    first meeting it.  Special chain values lie in I(d, 2d), not only in
-    I(d), so the values are not listed beforehand."""
+    """Total count of the cells ``((low, high), count)`` with ``above[low]``
+    and ``below[high]``: a case's ``_bruhat_tests``, which test each
+    distinct value once per case, on first meeting it.  Special chain
+    values and their meets and joins lie in I(d, 2d), not only in I(d),
+    so the values are not listed beforehand."""
     total = 0
-    for (lows, highs), count in cells:
-        for v in lows:
-            if not above[v]:
-                break
-        else:
-            for v in highs:
-                if not below[v]:
-                    break
-            else:
-                total += count
+    for (low, high), count in cells:
+        if above[low] and below[high]:
+            total += count
     return total
 
 

@@ -115,7 +115,7 @@ def test_brsk_single_positive_row_fixture():
     t = brsk_map({(2, 1): 1, (4, 3): 1}, (1, 3), 2)
     assert t.rows == (Row(p=(2, 4), q=(1, 3), sign=POS),)
     assert row_values(t, (1, 3)) == ((2, 4),)
-    assert delta_ends(t, (1, 3)) == (((1, 3),), ((2, 4),))
+    assert delta_ends(t, (1, 3)) == ((1, 3), (2, 4))
     assert is_on_starred(t, (1, 3), 2)
     # odd row count wedges beta into the delta sequence
     assert delta_sequence(t, (1, 3)) == ((1, 3), (2, 4))
@@ -266,13 +266,15 @@ def test_candidate_rows_lie_below_then_above_beta(d):
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_delta_ends_match_the_delta_sequence(d):
     """The first and last delta values read off the end rows, on every
-    bitableau enumerated at d <= 3 up to 12 boxes, the empty one too."""
+    bitableau enumerated at d <= 3 up to 12 boxes, and beta twice for the
+    empty one."""
     for beta in enumerate_indices(d):
         seen_empty = False
         for degree in range(0, 13, 2):
             for t in enumerate_on_starred(beta, d, degree):
                 delta = delta_sequence(t, beta)
-                assert delta_ends(t, beta) == (delta[:1], delta[-1:]), (beta, t)
+                ends = (delta[0], delta[-1]) if delta else (beta, beta)
+                assert delta_ends(t, beta) == ends, (beta, t)
                 seen_empty |= not t.rows
         assert seen_empty, beta
 
@@ -330,7 +332,8 @@ def _assert_predicates_match_oracles(stacks, beta, d):
         else:
             assert tuple(_row_value(r, beta, d) for r in t.rows) == values, (t, beta)
             delta = delta_sequence(t, beta)
-            assert delta_ends(t, beta) == (delta[:1], delta[-1:]), (t, beta)
+            ends = (delta[0], delta[-1]) if delta else (tuple(beta), tuple(beta))
+            assert delta_ends(t, beta) == ends, (t, beta)
         answers.add((semi, starred))
     return answers
 
@@ -401,8 +404,8 @@ def test_row_memos_keep_beta_and_d_apart():
         t = NotchedBitableau(rows=(one_box,))
         assert _row_value(one_box, (1, 3), 2) == (3, 4)
         assert _row_value(one_box, (1, 2), 2) == (2, 4)
-        assert delta_ends(t, (1, 3)) == (((1, 3),), ((3, 4),))
-        assert delta_ends(t, (1, 2)) == (((1, 2),), ((2, 4),))
+        assert delta_ends(t, (1, 3)) == ((1, 3), (3, 4))
+        assert delta_ends(t, (1, 2)) == ((1, 2), (2, 4))
         assert memo_semistandard(t, (1, 3), 2)
         assert not memo_semistandard(t, (1, 3), 1)
         t = NotchedBitableau(rows=(low, low))

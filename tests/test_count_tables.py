@@ -1,15 +1,17 @@
 """The per-beta count tables against brute-force oracles.
 
 Each table ``table(beta, d, m)`` holds the column's objects at monomial
-degree m as cells ((lows, highs), count).  The oracles list every object
+degree m as cells ((low, high), count).  The oracles list every object
 the table counts (special multisets by their multiplicities, standard
 sequences by DFS, bitableaux by the unpruned direct enumeration of
-``test_brsk``) and group them by
-the same key; the two must agree cell for cell.  Each column's count is
-also checked against a brute-force count by the column's own predicate.
-The special table was once built from two-sign support tables, kept here
-as ``special_profiles_oracle``; its keys differ, so the two are compared
-by their filtered counts.
+``test_brsk``) and group them by the same key, the meet of the values
+bounded below by alpha and the join of those bounded above by gamma
+(beta for a side with none); the two must agree cell for cell.  Each
+column's count is also checked against a brute-force count by the
+column's own predicate.
+The special table was once built from two-sign support tables keyed by
+every chain value, kept here as ``special_profiles_oracle``; its keys
+differ, so the two are compared by their filtered counts.
 """
 
 import random
@@ -60,32 +62,42 @@ SCALES = [(1, 6), (2, 6), (3, 6), (4, 4)]
 
 
 def count_cells_oracle(cells, alpha, gamma):
-    """``_count_cells`` as it was before it kept each value's test: every
-    value of every cell is tested afresh."""
-    total = 0
-    for (lows, highs), count in cells:
-        if all(bruhat_leq(alpha, v) for v in lows) and all(
-            bruhat_leq(v, gamma) for v in highs
-        ):
-            total += count
-    return total
+    """``_count_cells`` without the lazy tests: every cell's two values
+    are tested afresh."""
+    return sum(
+        count
+        for (low, high), count in cells
+        if bruhat_leq(alpha, low) and bruhat_leq(high, gamma)
+    )
 
 
-def antichain(values, leq):
-    """The members of ``values`` with no other member above them in
-    ``leq``: every pair is compared."""
-    return tuple(sorted(v for v in values if not any(v != w and leq(v, w) for w in values)))
+def count_value_sets_oracle(cells, alpha, gamma):
+    """The count of cells ``((lows, highs), count)`` keyed by every value,
+    as ``special_profiles_oracle`` keys them."""
+    return sum(
+        count
+        for (lows, highs), count in cells
+        if all(bruhat_leq(alpha, v) for v in lows) and all(bruhat_leq(v, gamma) for v in highs)
+    )
+
+
+def meet(values, beta):
+    """Componentwise min of ``values``, or beta when there are none."""
+    return tuple(min(column) for column in zip(*values)) if values else tuple(beta)
+
+
+def join(values, beta):
+    """Componentwise max of ``values``, or beta when there are none."""
+    return tuple(max(column) for column in zip(*values)) if values else tuple(beta)
 
 
 def special_cells_oracle(beta, d, m):
-    """Every special multiset of degree 2m, keyed as the table keys it:
-    the minimal negative and the maximal positive chain values of its
-    support."""
+    """Every special multiset of degree 2m, keyed by the meet of the
+    negative and the join of the positive chain values of its support."""
     cells = Counter()
     for multiset in special_multisets(beta, d, m):
         pos_vals, neg_vals = multiset_chain_values(multiset, beta)
-        key = (antichain(neg_vals, lambda v, w: bruhat_leq(w, v)), antichain(pos_vals, bruhat_leq))
-        cells[key] += 1
+        cells[(meet(neg_vals, beta), join(pos_vals, beta))] += 1
     return dict(cells)
 
 
@@ -122,19 +134,21 @@ def standard_sequences(beta, d, m):
 
 
 def standard_cells_oracle(beta, d, m):
+    """Standard sequences keyed by their first bot and last top."""
     return dict(
         Counter(
-            (tuple(w.bot for w in pairs[:1]), tuple(w.top for w in pairs[-1:]))
+            (pairs[0].bot, pairs[-1].top) if pairs else (beta, beta)
             for pairs in standard_sequences(beta, d, m)
         )
     )
 
 
 def bitableau_cells_oracle(beta, d, m):
+    """Bitableaux keyed by their first and last delta values."""
     cells = Counter()
     for t in enumerate_on_starred_oracle(beta, d, 2 * m):
         delta = delta_sequence(t, beta)
-        cells[((delta[0],), (delta[-1],)) if delta else ((), ())] += 1
+        cells[(delta[0], delta[-1]) if delta else (beta, beta)] += 1
     return dict(cells)
 
 
@@ -166,7 +180,12 @@ def _filtered_special_counts_agree(d, betas, top):
             for alpha in below:
                 for gamma in above:
                     got = _count_cells(new, *_bruhat_tests(alpha, gamma))
-                    assert got == count_cells_oracle(old, alpha, gamma), (alpha, beta, gamma, m)
+                    assert got == count_value_sets_oracle(old, alpha, gamma), (
+                        alpha,
+                        beta,
+                        gamma,
+                        m,
+                    )
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -271,11 +290,29 @@ def test_bitableau_cells_group_the_enumeration(d, top):
             ), (beta, m)
 
 
+def is_value(v, d):
+    """A strictly increasing d-tuple of ints in [1, 2d]."""
+    return (
+        isinstance(v, tuple)
+        and len(v) == d
+        and all(type(x) is int and 1 <= x <= 2 * d for x in v)
+        and all(a < b for a, b in zip(v, v[1:]))
+    )
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_degree_zero_is_one_empty_cell(d):
+def test_every_cell_is_one_low_and_one_high(d):
+    """Every table, every beta and m <= 6: each cell is ((low, high),
+    count) with two values and a positive count, and degree 0 is the one
+    cell ((beta, beta), 1)."""
     for beta in enumerate_indices(d):
         for table in (_special_profiles, _bitableau_profiles, _standard_chains):
-            assert table(beta, d, 0) == ((((), ()), 1),), (table.__name__, beta)
+            assert table(beta, d, 0) == (((beta, beta), 1),), (table.__name__, beta)
+            for m in range(7):
+                for cell in table(beta, d, m):
+                    (low, high), count = cell
+                    assert is_value(low, d) and is_value(high, d), (table.__name__, beta, m, cell)
+                    assert type(count) is int and count > 0, (table.__name__, beta, m, cell)
 
 
 @pytest.mark.parametrize("d, top", [(1, 4), (2, 4), (3, 2)])

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from tancone.definitions import admissible_pair_by_ends, pair_leq
 from tancone.indexsets import (
+    MAX_D,
     admissible_pairs,
     bruhat_leq,
     enumerate_indices,
@@ -64,6 +65,38 @@ def test_enumeration_sizes(d):
 
 def test_ambient_count_d2():
     assert len(enumerate_indices(2, ambient_only=True)) == 6
+
+
+@pytest.mark.parametrize("d", [0, MAX_D + 1, 100])
+def test_enumerate_rejects_d_out_of_range(d):
+    for ambient_only in (False, True):
+        with pytest.raises(ValueError, match="d must be"):
+            enumerate_indices(d, ambient_only)
+
+
+@st.composite
+def values_and_bounds(draw):
+    """A nonempty list of values in I(d, 2d) and two bounds alpha, gamma
+    in I(d), at some d <= 5."""
+    d = draw(st.integers(1, 5))
+    values = draw(st.lists(st.sampled_from(enumerate_indices(d, ambient_only=True)), min_size=1))
+    iso = enumerate_indices(d)
+    return values, draw(st.sampled_from(iso)), draw(st.sampled_from(iso))
+
+
+@given(values_and_bounds())
+def test_a_set_is_bounded_exactly_when_its_meet_or_join_is(case):
+    """Bruhat order is componentwise, so a set of values lies at or above
+    alpha exactly when its componentwise min does, and at or below gamma
+    exactly when its componentwise max does; both are values again.  The
+    count tables key each cell by that meet and join."""
+    values, alpha, gamma = case
+    meet = tuple(min(column) for column in zip(*values))
+    join = tuple(max(column) for column in zip(*values))
+    assert all(bruhat_leq(alpha, v) for v in values) == bruhat_leq(alpha, meet)
+    assert all(bruhat_leq(v, gamma) for v in values) == bruhat_leq(join, gamma)
+    for bound in (meet, join):
+        assert all(a < b for a, b in zip(bound, bound[1:])), (values, bound)
 
 
 @pytest.mark.parametrize(

@@ -307,6 +307,15 @@ def test_cli_rejects_bad_input(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "--d", "1", "--max-degree", "-1"]) == 2
     assert "max degree" in capsys.readouterr().err
+    # d above MAX_D is refused before anything is enumerated
+    nine = ",".join(map(str, range(1, 10)))
+    for argv in (
+        ["enum", "--d", "9"],
+        ["sweep", "--d", "9", "--max-degree", "1"],
+        ["count", "--d", "9", "--alpha", nine, "--beta", nine, "--gamma", nine],
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == "error: d must be <= 8, got 9\n", argv
     assert main(["sweep", "--d", "1", "--max-degree", "1", "--field", "Fp:abc"]) == 2
     err = capsys.readouterr().err
     assert err == "error: field must be 'Q' or 'Fp:<p>', got 'Fp:abc'\n"
