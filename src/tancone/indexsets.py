@@ -19,6 +19,12 @@ Index = tuple[int, ...]
 # 10 s and 280 MB, and d = 9 is not measured
 MAX_D = 8
 
+# the most degree-m monomials, over m = 0..max_degree, that one case may
+# ask for: C(n + max_degree, n) with n = d(d+1)/2 patch variables, which
+# the staircase keeps as degree tables for the whole run.  It admits d = 4
+# at degree 13, d = 5 at degree 9 and d = 7 at degree 6 (1,344,904).
+MAX_TABLE_MONOMIALS = 1_500_000
+
 
 def star(j: int, d: int) -> int:
     """Mirror index j* = 2d+1-j.  Involution on [1, 2d]."""

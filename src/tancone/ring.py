@@ -14,10 +14,12 @@ in [1, p).
 
 from __future__ import annotations
 
+import struct
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, compress
+from operator import itemgetter
 
 from ._kernel_py import (
     divisor_record,
@@ -393,13 +395,15 @@ def initial_ideal_generators(groebner_basis) -> list[tuple]:
 def monomials_of_degree(nvars: int, m: int):
     """All exponent tuples of total degree m, lexicographically, as an
     iterator over a table built once per (nvars, m)."""
-    return iter(_degree_table(nvars, m))
+    return iter(_degree_table(nvars, m)[0])
 
 
 @lru_cache(maxsize=None)
-def _degree_table(nvars: int, m: int) -> tuple[tuple, ...]:
+def _degree_table(nvars: int, m: int) -> tuple[tuple[tuple, ...], tuple]:
+    """The degree-m exponent tuples in lexicographic order, and their
+    ``_threshold_bitsets``."""
     if nvars == 0:
-        return ((),) if m == 0 else ()
+        return ((),) if m == 0 else (), ()
     # stars and bars via combinations of bar positions
     table = []
     for bars in combinations(range(m + nvars - 1), nvars - 1):
@@ -410,26 +414,71 @@ def _degree_table(nvars: int, m: int) -> tuple[tuple, ...]:
             prev = b
         exps.append(m + nvars - 2 - prev)
         table.append(tuple(exps))
-    return tuple(table)
+    table = tuple(table)
+    return table, _threshold_bitsets(table, nvars, m)
+
+
+# a field's top byte after masking, 0x80 or 0, as a binary digit
+_TOP_BIT = bytes.maketrans(b"\x00\x80", b"01")
+# a binary digit of the divisible set, as a selector of the monomials outside it
+_OUTSIDE = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def _threshold_bitsets(table, nvars: int, m: int) -> tuple[tuple[int, ...], ...]:
+    """``bits[i][e - 1]`` for every variable i and 1 <= e <= m: the integer
+    whose bit j is set when ``table[j][i] >= e``.
+
+    Built word-parallel, with no loop over the table in Python.  Variable
+    i's exponents are packed into one integer, a little-endian field of k
+    bytes each, with m < h = 2**(8k - 1), so adding h - e to every field
+    at once never carries out of a field and sets a field's top bit
+    exactly when its exponent is >= e.  Those top bits, read off as binary
+    digits, are the bitset; the column is packed in reverse table order
+    so that the digits come most significant first.
+    """
+    widths = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
+    k, code = next((k, code) for k, code in widths if m < 1 << 8 * k - 1)
+    pack = struct.Struct(f"<{len(table)}{code}").pack
+    ones = int.from_bytes((b"\x01" + bytes(k - 1)) * len(table), "little")
+    tops = ones << 8 * k - 1
+    reverse = table[::-1]
+    bits = []
+    for i in range(nvars):
+        shifted = int.from_bytes(pack(*map(itemgetter(i), reverse)), "little") + tops
+        column = []
+        for _ in range(m):
+            shifted -= ones
+            digits = (shifted & tops).to_bytes(k * len(table), "little")[k - 1 :: k]
+            column.append(int(digits.translate(_TOP_BIT), 2))
+        bits.append(tuple(column))
+    return tuple(bits)
 
 
 def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:
-    """Degree-m monomials not divisible by any generator (the staircase).
+    """Degree-m monomials not divisible by any generator (the staircase),
+    in table order.
 
+    Divisibility is decided for the whole degree-m table at once, on
+    bitsets over its positions (``_threshold_bitsets``): a generator's
+    multiples are the AND of the bitsets of its nonzero exponents (all
+    of the table for the zero monomial, none of it for a generator of
+    degree above m), and the divisible set is their OR.  The staircase
+    is then the table read through ``monomials_of_degree`` and kept
+    where that set's bit is clear, so it is the same list, in the same
+    order, as a scan testing every monomial against every generator.
     Any generating set gives the same staircase, since a monomial has a
-    generator dividing it exactly when it has a minimal one; callers
-    pass minimal lists, the fewest generators to test.  Each generator
-    is tested on its nonzero exponents only.
+    generator dividing it exactly when it has a minimal one.
     """
-    gens = [tuple((i, e) for i, e in enumerate(g) if e) for g in gen_monos]
-    out = []
-    for mono in monomials_of_degree(nvars, m):
-        for g in gens:
-            for i, e in g:
-                if mono[i] < e:
-                    break
-            else:
-                break
-        else:
-            out.append(mono)
-    return out
+    table, bits = _degree_table(nvars, m)
+    everything = (1 << len(table)) - 1
+    divisible = 0
+    for g in gen_monos:
+        if sum(g) > m:
+            continue
+        multiples = everything
+        for i, e in enumerate(g):
+            if e:
+                multiples &= bits[i][e - 1]
+        divisible |= multiples
+    digits = format(divisible, f"0{len(table)}b").encode()[::-1]
+    return list(compress(monomials_of_degree(nvars, m), digits.translate(_OUTSIDE)))

@@ -49,6 +49,7 @@ from math import comb
 from .brsk import delta_ends, enumerate_on_starred
 from .grid import chain_parts, double_multiset, multiset_chain_values, upper_points
 from .indexsets import (
+    MAX_TABLE_MONOMIALS,
     Index,
     bruhat_leq,
     enumerate_indices,
@@ -127,6 +128,7 @@ class CaseSpec:
     max_degree: int = 6
 
     def __post_init__(self):
+        enumerate_indices(self.d)  # rejects a d outside [1, MAX_D] by name
         for v in (self.alpha, self.beta, self.gamma):
             if not is_isotropic(v, self.d):
                 raise ValueError(f"{v} is not isotropic for d={self.d}")
@@ -134,6 +136,13 @@ class CaseSpec:
             raise ValueError("need alpha <= beta <= gamma")
         if self.max_degree < 0:
             raise ValueError(f"max degree must be >= 0, got {self.max_degree}")
+        n = self.d * (self.d + 1) // 2
+        monomials = comb(n + self.max_degree, n)
+        if monomials > MAX_TABLE_MONOMIALS:
+            raise ValueError(
+                f"max degree {self.max_degree} at d={self.d} needs {monomials} "
+                f"staircase monomials, more than {MAX_TABLE_MONOMIALS}"
+            )
         # one label per field, so 'Fp:007' and 'Fp:7' report alike
         p = parse_field(self.field)
         object.__setattr__(self, "field", f"Fp:{p}" if p else "Q")

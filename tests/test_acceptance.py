@@ -204,9 +204,10 @@ def test_sampled_d5_degree6_sweep_is_ok():
              len(verdicts) == 8 and all(v.ok for v in verdicts))
 
 
-# sha256 of report_json(sweep(4, max_degree=6), stable=True) over Q; every
-# change to a counting layer is held to it
+# sha256 of report_json(sweep(d, max_degree=6), stable=True) over Q at d = 4
+# and d = 5; every change to a counting layer is held to them
 D4_STABLE_REPORT_SHA256 = "77725c3456e405b2a742c4712956bbf1105059c0309a1c5f19f58d537c18da75"
+D5_STABLE_REPORT_SHA256 = "41b4715738cf13b446ccf0e38291665e3c8518256cd7471b572a6891e5a8fd53"
 
 
 @pytest.mark.slow
@@ -218,6 +219,16 @@ def test_exhaustive_d4_degree6_report_pinned():
     got = hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()
     announce("exhaustive d=4, degree 6 sweep (672 cases) matches its pinned "
              "sha256", all(v.ok for v in verdicts) and got == D4_STABLE_REPORT_SHA256)
+
+
+@pytest.mark.slow
+def test_exhaustive_d5_degree6_report_pinned():
+    """Opt in with ``pytest -m slow``: all 4224 cases at d=5 up to degree 6
+    (about a minute), against the pinned sha256 of the --stable report."""
+    verdicts = sweep(5, max_degree=6)
+    got = hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()
+    announce("exhaustive d=5, degree 6 sweep (4224 cases) matches its pinned "
+             "sha256", all(v.ok for v in verdicts) and got == D5_STABLE_REPORT_SHA256)
 
 
 def test_brsk_bijection():

@@ -19,7 +19,8 @@ from tancone.ring import (
     normal_form,
     reduced_groebner,
 )
-from tancone.verify import sweep
+from tancone.patch import build_patch, generator_set, good_subset
+from tancone.verify import all_triples, sweep
 
 
 @pytest.fixture
@@ -362,23 +363,61 @@ def staircase_by_definition(gens, nvars, m):
     ]
 
 
+def assert_staircases_match(raw, nvars, degrees, rng):
+    """``monomials_outside`` equals the definition at every degree, on the
+    minimal generators of ``raw``, on a shuffled list padded with
+    multiples and duplicates, and on that list as an iterator."""
+    minimal = minimal_monomial_generators(raw)
+    padded = minimal + raw + [
+        tuple(x + y for x, y in zip(g, random_monomial(rng, nvars, max_exp=1)))
+        for g in minimal
+    ]
+    padded += padded[:2]
+    rng.shuffle(padded)
+    for m in degrees:
+        expected = staircase_by_definition(raw, nvars, m)
+        assert monomials_outside(minimal, nvars, m) == expected, (raw, m)
+        assert monomials_outside(padded, nvars, m) == expected, (raw, m)
+        assert monomials_outside(iter(padded), nvars, m) == expected, (raw, m)
+
+
 @pytest.mark.parametrize("nvars", [3, 4, 5, 6])
 def test_staircase_does_not_depend_on_the_generating_set(nvars):
     rng = random.Random(nvars)
     for _ in range(6):
         raw = [random_monomial(rng, nvars, max_exp=2) for _ in range(rng.randint(1, 5))]
-        minimal = minimal_monomial_generators(raw)
-        padded = minimal + raw + [
-            tuple(x + y for x, y in zip(g, random_monomial(rng, nvars, max_exp=1)))
-            for g in minimal
-        ]
-        padded += padded[:2]
-        rng.shuffle(padded)
-        for m in range(5):
-            expected = staircase_by_definition(raw, nvars, m)
-            assert monomials_outside(minimal, nvars, m) == expected, (raw, m)
-            assert monomials_outside(padded, nvars, m) == expected, (raw, m)
-            assert monomials_outside(iter(padded), nvars, m) == expected, (raw, m)
+        assert_staircases_match(raw, nvars, range(5), rng)
+
+
+def staircase_columns(d, sample=None, seed=0):
+    """The generator lists of both staircase columns, ``good_init`` and
+    ``init_ideal``, of every case at d or of a seeded sample of them,
+    built as ``verify_case`` builds them, with the patch's variable count."""
+    triples = all_triples(d)
+    if sample is not None:
+        triples = random.Random(seed).sample(triples, sample)
+    patches = {}
+    for alpha, beta, gamma in triples:
+        if beta not in patches:
+            patches[beta] = build_patch(beta, d)
+        gens = generator_set(alpha, gamma, patches[beta])
+        _, good = good_subset(gens)
+        init_ideal = initial_ideal_generators(reduced_groebner(gens.polys))
+        good_init = minimal_monomial_generators(g.leading_monomial() for g in good)
+        yield good_init, init_ideal, gens.ring.nvars
+
+
+@pytest.mark.parametrize(
+    "d, sample, max_m",
+    [(1, None, 6), (2, None, 6), (3, None, 6), (4, 24, 4), (5, 8, 4)],
+)
+def test_staircase_of_every_case_matches_the_definition(d, sample, max_m):
+    """Both columns' generator lists of every d <= 3 case up to degree 6, and
+    of a seeded d = 4 and d = 5 sample up to degree 4."""
+    rng = random.Random(d)
+    for good_init, init_ideal, nvars in staircase_columns(d, sample, seed=d):
+        for raw in (good_init, init_ideal):
+            assert_staircases_match(raw, nvars, range(max_m + 1), rng)
 
 
 @pytest.mark.parametrize(
@@ -396,6 +435,20 @@ def test_staircase_edge_cases_match_the_definition(gens, nvars):
     for m in range(6):
         expected = staircase_by_definition(gens, nvars, m)
         assert monomials_outside(gens, nvars, m) == expected, m
+
+
+@pytest.mark.parametrize(
+    "gens, nvars, m",
+    [
+        ([(300,)], 1, 300),  # exponents of two-byte fields
+        ([(301,)], 1, 300),
+        ([(120, 9), (0, 150)], 2, 200),
+        ([(127, 0, 0), (0, 128, 0), (1, 1, 1)], 3, 130),
+        ([(39999,)], 1, 40000),  # four-byte fields
+    ],
+)
+def test_staircase_at_exponents_wider_than_a_byte(gens, nvars, m):
+    assert monomials_outside(gens, nvars, m) == staircase_by_definition(gens, nvars, m)
 
 
 def test_minimal_monomial_generators():

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 import tancone.cli
 from tancone.cli import main
 from tancone.grid import multiset_from_json
+from tancone.indexsets import MAX_TABLE_MONOMIALS
 from tancone.patch import PatchMatrix, build_patch
 from tancone.verify import (
     PRIME_BOUND,
@@ -69,6 +70,14 @@ def test_casespec_validation():
         CaseSpec(2, (1, 2), (1, 3), (3, 4), max_degree=-1)
     case = CaseSpec.from_text(2, "1,2", "1,3", "3,4")
     assert case.p == 0
+    # the highest degree the degree-table bound admits at each d; it
+    # includes d = 4 at degree 10 and d = 7 at degree 6
+    highest = {1: 1_499_999, 2: 206, 3: 28, 4: 13, 5: 9, 6: 7, 7: 6, 8: 5}
+    for d, top in highest.items():
+        lowest = tuple(range(1, d + 1))
+        CaseSpec(d, lowest, lowest, lowest, max_degree=top)
+        with pytest.raises(ValueError, match="staircase monomials"):
+            CaseSpec(d, lowest, lowest, lowest, max_degree=top + 1)
 
 
 def test_triple_counts():
@@ -316,6 +325,19 @@ def test_cli_rejects_bad_input(capsys):
     ):
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == "error: d must be <= 8, got 9\n", argv
+    # a case whose degree tables would hold more than MAX_TABLE_MONOMIALS
+    # monomials is refused before any table is built
+    for argv, need in (
+        (["count", "--d", "2", "--alpha", "1,2", "--beta", "1,3", "--gamma", "3,4",
+          "--max-degree", "1000"], "max degree 1000 at d=2 needs 167668501"),
+        (["gb-verify", "--d", "3", "--alpha", "1,2,3", "--beta", "1,2,3",
+          "--gamma", "4,5,6", "--max-degree", "29"], "max degree 29 at d=3 needs 1623160"),
+        (["sweep", "--d", "4", "--max-degree", "14"], "max degree 14 at d=4 needs 1961256"),
+    ):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == (
+            f"error: {need} staircase monomials, more than {MAX_TABLE_MONOMIALS}\n"
+        ), argv
     assert main(["sweep", "--d", "1", "--max-degree", "1", "--field", "Fp:abc"]) == 2
     err = capsys.readouterr().err
     assert err == "error: field must be 'Q' or 'Fp:<p>', got 'Fp:abc'\n"
