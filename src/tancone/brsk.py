@@ -263,32 +263,6 @@ def _row_fact(p: tuple, q: tuple, sign: int, beta: Index, d: int):
     return v, epsilon_degree(v, d), p == star_set(q, d)
 
 
-def _row_value(r: Row, beta: Index, d: int) -> Index:
-    """The row's value at beta, from the row memo when it accepts the row,
-    else from ``bound_value``, which may raise."""
-    fact = _row_fact(r.p, r.q, r.sign, beta, d)
-    return bound_value(r.p, r.q, beta) if fact is None else fact[0]
-
-
-def delta_ends(t: NotchedBitableau, beta: Index) -> tuple[Index, Index]:
-    """``(delta[0], delta[-1])`` of the delta sequence
-    ``delta = definitions.delta_sequence(t, beta)``, read from the end
-    rows alone through the row memo: with an odd row count beta is wedged
-    after the negative rows, so it comes first when there are none and
-    last when every row is negative.  Both are beta for the empty
-    bitableau."""
-    beta = tuple(beta)
-    rows = t.rows
-    if not rows:
-        return beta, beta
-    d = len(beta)
-    # with an odd row count beta stands after the negative rows
-    wedge = [r.sign for r in rows].count(NEG) if len(rows) % 2 == 1 else -1
-    first = beta if wedge == 0 else _row_value(rows[0], beta, d)
-    last = beta if wedge == len(rows) else _row_value(rows[-1], beta, d)
-    return first, last
-
-
 def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
     """Semistandard, mirror-symmetric rows with paired grading and an
     even box count.
@@ -353,8 +327,9 @@ def _row_from_value(v: Index, beta: Index, sign: int) -> Row:
 
 def enumerate_on_starred(beta: Index, d: int, degree: int):
     """All on-starred bitableaux with the given box count, built directly
-    from their delta sequences (no insertion involved), in the
-    lexicographic order of their rows' indices in ``_starred_row_values``.
+    from their delta sequences (no insertion involved), as pairs
+    ``(bitableau, (first, last))`` of the first and last delta values, in
+    the order the search finds them.
 
     A delta sequence is a chain of pairs (a, b), a <= b in Bruhat order
     and of equal eps-degree, each starting at or above the previous b.
@@ -362,21 +337,23 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
     that does not follow itself, so it comes at most once.  Every NEG
     candidate lies below beta and every POS one above it, so the NEG rows
     come first, beta falls exactly between the blocks, and it is used
-    exactly when the row count is odd.  Every chain of whole pairs is
-    on-starred, so no prefix is dropped.  Which values may follow each
-    one, and which pairs start at each, are listed once per call.  Every
-    result is still certified by one full ``is_on_starred`` call, which
-    reads its row facts from a memo.
+    exactly when the row count is odd.  So ``first`` is the a of the
+    first pair and ``last`` the b of the last one, beta where the wedge
+    stands, and both are beta for the empty bitableau.  Every chain of
+    whole pairs is on-starred, so no prefix is dropped.  Which values may
+    follow each one, and which pairs start at each, are listed once per
+    call.  Every result is still certified by one full ``is_on_starred``
+    call, which reads its row facts from a memo.
     """
     if degree < 0 or degree % 2 == 1:
         return []
     beta = tuple(beta)
-    # values: (value, boxes, eps-degree, indices, rows, sign) of each
-    # candidate that fits in the box count; the wedge beta is last, adds
-    # neither an index nor a row, and has no sign
+    # values: (value, boxes, eps-degree, rows, sign) of each candidate that
+    # fits in the box count; the wedge beta is last, adds no row and has no
+    # sign
     values = [
-        (v, w, epsilon_degree(v, d), (i,), (_row_from_value(v, beta, s),), s)
-        for i, (v, w, s) in enumerate(_starred_row_values(beta, d))
+        (v, w, epsilon_degree(v, d), (_row_from_value(v, beta, s),), s)
+        for v, w, s in _starred_row_values(beta, d)
         if w <= degree
     ]
     wedge = len(values)
@@ -389,34 +366,38 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
         + ([wedge] if s == NEG else [])
         for v, w, *_, s in values
     ]
-    successors.append([j for j, u in enumerate(values) if u[5] == POS])
-    values.append((beta, 0, epsilon_degree(beta, d), (), (), None))
-    # pairs[i]: (boxes, last value, indices, rows) of each pair of equal
+    successors.append([j for j, u in enumerate(values) if u[4] == POS])
+    values.append((beta, 0, epsilon_degree(beta, d), (), None))
+    # pairs[i]: (boxes, last value's index, rows) of each pair of equal
     # eps-degree starting at value i
     pairs = [
         [
-            (w + values[j][1], j, key + values[j][3], rows + values[j][4])
+            (w + values[j][1], j, rows + values[j][3])
             for j in successors[i]
             if values[j][2] == e
         ]
-        for i, (_, w, e, key, rows, _) in enumerate(values)
+        for i, (_, w, e, rows, _) in enumerate(values)
     ]
     found = []
 
-    def extend(remaining, starts, key, rows):
-        # starts: the values the next pair may start at
+    def extend(remaining, starts, first, last, rows):
+        # starts: the values the next pair may start at; first and last:
+        # the ends of the delta sequence so far, beta twice when it is empty
         if remaining == 0:
             t = NotchedBitableau(rows=rows)
             if is_on_starred(t, beta, d):
-                found.append((key, t))
+                found.append((t, (first, last)))
             return
         for i in starts:
-            for boxes, j, pair_key, pair_rows in pairs[i]:
+            for boxes, j, pair_rows in pairs[i]:
                 if boxes <= remaining:
                     extend(
-                        remaining - boxes, successors[j], key + pair_key, rows + pair_rows
+                        remaining - boxes,
+                        successors[j],
+                        first if rows else values[i][0],
+                        values[j][0],
+                        rows + pair_rows,
                     )
 
-    extend(degree, range(len(values)), (), ())
-    found.sort(key=lambda kt: kt[0])
-    return [t for _, t in found]
+    extend(degree, range(len(values)), beta, beta, ())
+    return found

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .brsk import NotchedBitableau, brsk_inverse, brsk_map
@@ -44,6 +45,18 @@ def _write(text, out: str | None) -> None:
             fh.writelines(text)
     else:
         sys.stdout.writelines(text)
+
+
+def _check_writable(out: str | None) -> None:
+    """Raise OSError now, before any case is verified, if the file ``out``
+    cannot be opened for writing.  It is opened for appending, which
+    changes no file that exists, and removed again if this made it, so a
+    command whose arguments are rejected later leaves no file behind."""
+    if out:
+        made = not os.path.exists(out)
+        open(out, "a").close()
+        if made:
+            os.remove(out)
 
 
 def _case_from_args(args) -> CaseSpec:
@@ -220,6 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _check_writable(args.out)
         return args.func(args)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,7 +32,8 @@ same chain values), as products of the cells of one-sign supports of
 each size, which every degree reuses; standard monomials by recursion
 on their last pair through the table's own cache; and bitableaux by
 enumerating their delta sequences as chains of pairs of equal epsilon
-degree, grouped by their first and last delta values.
+degree, each counted under the first and last delta values that its
+chain was built from.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .brsk import delta_ends, enumerate_on_starred
+from .brsk import enumerate_on_starred
 from .grid import chain_parts, double_multiset, multiset_chain_values, upper_points
 from .indexsets import (
     MAX_TABLE_MONOMIALS,
@@ -258,14 +259,11 @@ def _sign_supports(beta: Index, d: int, points: tuple, size: int):
 def _bitableau_profiles(beta: Index, d: int, m: int):
     """On-starred bitableaux with 2m boxes as cells ``((first, last),
     count)``: the first and last delta values, and how many bitableaux
-    have them (the meet and join of the increasing delta sequence).  They
-    are enumerated by ``enumerate_on_starred``, which builds each delta
-    sequence as a chain of pairs of equal epsilon degree, and grouped by
-    ``delta_ends``, which reads the two values off the end rows and
-    gives ``(beta, beta)`` for the empty bitableau (m = 0)."""
-    cells: Counter = Counter()
-    for t in enumerate_on_starred(beta, d, 2 * m):
-        cells[delta_ends(t, beta)] += 1
+    have them (the meet and join of the increasing delta sequence).
+    ``enumerate_on_starred`` builds each delta sequence as a chain of
+    pairs of equal epsilon degree and returns each bitableau with those
+    two values, ``(beta, beta)`` for the empty one (m = 0)."""
+    cells = Counter(ends for _, ends in enumerate_on_starred(beta, d, 2 * m))
     return tuple(cells.items())
 
 

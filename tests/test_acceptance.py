@@ -258,7 +258,7 @@ def test_brsk_bijection():
                             t, a, g, beta
                         )
                 ok &= len(images) == count  # injectivity
-                ok &= images == set(enumerate_on_starred(beta, d, degree))  # onto
+                ok &= images == {t for t, _ in enumerate_on_starred(beta, d, degree)}  # onto
     announce("bounded correspondence is a degree-preserving bijection onto the "
              "mirror-symmetric bitableaux (exhaustive, degree <= 4, d <= 3)", ok)
 
@@ -281,7 +281,7 @@ def test_injection_theorems():
                     doubled.add(key)
             for degree in (2, 4):
                 halved = set()
-                for t in enumerate_on_starred(beta, d, degree):
+                for t, _ in enumerate_on_starred(beta, d, degree):
                     pairs = halving_injection(t, beta, d)
                     ok &= 2 * monomial_degree(pairs, beta) == degree  # degree halves
                     key = tuple((w.top, w.bot) for w in pairs)

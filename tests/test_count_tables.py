@@ -281,7 +281,7 @@ def test_standard_cells_cold_at_high_degree():
         _standard_chains.cache_clear()
 
 
-@pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 3)])
+@pytest.mark.parametrize("d, top", [(1, 6), (2, 6), (3, 6)])
 def test_bitableau_cells_group_the_enumeration(d, top):
     for beta in enumerate_indices(d):
         for m in range(top + 1):

@@ -44,8 +44,6 @@ FAST_PATHS = (
     ("standard_monomials", "_standard_chains"),
     ("verify", "_sign_supports"),
     ("brsk", "enumerate_on_starred"),
-    ("brsk", "delta_ends"),
-    ("brsk", "_row_value"),
     ("brsk", "_row_fact"),
 )
 

@@ -118,7 +118,7 @@ def test_halving_injection_laws(d):
     for beta in enumerate_indices(d):
         for degree in (2, 4):
             seen = {}
-            for t in enumerate_on_starred(beta, d, degree):
+            for t, _ in enumerate_on_starred(beta, d, degree):
                 pairs = halving_injection(t, beta, d)
                 assert 2 * monomial_degree(pairs, beta) == t.degree()
                 key = tuple((w.top, w.bot) for w in pairs)

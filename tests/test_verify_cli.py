@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tancone.cli
+import tancone.verify
 from tancone.cli import main
 from tancone.grid import multiset_from_json
 from tancone.indexsets import MAX_TABLE_MONOMIALS
@@ -309,6 +310,39 @@ def test_cli_reports_deep_recursion_as_error(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "recursion" in err
+
+
+def test_unwritable_out_is_rejected_before_any_case_is_verified(
+    tmp_path, monkeypatch, capsys
+):
+    """An --out that cannot be opened exits 2 before the first case is
+    verified, and a rejected argument leaves no file behind and an
+    existing one as it was."""
+
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a case was verified")
+
+    monkeypatch.setattr(tancone.cli, "verify_case", unreachable)
+    monkeypatch.setattr(tancone.verify, "verify_case", unreachable)
+    case = ["--alpha", "1,2", "--beta", "1,3", "--gamma", "3,4"]
+    commands = (
+        ["sweep", "--d", "2"],
+        ["count", "--d", "2", *case],
+        ["gb-verify", "--d", "2", *case],
+    )
+    for command in commands:
+        for out in (tmp_path / "missing" / "r.json", tmp_path):
+            assert main([*command, "--out", str(out)]) == 2, (command, out)
+            assert capsys.readouterr().err.startswith("error: [Errno"), (command, out)
+    assert not (tmp_path / "missing").exists()
+    kept = tmp_path / "kept.json"
+    kept.write_text("old report\n")
+    for command in commands:
+        for out in (tmp_path / "new.json", kept):
+            assert main([*command, "--max-degree", "-1", "--out", str(out)]) == 2
+            assert "max degree" in capsys.readouterr().err, command
+    assert sorted(tmp_path.iterdir()) == [kept]
+    assert kept.read_text() == "old report\n"
 
 
 def test_cli_rejects_bad_input(capsys):
