@@ -172,11 +172,11 @@ def json_field(obj, key: str, what: str):
 
 
 def json_int(value, what: str) -> int:
-    """``value`` as an int; ValueError naming ``what`` when it is not one."""
-    try:
-        return int(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+    """``value`` when it is a JSON integer; ValueError naming ``what`` for
+    anything else, a float, a boolean or a numeric string included."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def multiset_from_json(items) -> Multiset:

@@ -1,6 +1,10 @@
 """Affine patch at a fixed point: coordinate matrix, minors, the
 tangent-cone ideal generators, and the distinguished Groebner set.
 
+A generator and the fact of its initial chain depend only on the orbit
+representative and the fixed point, so the patch holds one memo entry
+per representative, shared by every case verified on it.
+
 The patch matrix is 2d x d with identity rows on beta; the remaining
 entries are the upper-region coordinates, with each strictly-lower
 position (r, c) identified to +/- the mirrored coordinate X(c*, r*).
@@ -53,9 +57,8 @@ class PatchMatrix:
     Beta's rows are the identity; ``signed_vars`` holds every other entry
     as the (variable index, sign) it is built from, which is what
     ``minor`` reads (``definitions.patch_entries`` builds the explicit
-    matrix).  Each theta's minor is memoized raw, and beside it scaled to initial coefficient 1 with its
-    divisor record (``monic_minor``) and the fact of its initial chain
-    (``chain_fact``), so none of them is computed twice on one patch.
+    matrix).  ``generator`` memoizes each theta's monic minor and chain
+    fact together, so neither is computed twice on one patch.
     """
 
     def __init__(self, beta: Index, d: int, ring: PolyRing):
@@ -63,9 +66,7 @@ class PatchMatrix:
         self.d = d
         self.ring = ring
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
-        self._minors: dict[Index, Poly] = {}
-        self._monic_minors: dict[Index, Poly] = {}
-        self._chain_facts: dict[Index, tuple[bool, Index] | None] = {}
+        self._generators: dict[Index, tuple[Poly, tuple[bool, Index] | None]] = {}
         for r in range(1, 2 * d + 1):
             if r in self.beta:
                 continue
@@ -81,14 +82,8 @@ class PatchMatrix:
 
         Those rows lie outside beta, so every entry used is +/- one
         variable, and the Leibniz sum runs over ``signed_vars`` with
-        integer signs.  The result is memoized per theta on this matrix,
-        so every case verified on this patch shares it; the returned
-        polynomial must not be mutated.
+        integer signs.  Built afresh on every call.
         """
-        theta = tuple(theta)
-        cached = self._minors.get(theta)
-        if cached is not None:
-            return cached
         rows = sorted(set(theta) - set(self.beta))
         cols = sorted(set(self.beta) - set(theta))
         if len(rows) != len(cols):
@@ -103,38 +98,28 @@ class PatchMatrix:
                 sign *= s
             mono = tuple(exps)
             acc[mono] = acc.get(mono, 0) + sign
-        result = self.ring.poly(acc)
-        self._minors[theta] = result
-        return result
+        return self.ring.poly(acc)
 
-    def monic_minor(self, theta: Index) -> Poly:
-        """``minor(theta)`` scaled to initial coefficient 1, memoized beside
-        it; the minor itself when it already is monic.  A minor is
-        homogeneous of degree |theta - beta|, so it is scaled and given its
-        divisor record in one step (``Poly.monic_homogeneous``)."""
+    def generator(self, theta: Index) -> tuple[Poly, tuple[bool, Index] | None]:
+        """(monic minor, chain fact) of theta, memoized; the polynomial
+        must not be mutated.  The minor is homogeneous, so it is scaled to
+        initial coefficient 1 and given its divisor record in one step
+        (``Poly.monic_homogeneous``).  The fact is (whether every point is
+        positive, chain value at beta) of its initial chain when that
+        chain is one-signed, else None (no chain, or a mixed-sign one)."""
         theta = tuple(theta)
-        monic = self._monic_minors.get(theta)
-        if monic is None:
-            monic = self._monic_minors[theta] = self.minor(theta).monic_homogeneous()
-        return monic
-
-    def chain_fact(self, theta: Index) -> tuple[bool, Index] | None:
-        """(whether every point is positive, chain value at beta) of the
-        initial chain of ``monic_minor(theta)`` when that chain is
-        one-signed, else None (no chain, or a mixed-sign one); memoized
-        beside the monic minor."""
-        theta = tuple(theta)
-        if theta in self._chain_facts:
-            return self._chain_facts[theta]
-        fact = None
-        ch = initial_chain(self.monic_minor(theta))
-        if ch is not None:
-            assert all(is_upper(q, self.d) for q in ch)
-            signs = {is_positive(q) for q in ch}
-            if len(signs) == 1:
-                fact = (signs.pop(), chain_value(ch, self.beta))
-        self._chain_facts[theta] = fact
-        return fact
+        entry = self._generators.get(theta)
+        if entry is None:
+            f = self.minor(theta).monic_homogeneous()
+            fact = None
+            ch = initial_chain(f)
+            if ch is not None:
+                assert all(is_upper(q, self.d) for q in ch)
+                signs = {is_positive(q) for q in ch}
+                if len(signs) == 1:
+                    fact = (signs.pop(), chain_value(ch, self.beta))
+            entry = self._generators[theta] = (f, fact)
+        return entry
 
 
 @lru_cache(maxsize=None)
@@ -151,16 +136,16 @@ def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 
 def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:
-    """A fresh patch at e_beta over Q (p = 0) or F_p, with an empty minor memo."""
-    if not is_isotropic(beta, d):
-        raise ValueError(f"{beta} is not isotropic")
+    """A fresh patch at e_beta over Q (p = 0) or F_p, with an empty memo.
+    A beta that is not isotropic is refused by the ring's grid
+    (``grid.grid_points``) before the matrix is built."""
     return PatchMatrix(beta, d, PolyRing.for_patch(beta, d, p=p))
 
 
 def pair_minor(matrix: PatchMatrix, pair: AdmissiblePair) -> Poly:
     """f attached to an admissible pair: the minor of the lex-smaller
     orbit representative, scaled to initial coefficient 1."""
-    return matrix.monic_minor(pair.rep)
+    return matrix.generator(pair.rep)[0]
 
 
 @dataclass
@@ -168,10 +153,7 @@ class GeneratorSet:
     """Eq-style generating set of the tangent-cone ideal on the patch."""
 
     alpha: Index
-    beta: Index
     gamma: Index
-    d: int
-    ring: PolyRing
     matrix: PatchMatrix
     pairs: list[AdmissiblePair]
     polys: list[Poly]
@@ -190,10 +172,7 @@ def generator_set(alpha: Index, gamma: Index, patch: PatchMatrix) -> GeneratorSe
             polys.append(pair_minor(patch, pair))
     return GeneratorSet(
         alpha=tuple(alpha),
-        beta=beta,
         gamma=tuple(gamma),
-        d=d,
-        ring=patch.ring,
         matrix=patch,
         pairs=pairs,
         polys=polys,
@@ -222,13 +201,13 @@ def good_subset(gens: GeneratorSet) -> tuple[list[AdmissiblePair], list[Poly]]:
     upper chain violating the matching bound: a positive chain whose
     value is not at or below gamma, or a negative one whose value is not
     at or above alpha.  Each generator's chain fact is read from the
-    patch (``PatchMatrix.chain_fact``), so a case makes one Bruhat test
+    patch (``PatchMatrix.generator``), so a case makes one Bruhat test
     per generator with a one-signed chain."""
     patch, alpha, gamma = gens.matrix, gens.alpha, gens.gamma
     good_pairs = []
     good_polys = []
     for pair, f in zip(gens.pairs, gens.polys):
-        fact = patch.chain_fact(pair.rep)
+        fact = patch.generator(pair.rep)[1]
         if fact is None:
             continue
         positive, value = fact

@@ -99,9 +99,6 @@ class PolyRing:
                 out[tuple(m)] = c
         return Poly(self, out)
 
-    def monomial(self, exps) -> "Poly":
-        return Poly(self, {tuple(exps): self.coeff(1)})
-
     # -- rendering ----------------------------------------------------------
 
     def var_name(self, i: int) -> str:

@@ -13,7 +13,7 @@ of the distinguished set's initial monomials, and tabulates per degree m:
 
 Everything that depends on the fixed point alone is shared by every
 (alpha, gamma) above it: ``sweep`` verifies one beta at a time on one
-patch, whose minor memo goes when that beta is done, and the per-beta
+patch, whose generator memo goes when that beta is done, and the per-beta
 count tables are cached by beta.
 
 The three count tables share one contract: ``table(beta, d, m)`` holds
@@ -330,7 +330,7 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
             f"does not fit the case at beta={format_index(case.beta)}, d={d}, p={case.p}"
         )
     gens = generator_set(case.alpha, case.gamma, patch)
-    ring = gens.ring
+    ring = patch.ring
     _, good_polys = good_subset(gens)
 
     groebner = reduced_groebner(gens.polys)

@@ -36,11 +36,11 @@ def good_subset_oracle(gens):
         ch = initial_chain(f)
         if ch is None:
             continue
-        assert all(is_upper(q, gens.d) for q in ch)
+        assert all(is_upper(q, gens.matrix.d) for q in ch)
         signs = {is_positive(q) for q in ch}
         if len(signs) != 1:
             continue
-        value = chain_value(ch, gens.beta)
+        value = chain_value(ch, gens.matrix.beta)
         if signs == {True}:
             if not bruhat_leq(value, gens.gamma):
                 good_pairs.append(pair)
@@ -159,7 +159,6 @@ def test_minor_matches_cofactor_oracle(d):
             cols = sorted(set(beta) - set(theta))
             f = m.minor(theta)
             assert f == cofactor_det(entries, rows, cols, m.ring), (p, beta, theta)
-            assert m.minor(theta) is f
 
 
 def test_minor_memo_is_per_patch():
@@ -171,7 +170,6 @@ def test_minor_memo_is_per_patch():
                 f0, f3 = m0.minor(theta), m3.minor(theta)
                 assert f0 is not f3
                 assert f0.ring is m0.ring and f3.ring is m3.ring
-                assert m0.minor(theta) is f0 and m3.minor(theta) is f3
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -205,14 +203,15 @@ def test_pair_minor_shares_the_memoized_minor_when_already_monic():
     m = build_patch((1, 3), 2)
     shared = scaled = 0
     for pair in admissible_pairs(2):
-        minor = m.minor(pair.rep)
+        minor = m.minor(pair.rep)  # built afresh: minor() keeps no memo
         f = pair_minor(m, pair)
         if minor.initial_term()[1] == 1:
-            assert f.terms is m.minor(pair.rep).terms
+            assert minor.monic_homogeneous().terms is minor.terms
             shared += 1
         else:
             assert f.initial_term()[1] == 1 and f.terms is not minor.terms
-            assert minor.initial_term()[1] == -1  # the memo is left as it was
+            assert minor.monic_homogeneous().terms is not minor.terms
+            assert minor.initial_term()[1] == -1  # scaled into a copy, not in place
             scaled += 1
     assert shared and scaled
 
@@ -240,17 +239,20 @@ def test_monic_homogeneous_leaves_a_zero_polynomial_as_monic_does():
 
 
 def test_chain_facts_are_per_patch():
-    """Two patches at one beta keep their own chain facts, each read off
-    their own monic minors."""
+    """Two patches at one beta keep their own generator memos, each chain
+    fact read off the monic minor stored beside it."""
     beta, d = (1, 3, 5), 3
     m1, m2 = build_patch(beta, d), build_patch(beta, d)
-    assert m1._chain_facts is not m2._chain_facts
+    assert m1._generators is not m2._generators
     for pair in admissible_pairs(d):
-        m1.chain_fact(pair.rep)
-    assert m1._chain_facts and not m2._chain_facts
+        m1.generator(pair.rep)
+    assert m1._generators and not m2._generators
     for pair in admissible_pairs(d):
-        assert m2.chain_fact(pair.rep) == m1.chain_fact(pair.rep)
-    assert m1._chain_facts.keys() == m2._chain_facts.keys()
+        f2, fact2 = m2.generator(pair.rep)
+        f1, fact1 = m1.generator(pair.rep)
+        assert fact2 == fact1 and f2 == f1 and f2 is not f1
+        assert m1.generator(pair.rep)[0] is f1 is pair_minor(m1, pair)
+    assert m1._generators.keys() == m2._generators.keys()
 
 
 def _assert_good_subset_matches_oracle(alpha, beta, gamma, patch):
@@ -279,7 +281,7 @@ def test_good_subset_matches_oracle_on_a_d5_sample():
 
 def test_generator_set_point_case():
     gens = generator_set((1, 3), (1, 3), build_patch((1, 3), 2))
-    ring = gens.ring
+    ring = gens.matrix.ring
     X41, X21, X23 = (ring.gen(v) for v in ring.variables)
     assert set(map(str, gens.polys)) == {
         "X(2,3)",
@@ -331,7 +333,7 @@ def test_initial_chain_classification():
     mixed = by_str["X(4,1)*X(2,3) + X(2,1)^2"]
     ch = initial_chain(mixed)
     assert ch == ((4, 1), (2, 3))  # a chain, but mixed-sign
-    ring = gens.ring
+    ring = gens.matrix.ring
     X21 = ring.gen((2, 1))
     assert initial_chain(X21 * X21) is None  # not squarefree
 
@@ -369,7 +371,7 @@ def test_point_substitution_oracle(d):
     for a, b, g in all_triples(d):
         gens = generator_set(a, g, build_patch(b, d))
         for bp in enumerate_indices(d):
-            coords = fixed_point_coords(bp, b, d, gens.ring)
+            coords = fixed_point_coords(bp, b, d, gens.matrix.ring)
             vanishes = all(eval_at(f, coords) == 0 for f in gens.polys)
             in_variety = all(
                 bruhat_leq(a, mix) and bruhat_leq(mix, g)

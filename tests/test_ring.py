@@ -404,7 +404,7 @@ def staircase_columns(d, sample=None, seed=0):
         _, good = good_subset(gens)
         init_ideal = initial_ideal_generators(reduced_groebner(gens.polys))
         good_init = minimal_monomial_generators(g.leading_monomial() for g in good)
-        yield good_init, init_ideal, gens.ring.nvars
+        yield good_init, init_ideal, gens.matrix.ring.nvars
 
 
 @pytest.mark.parametrize(

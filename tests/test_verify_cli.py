@@ -310,6 +310,13 @@ def test_cli_reports_deep_recursion_as_error(capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "recursion" in err
+    # JSON nested past the limit reaches the same handler through the parser
+    nested = "[" * 100_000
+    for flags in ([], ["--inverse"]):
+        assert main(["brsk", "--d", "2", "--beta", "1,3", *flags, "--input", nested]) == 2
+        assert capsys.readouterr().err == (
+            "error: input too large: maximum recursion depth exceeded\n"
+        ), flags
 
 
 def test_unwritable_out_is_rejected_before_any_case_is_verified(
@@ -387,6 +394,11 @@ def test_cli_rejects_bad_input(capsys):
         (["--inverse"], "{}"),
         (["--inverse"], '{"rows":[{"P":[1]}]}'),
         (["--inverse"], "[1]"),
+        # only JSON integers are integers: no float, boolean or numeric string
+        ([], '[{"r":2.7,"c":1,"mult":1}]'),
+        ([], '[{"r":2,"c":1,"mult":true}]'),
+        ([], '[{"r":"2","c":1,"mult":1}]'),
+        (["--inverse"], '{"rows":[{"P":[2.9],"Q":[1.2],"sign":"pos"}]}'),
     ]
     for flags, text in malformed_json:
         assert main(["brsk", "--d", "2", "--beta", "1,3", *flags, "--input", text]) == 2, text
