@@ -233,7 +233,7 @@ def brsk_inverse(t: NotchedBitableau, beta: Index, d: int) -> Multiset:
 # are memoized once, keyed by the entry tuples (hashed and compared in C)
 # rather than by the Row.  A sweep asks each candidate row under its own
 # sign only, so the memo holds every candidate row of one beta up to
-# d = 10 (2^d - 1 rows).
+# indexsets.MAX_D = 8 (2^d - 1 = 255 rows) with room to spare.
 _ROW_MEMO_SIZE = 1024
 
 

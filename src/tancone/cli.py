@@ -19,6 +19,7 @@ import sys
 from .brsk import NotchedBitableau, brsk_inverse, brsk_map
 from .grid import grid_points, multiset_from_json, multiset_to_json
 from .indexsets import (
+    MAX_BRSK_BOXES,
     admissible_pairs,
     enumerate_indices,
     format_index,
@@ -134,16 +135,28 @@ def _require_grid_points(m, beta, d) -> None:
             )
 
 
+def _require_brsk_size(what: str, size: int) -> None:
+    """ValueError, before any insertion, when ``size`` exceeds MAX_BRSK_BOXES."""
+    if size > MAX_BRSK_BOXES:
+        raise ValueError(
+            f"{what} {size} is more than {MAX_BRSK_BOXES}: "
+            "bounded insertion is quadratic in the boxes"
+        )
+
+
 def cmd_brsk(args) -> int:
     beta = parse_index(args.beta, args.d)
     data = json.loads(args.input) if args.input else json.load(sys.stdin)
     if args.inverse:
         t = NotchedBitableau.from_json(data)
+        _require_brsk_size("box count", t.degree())
+        _require_brsk_size("row count", len(t.rows))
         m = brsk_inverse(t, beta, args.d)
         _require_grid_points(m, beta, args.d)
         _write(json.dumps(multiset_to_json(m), indent=2) + "\n", args.out)
     else:
         m = multiset_from_json(data)
+        _require_brsk_size("total multiplicity", sum(m.values()))
         _require_grid_points(m, beta, args.d)
         t = brsk_map(m, beta, args.d)
         _write(json.dumps(t.to_json(), indent=2) + "\n", args.out)

@@ -42,7 +42,7 @@ from .indexsets import (
 )
 from .patch import PatchMatrix, pair_minor
 from .ring import Poly, monomials_outside, normal_form
-from .standard_monomials import pair_is_plain
+from .verify import pair_is_plain
 
 # ---------------------------------------------------------------------------
 # the grid: special multisets and chains

@@ -19,6 +19,12 @@ Index = tuple[int, ...]
 # 10 s and 280 MB, and d = 9 is not measured
 MAX_D = 8
 
+# the most boxes ``brsk`` takes, as the total multiplicity of a multiset or
+# the boxes of a bitableau (and its rows, as an empty row costs as much to
+# scan): bounded insertion is quadratic in the boxes, and the slowest input
+# admitted, one point repeated 1,000 times, takes about 1 s to invert
+MAX_BRSK_BOXES = 1000
+
 # the most degree-m monomials, over m = 0..max_degree, that one case may
 # ask for: C(n + max_degree, n) with n = d(d+1)/2 patch variables, which
 # the staircase keeps as degree tables for the whole run.  It admits d = 4

@@ -319,9 +319,10 @@ def _buchberger(gens) -> list[Poly]:
     Pending pairs wait in a heap of (degree of lcm, lcm, i, j), so the
     pair popped next is the one with the least lcm in the term order,
     ties broken by (i, j).  Each lcm is computed once, when its pair is
-    pushed, from the leading monomials kept in ``leads`` beside the basis.
-    Every other lead, in the sorts, the minimalization and ``monic``, is
-    read from the polynomial's divisor record, built once per ``Poly``.
+    pushed, from the leading monomials kept in ``leads`` beside the basis,
+    which the minimalization reads too.  Every other lead, in the sort
+    and ``monic``, is read from the polynomial's divisor record, built
+    once per ``Poly``.
     """
     if not gens:
         return []
@@ -354,13 +355,10 @@ def _buchberger(gens) -> list[Poly]:
             leads.append(g.leading_monomial())
             push_pairs(len(basis) - 1)
 
-    # minimalize
-    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
-    minimal: list[Poly] = []
-    for g in basis:
-        lm = g.leading_monomial()
-        if not any(mono_divides(h.leading_monomial(), lm) for h in minimal):
-            minimal.append(g)
+    # minimalize: every element is a nonzero normal form modulo the ones
+    # before it, so the leads are distinct and name their element
+    by_lead = dict(zip(leads, basis))
+    minimal = [by_lead[lm] for lm in minimal_monomial_generators(leads)]
     # interreduce tails
     reduced = []
     for idx, g in enumerate(minimal):
@@ -381,12 +379,6 @@ def minimal_monomial_generators(monos) -> list[tuple]:
         if not any(mono_divides(g, m) for g in minimal):
             minimal.append(m)
     return minimal
-
-
-def initial_ideal_generators(groebner_basis) -> list[tuple]:
-    return minimal_monomial_generators(
-        g.leading_monomial() for g in groebner_basis if g.terms
-    )
 
 
 def monomials_of_degree(nvars: int, m: int):

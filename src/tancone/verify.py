@@ -51,7 +51,9 @@ from .brsk import enumerate_on_starred
 from .grid import chain_parts, double_multiset, multiset_chain_values, upper_points
 from .indexsets import (
     MAX_TABLE_MONOMIALS,
+    AdmissiblePair,
     Index,
+    admissible_pairs,
     bruhat_leq,
     enumerate_indices,
     format_index,
@@ -59,13 +61,7 @@ from .indexsets import (
     parse_index,
 )
 from .patch import FORM_LABEL, PatchMatrix, build_patch, generator_set, good_subset
-from .ring import (
-    initial_ideal_generators,
-    minimal_monomial_generators,
-    monomials_outside,
-    reduced_groebner,
-)
-from .standard_monomials import _standard_chains
+from .ring import minimal_monomial_generators, monomials_outside, reduced_groebner
 
 SCHEMA = "tancone/1"
 
@@ -267,6 +263,52 @@ def _bitableau_profiles(beta: Index, d: int, m: int):
     return tuple(cells.items())
 
 
+def pair_is_plain(pair: AdmissiblePair, beta: Index) -> bool:
+    """Not (beta, beta), and beta is above the top or below the bottom."""
+    if pair.top == tuple(beta) and pair.bot == tuple(beta):
+        return False
+    return bruhat_leq(pair.top, beta) or bruhat_leq(beta, pair.bot)
+
+
+# lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
+@lru_cache(maxsize=None)
+def _standard_chains(beta: Index, d: int, m: int):
+    """Standard monomials of degree m as cells ``((bot of first, top of
+    last), count)``; the empty one (m = 0) has neither end, and its cell
+    is ``((beta, beta), 1)``.
+
+    A standard monomial is a weakly increasing sequence of admissible
+    pairs (consecutively top(w_i) <= bot(w_{i+1})), each plain
+    (``pair_is_plain``); it lies on the variety when alpha <= bot of the
+    first pair and top of the last pair <= gamma, the meet of the bots
+    and the join of the tops, which rise along the sequence.  Its degree
+    is the sum of the pairs' beta-degrees, positive for every plain pair.
+
+    A sequence of degree m that ends in the pair w is (w) alone, or one
+    of degree m - deg(w) whose last top is <= bot(w), extended by w.
+    Whether w may follow reads only that last top, so the cells of lower
+    degree, taken through this function's cache, are the whole state.
+    A cold call fills the lower degrees in ascending order first, so the
+    recursion stays two calls deep whatever m is.
+    """
+    if m == 0:
+        return (((beta, beta), 1),)
+    for lower in range(1, m):
+        _standard_chains(beta, d, lower)
+    cells: Counter = Counter()
+    for w in admissible_pairs(d):
+        if not pair_is_plain(w, beta):
+            continue
+        wdeg = w.beta_degree(beta)
+        if wdeg == m:
+            cells[(w.bot, w.top)] += 1
+        elif 0 < wdeg < m:
+            for (bot, top), count in _standard_chains(beta, d, m - wdeg):
+                if bruhat_leq(top, w.bot):
+                    cells[(bot, w.top)] += count
+    return tuple(cells.items())
+
+
 class _LazyTests(dict):
     """A lazy dict from a value to ``test(value)``, each computed on first
     lookup."""
@@ -333,8 +375,8 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
     ring = patch.ring
     _, good_polys = good_subset(gens)
 
-    groebner = reduced_groebner(gens.polys)
-    init_ideal = initial_ideal_generators(groebner)
+    # the reduced basis is minimal and sorted by ascending lead
+    init_ideal = [g.leading_monomial() for g in reduced_groebner(gens.polys)]
     good_init = minimal_monomial_generators(
         g.leading_monomial() for g in good_polys
     )
@@ -387,8 +429,9 @@ def sweep(
 
     Cases are verified one fixed point at a time, on one patch per beta,
     the fixed points with the most cases first; with ``jobs`` > 1 whole
-    fixed points go to a pool of that many worker processes.  Verdicts
-    come back in the lex order of the triples.
+    fixed points go to a pool of that many worker processes, but never
+    more than there are fixed points.  Verdicts come back in the lex
+    order of the triples.
     """
     if sample is not None and sample < 1:
         raise ValueError(f"sample must be >= 1, got {sample}")
@@ -408,10 +451,12 @@ def sweep(
     # the largest fixed points first, so that no large one starts last in a pool
     positions = sorted(by_beta.values(), key=len, reverse=True)
     groups = [[cases[i] for i in indices] for indices in positions]
-    if jobs > 1:
+    # a pool forks all its workers on the first submit
+    workers = min(jobs, len(groups))
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_verify_fixed_point, groups))
     else:
         results = map(_verify_fixed_point, groups)

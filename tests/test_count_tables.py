@@ -44,7 +44,6 @@ from tancone.grid import (
     upper_points,
 )
 from tancone.indexsets import bruhat_leq, enumerate_indices
-from tancone.standard_monomials import _standard_chains
 from tancone.verify import (
     _bitableau_profiles,
     _bruhat_tests,
@@ -54,6 +53,7 @@ from tancone.verify import (
     _count_standard,
     _sign_supports,
     _special_profiles,
+    _standard_chains,
     all_triples,
 )
 

@@ -30,7 +30,7 @@ ROOT = ("cli", "main")
 COLUMN_ENTRIES = (
     ("verify", "_special_profiles"),
     ("verify", "_bitableau_profiles"),
-    ("standard_monomials", "_standard_chains"),
+    ("verify", "_standard_chains"),
     ("ring", "monomials_outside"),
 )
 GROEBNER_ENTRIES = (
@@ -41,7 +41,7 @@ GROEBNER_ENTRIES = (
 FAST_PATHS = (
     ("verify", "_special_profiles"),
     ("verify", "_bitableau_profiles"),
-    ("standard_monomials", "_standard_chains"),
+    ("verify", "_standard_chains"),
     ("verify", "_sign_supports"),
     ("brsk", "enumerate_on_starred"),
     ("brsk", "_row_fact"),

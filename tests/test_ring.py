@@ -12,7 +12,6 @@ from tancone._kernel_py import _inv, mono_div, mono_mul
 from tancone.ring import (
     Poly,
     PolyRing,
-    initial_ideal_generators,
     minimal_monomial_generators,
     monomials_of_degree,
     monomials_outside,
@@ -298,7 +297,7 @@ def test_spoly_pairs_all_reduce_to_zero(ring13):
 
 def test_initial_ideal_and_staircase(ring13):
     X41, X21, X23 = (ring13.gen(v) for v in ring13.variables)
-    gens = initial_ideal_generators([X21, X23, X41])
+    gens = minimal_monomial_generators(g.leading_monomial() for g in [X21, X23, X41])
     assert len(monomials_outside(gens, 3, 1)) == 0
     assert len(monomials_outside([], 3, 2)) == 6
     lm = (X23 * X41).leading_monomial()
@@ -402,7 +401,9 @@ def staircase_columns(d, sample=None, seed=0):
             patches[beta] = build_patch(beta, d)
         gens = generator_set(alpha, gamma, patches[beta])
         _, good = good_subset(gens)
-        init_ideal = initial_ideal_generators(reduced_groebner(gens.polys))
+        init_ideal = minimal_monomial_generators(
+            g.leading_monomial() for g in reduced_groebner(gens.polys)
+        )
         good_init = minimal_monomial_generators(g.leading_monomial() for g in good)
         yield good_init, init_ideal, gens.matrix.ring.nvars
 
@@ -418,6 +419,24 @@ def test_staircase_of_every_case_matches_the_definition(d, sample, max_m):
     for good_init, init_ideal, nvars in staircase_columns(d, sample, seed=d):
         for raw in (good_init, init_ideal):
             assert_staircases_match(raw, nvars, range(max_m + 1), rng)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d, sample", [(1, None), (2, None), (3, None), (4, 200)])
+def test_reduced_basis_leads_are_the_minimal_generators(d, sample, p):
+    """``verify_case`` reads the initial ideal as the leads of the reduced
+    basis: over Q, F_2 and F_3, for every d <= 3 case and a seeded d = 4
+    sample, they are already minimal and in ascending ``mono_key`` order."""
+    triples = all_triples(d)
+    if sample is not None:
+        triples = random.Random(d).sample(triples, sample)
+    patches = {}
+    for alpha, beta, gamma in triples:
+        if beta not in patches:
+            patches[beta] = build_patch(beta, d, p)
+        gens = generator_set(alpha, gamma, patches[beta])
+        leads = [g.leading_monomial() for g in reduced_groebner(gens.polys)]
+        assert leads == minimal_monomial_generators(leads)
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,7 @@ import tancone.cli
 import tancone.verify
 from tancone.cli import main
 from tancone.grid import multiset_from_json
-from tancone.indexsets import MAX_TABLE_MONOMIALS
+from tancone.indexsets import MAX_BRSK_BOXES, MAX_TABLE_MONOMIALS
 from tancone.patch import PatchMatrix, build_patch
 from tancone.verify import (
     PRIME_BOUND,
@@ -267,6 +267,37 @@ def test_cli_brsk_round_trip(capsys):
         {"r": 2, "c": 1, "mult": 1},
         {"r": 4, "c": 3, "mult": 1},
     ]
+
+
+def test_cli_brsk_rejects_more_boxes_than_the_bound(monkeypatch, capsys):
+    """Up to MAX_BRSK_BOXES boxes the map runs both ways; one more, as the
+    multiset's total multiplicity or as the bitableau's boxes or rows, is
+    an error line and exit 2 before any insertion."""
+    brsk = ["brsk", "--d", "2", "--beta", "1,3"]
+    at_bound = json.dumps([{"r": 2, "c": 1, "mult": MAX_BRSK_BOXES}])
+    assert main([*brsk, "--input", at_bound]) == 0
+    image = json.loads(capsys.readouterr().out)
+    assert sum(len(row["P"]) for row in image["rows"]) == MAX_BRSK_BOXES
+    assert main([*brsk, "--inverse", "--input", json.dumps(image)]) == 0
+    assert json.loads(capsys.readouterr().out) == json.loads(at_bound)
+
+    def no_insertion(*args):
+        raise AssertionError("insertion started")
+
+    monkeypatch.setattr(tancone.cli, "brsk_map", no_insertion)
+    monkeypatch.setattr(tancone.cli, "brsk_inverse", no_insertion)
+    past = json.dumps([{"r": 2, "c": 1, "mult": MAX_BRSK_BOXES + 1}])
+    one_more_box = {"rows": image["rows"] + [{"P": [2], "Q": [1], "sign": "pos"}]}
+    empty_rows = {"rows": [{"P": [], "Q": [], "sign": "neg"}] * (MAX_BRSK_BOXES + 1)}
+    for flags, text in (
+        ([], past),
+        (["--inverse"], json.dumps(one_more_box)),
+        (["--inverse"], json.dumps(empty_rows)),
+    ):
+        assert main([*brsk, *flags, "--input", text]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and str(MAX_BRSK_BOXES) in captured.err
 
 
 def test_cli_sweep_writes_file(tmp_path, capsys):
@@ -559,14 +590,17 @@ def test_sweep_parallel_matches_serial():
 
 def test_parallel_sweep_hands_out_the_largest_fixed_points_first(monkeypatch):
     """With jobs > 1 the pool gets the betas with the most cases first;
-    the verdicts still come back in the lex order of the triples."""
+    the verdicts still come back in the lex order of the triples.  The
+    pool has at most one worker per fixed point, and one fixed point is
+    verified without a pool."""
     import concurrent.futures
 
     sizes = []
+    workers = []
 
     class InlinePool:
         def __init__(self, max_workers):
-            pass
+            workers.append(max_workers)
 
         def __enter__(self):
             return self
@@ -585,6 +619,9 @@ def test_parallel_sweep_hands_out_the_largest_fixed_points_first(monkeypatch):
     assert sum(sizes) == len(parallel) == 112
     serial = sweep(3, max_degree=1)
     assert report_json(parallel, stable=True) == report_json(serial, stable=True)
+    assert workers == [2]
+    assert len(sweep(2, max_degree=1, jobs=1000)) == 20 and workers == [2, 4]
+    assert len(sweep(2, max_degree=1, sample=1, jobs=1000)) == 1 and workers == [2, 4]
 
 
 def test_no_patch_outlives_a_sweep():
