@@ -30,7 +30,7 @@ from .grid import (
     json_field,
     json_int,
 )
-from .indexsets import Index, bruhat_leq, enumerate_indices, star_set
+from .indexsets import Index, bruhat_leq, bruhat_mask, enumerate_indices, star_set
 
 NEG, POS = -1, 1
 
@@ -239,12 +239,17 @@ _ROW_MEMO_SIZE = 1024
 
 @lru_cache(maxsize=_ROW_MEMO_SIZE)
 def _row_fact(p: tuple, q: tuple, sign: int, beta: Index, d: int):
-    """(value, eps-degree of the value, P = Q*) for the row (P, Q) when it
-    may stand in a semistandard bitableau at (beta, d), else None.
+    """(value, eps-degree of the value, P = Q*, ``bruhat_mask`` of the
+    value) for the row (P, Q) when it may stand in a semistandard
+    bitableau at (beta, d), else None.
 
     It may stand when it is well-formed (nonempty, P and Q strictly
     increasing of equal length inside [1, 2d], P outside beta and Q inside
     it) and its value lies at or below beta for NEG, at or above for POS.
+    The masks of two values at one (beta, d) compare exactly even when
+    beta is no index at d: both have len(set(beta)) entries, and Q, inside
+    [1, 2d], removes none of beta's entries outside [1, 2d], so both hold
+    those as their smallest and largest entries, at the same positions.
     """
     bset = set(beta)
     if not p or len(p) != len(q):
@@ -260,7 +265,7 @@ def _row_fact(p: tuple, q: tuple, sign: int, beta: Index, d: int):
         return None
     if sign == POS and not bruhat_leq(beta, v):
         return None
-    return v, epsilon_degree(v, d), p == star_set(q, d)
+    return v, epsilon_degree(v, d), p == star_set(q, d), bruhat_mask(v, d)
 
 
 def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
@@ -268,26 +273,28 @@ def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
     even box count.
 
     The complete predicate, for any input, in one pass over the rows.
-    Each row's facts (value, eps-degree, mirror symmetry, and whether it
-    may stand at (beta, d)) come from one memo lookup, and the same loop
-    checks the sign order and the Bruhat chain of the values, and lists
-    the eps-degrees of the delta sequence: the rows', with beta's wedged
-    in after the negative rows when the row count is odd.  Its entries
-    must pair up, (0, 1), (2, 3), ..., by equal eps-degree.
+    Each row's facts (value mask, eps-degree, mirror symmetry, and whether
+    it may stand at (beta, d)) come from one memo lookup, and the same
+    loop checks the sign order and the Bruhat chain of the values, one
+    integer AND per adjacent pair of masks, and lists the eps-degrees of
+    the delta sequence: the rows', with beta's wedged in after the
+    negative rows when the row count is odd.  Its entries must pair up,
+    (0, 1), (2, 3), ..., by equal eps-degree.
     """
     beta = tuple(beta)
     rows = t.rows
+    if not rows:
+        return True
     wedge = [r.sign for r in rows].count(NEG) if len(rows) % 2 == 1 else -1
     eps_seq = []
     boxes = 0
-    last_sign = last_value = None
+    last_sign, last_mask = rows[0].sign, 0
     for i, r in enumerate(rows):
-        fact = _row_fact(r.p, r.q, r.sign, beta, d)
-        if fact is None or not fact[2]:
+        sign = r.sign
+        fact = _row_fact(r.p, r.q, sign, beta, d)
+        if fact is None or not fact[2] or sign < last_sign or last_mask & ~fact[3]:
             return False
-        if i and (r.sign < last_sign or not bruhat_leq(last_value, fact[0])):
-            return False
-        last_sign, last_value = r.sign, fact[0]
+        last_sign, last_mask = sign, fact[3]
         if i == wedge:
             eps_seq.append(epsilon_degree(beta, d))
         eps_seq.append(fact[1])
@@ -357,14 +364,16 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
         if w <= degree
     ]
     wedge = len(values)
+    masks = [bruhat_mask(v, d) for v, *_ in values]
     # successors[i]: the values that may follow value i, at or above it in
-    # Bruhat order and light enough to fit beside it.  The wedge follows
-    # exactly the NEG candidates and is followed exactly by the POS ones,
-    # which is read off their signs; beta may not follow itself
+    # Bruhat order (mask containment) and light enough to fit beside it.
+    # The wedge follows exactly the NEG candidates and is followed exactly
+    # by the POS ones, which is read off their signs; beta may not follow
+    # itself
     successors = [
-        [j for j, u in enumerate(values) if w + u[1] <= degree and bruhat_leq(v, u[0])]
+        [j for j, u in enumerate(values) if w + u[1] <= degree and not mask & ~masks[j]]
         + ([wedge] if s == NEG else [])
-        for v, w, *_, s in values
+        for (_, w, *_, s), mask in zip(values, masks)
     ]
     successors.append([j for j, u in enumerate(values) if u[4] == POS])
     values.append((beta, 0, epsilon_degree(beta, d), (), None))

@@ -66,11 +66,12 @@ def enumerate_indices(d: int, ambient_only: bool = False) -> tuple[Index, ...]:
 
 
 def parse_index(text: str, d: int) -> Index:
-    """Parse the textual form "1,3" into a validated tuple."""
-    try:
-        entries = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise ValueError(f"cannot parse index {text!r}") from None
+    """Parse the textual form "1,3" (ASCII decimal digits between the
+    commas, nothing else) into a validated tuple."""
+    parts = text.split(",")
+    if not all(p.isascii() and p.isdigit() for p in parts):
+        raise ValueError(f"cannot parse index {text!r}")
+    entries = tuple(map(int, parts))
     if len(entries) != d:
         raise ValueError(f"index {text!r} must have {d} entries")
     if list(entries) != sorted(set(entries)):
@@ -89,6 +90,21 @@ def bruhat_leq(v, w) -> bool:
     if len(v) != len(w):
         raise ValueError("cannot compare indices of different lengths")
     return all(map(le, v, w))
+
+
+def bruhat_mask(v, d: int) -> int:
+    """Bruhat order as bit containment: the low v_i bits of the i-th block
+    of 2d + 1 bits (none for v_i <= 0), so that for equal-length v and w
+    with entries in [0, 2d + 1], ``bruhat_leq(v, w)`` holds exactly when
+    ``bruhat_mask(v, d) & ~bruhat_mask(w, d) == 0``.
+
+    Also exact on sorted tuples of equal length that agree at every
+    position where either holds an entry outside that range: a larger
+    entry only overflows into the blocks of the larger entries above it,
+    and a smaller one sets nothing.
+    """
+    width = 2 * d + 1
+    return sum(((1 << x) - 1) << (i * width) for i, x in enumerate(v) if x > 0)
 
 
 def join_meet(v, w) -> tuple[Index, Index]:

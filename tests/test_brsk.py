@@ -5,6 +5,7 @@ from itertools import combinations, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tancone.brsk import (
     EMPTY,
@@ -344,6 +345,68 @@ def test_predicates_match_oracles_on_a_d3_sample():
         ]
         answers |= _assert_predicates_match_oracles(stacks, beta, d)
     assert answers == {(False, False), (True, False), (True, True)}
+
+
+def _mirror_rows(beta, d):
+    """Every mirror-symmetric row (Q*, Q) with Q inside both beta and
+    [1, 2d] and Q* outside beta, whose value lies at or below beta (NEG)
+    or at or above it (POS), by value: the rows that may stand at
+    (beta, d), whether or not beta is an index at d."""
+    inside = [j for j in beta if 1 <= j <= 2 * d]
+    rows = []
+    for k in range(1, len(inside) + 1):
+        for q in combinations(inside, k):
+            p = star_set(q, d)
+            if set(p) & set(beta):
+                continue
+            value = tuple(sorted((set(beta) - set(q)) | set(p)))
+            for sign, ok in ((NEG, bruhat_leq(value, beta)), (POS, bruhat_leq(beta, value))):
+                if ok:
+                    rows.append((sign, value, Row(p=p, q=q, sign=sign)))
+    return [row for *_, row in sorted(rows, key=lambda x: x[:2])]
+
+
+@st.composite
+def _stacks_at_a_beta(draw):
+    """(rows, beta, d) at d <= 3: beta an index of I(d), or a sorted tuple
+    of distinct entries in [-1, 2d + 4] of length at most d (so shorter
+    than d, or with entries outside [1, 2d]); the rows a sorted draw of
+    the mirror-symmetric rows there, possibly doubled, and then kept
+    sorted, shuffled, with one sign flipped or with a malformed row put
+    in."""
+    d = draw(st.integers(1, 3))
+    beta = draw(
+        st.sampled_from(enumerate_indices(d))
+        | st.lists(st.integers(-1, 2 * d + 4), min_size=1, max_size=d, unique=True).map(
+            lambda xs: tuple(sorted(xs))
+        )
+    )
+    own = _mirror_rows(beta, d)
+    rows = []
+    if own:
+        picks = draw(st.lists(st.integers(0, len(own) - 1), max_size=5))
+        if draw(st.booleans()):  # rows in equal pairs pair up their eps-degrees
+            picks *= 2
+        rows = [own[i] for i in sorted(picks)]
+    kind = draw(st.sampled_from(("sorted", "shuffled", "flipped", "malformed")))
+    if kind == "shuffled":
+        rows = draw(st.permutations(rows))
+    elif kind == "flipped" and rows:
+        i = draw(st.integers(0, len(rows) - 1))
+        rows[i] = Row(p=rows[i].p, q=rows[i].q, sign=-rows[i].sign)
+    elif kind == "malformed":
+        entries = st.lists(st.integers(-1, 2 * d + 2), max_size=3).map(tuple)
+        malformed = Row(p=draw(entries), q=draw(entries), sign=draw(st.sampled_from((NEG, POS))))
+        rows.insert(draw(st.integers(0, len(rows))), malformed)
+    return tuple(rows), beta, d
+
+
+@settings(max_examples=400, deadline=None)
+@given(_stacks_at_a_beta())
+def test_is_on_starred_equals_the_oracle_on_random_stacks(stack):
+    rows, beta, d = stack
+    t = NotchedBitableau(rows=rows)
+    assert is_on_starred(t, beta, d) == is_on_starred_oracle(t, beta, d)
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations
 
 import pytest
@@ -8,6 +9,7 @@ from tancone.indexsets import (
     MAX_D,
     admissible_pairs,
     bruhat_leq,
+    bruhat_mask,
     enumerate_indices,
     format_index,
     is_isotropic,
@@ -147,6 +149,49 @@ def test_bruhat_matches_the_genexpr_form(d):
     for v in elems:
         for w in elems:
             assert bruhat_leq(v, w) is _bruhat_leq_genexpr(v, w), (v, w)
+
+
+def _mask_leq(v, w, d):
+    return not bruhat_mask(v, d) & ~bruhat_mask(w, d)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_bruhat_mask_containment_is_bruhat_order(d):
+    """Every ordered pair of I(d, 2d): the masks are contained exactly when
+    ``bruhat_leq`` holds."""
+    elems = enumerate_indices(d, ambient_only=True)
+    for v in elems:
+        for w in elems:
+            assert _mask_leq(v, w, d) is bruhat_leq(v, w), (v, w)
+
+
+def test_bruhat_mask_containment_on_a_max_d_sample():
+    """A seeded sample of pairs of I(MAX_D, 2 MAX_D), half of them pairs
+    that differ at one position only, where a bit borrowed across blocks
+    would show."""
+    d, rng = MAX_D, random.Random(0)
+    elems = enumerate_indices(d, ambient_only=True)
+    answers = set()
+    for _ in range(20000):
+        v, w = rng.choice(elems), rng.choice(elems)
+        answers.add(_mask_leq(v, w, d))
+        assert _mask_leq(v, w, d) is bruhat_leq(v, w), (v, w)
+        i = rng.randrange(d)
+        low = v[i - 1] + 1 if i else 1
+        high = v[i + 1] - 1 if i + 1 < d else 2 * d
+        u = v[:i] + (rng.randint(low, high),) + v[i + 1 :]
+        assert _mask_leq(v, u, d) is bruhat_leq(v, u), (v, u)
+        assert _mask_leq(u, v, d) is bruhat_leq(u, v), (u, v)
+    assert answers == {False, True}
+
+
+def test_bruhat_mask_blocks():
+    assert bruhat_mask((), 2) == 0
+    assert bruhat_mask((1, 3), 2) == 0b00111_00001
+    assert bruhat_mask((4,), 2) == 0b1111
+    # entries of at most 2d + 1 stay in their own block of 2d + 1 bits
+    assert bruhat_mask((2, 5), 2) == 0b11111_00011
+    assert bruhat_mask((0, -3, 2), 1) == 0b011_000_000
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,8 @@ edge; the graph can only over-approximate what runs.
       (``reduced_groebner``, ``generator_set``, ``good_subset``).
   R4  the definitions reach none of the fast paths they are the oracles
       of: the three count tables, the one-sign support tables, the bitableau
-      enumeration and its end reader, or the row memo.
+      enumeration, the row memo, or the Bruhat mask (the definitions
+      compare indices with ``bruhat_leq``).
 """
 
 import ast
@@ -45,6 +46,7 @@ FAST_PATHS = (
     ("verify", "_sign_supports"),
     ("brsk", "enumerate_on_starred"),
     ("brsk", "_row_fact"),
+    ("indexsets", "bruhat_mask"),
 )
 
 

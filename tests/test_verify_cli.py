@@ -410,6 +410,11 @@ def test_cli_rejects_bad_input(capsys):
         assert capsys.readouterr().err == (
             f"error: {need} staircase monomials, more than {MAX_TABLE_MONOMIALS}\n"
         ), argv
+    # an index is ASCII decimal digits between commas: no other digits,
+    # signs, underscores or spaces
+    for text in ("１,３", "١,٣", "+1,3", "0_1,3", " 1 , 3 "):
+        assert main(["brsk", "--d", "2", "--beta", text, "--input", "[]"]) == 2, text
+        assert capsys.readouterr().err == f"error: cannot parse index {text!r}\n", text
     assert main(["sweep", "--d", "1", "--max-degree", "1", "--field", "Fp:abc"]) == 2
     err = capsys.readouterr().err
     assert err == "error: field must be 'Q' or 'Fp:<p>', got 'Fp:abc'\n"
