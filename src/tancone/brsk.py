@@ -19,7 +19,6 @@ laws, not the insertion conventions, are the contract.
 from __future__ import annotations
 
 from bisect import insort
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .grid import (
@@ -30,7 +29,14 @@ from .grid import (
     json_field,
     json_int,
 )
-from .indexsets import Index, bruhat_leq, bruhat_mask, enumerate_indices, star_set
+from .indexsets import (
+    Index,
+    _FrozenRecord,
+    bruhat_leq,
+    bruhat_mask,
+    enumerate_indices,
+    star_set,
+)
 
 NEG, POS = -1, 1
 
@@ -39,19 +45,23 @@ class NotInImageError(ValueError):
     """Raised when a bitableau has no preimage under the correspondence."""
 
 
-@dataclass(frozen=True)
-class Row:
-    p: tuple[int, ...]
-    q: tuple[int, ...]
-    sign: int  # NEG or POS
+class Row(_FrozenRecord):
+    __slots__ = ("p", "q", "sign")
+
+    def __init__(self, p: tuple[int, ...], q: tuple[int, ...], sign: int):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "sign", sign)  # NEG or POS
 
     def boxes(self) -> int:
         return len(self.p)
 
 
-@dataclass(frozen=True)
-class NotchedBitableau:
-    rows: tuple[Row, ...]
+class NotchedBitableau(_FrozenRecord):
+    __slots__ = ("rows",)
+
+    def __init__(self, rows: tuple[Row, ...]):
+        object.__setattr__(self, "rows", rows)
 
     def degree(self) -> int:
         return sum(r.boxes() for r in self.rows)

@@ -8,7 +8,6 @@ j* = 2d+1-j.  All functions work with plain sorted tuples of ints.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from operator import le
@@ -125,18 +124,67 @@ def sharp(theta, d: int) -> Index:
     return star_set(comp, d)
 
 
-@dataclass(frozen=True)
-class AdmissiblePair:
+class _Record:
+    """A value type whose fields are its ``__slots__``: equality, ``repr``
+    and pickling are read off them, as a dataclass would generate them.
+    A record equals only a record of its own class with equal fields,
+    never a plain tuple, and pickles as its constructor applied to its
+    fields.  Unhashable, since its fields may change.
+
+    Plain slotted classes rather than dataclasses keep the import of
+    ``dataclasses`` (which loads ``inspect``, ``ast`` and ``dis``) and
+    one ``exec`` per class out of the CLI's start-up.
+    """
+
+    __slots__ = ()
+    __hash__ = None
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __reduce__(self):
+        return self.__class__, self._fields()
+
+
+class _FrozenRecord(_Record):
+    """A hashable record whose fields are set once, by its ``__init__``
+    through ``object.__setattr__``; assigning or deleting one raises."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class AdmissiblePair(_FrozenRecord):
     """A pair top >= bot in I(d) realised by a sharp-orbit {theta, theta#}.
 
     ``rep`` is the lexicographically smaller orbit representative; the
     minor attached to the pair is computed from it.
     """
 
-    top: Index
-    bot: Index
-    rep: Index
-    d: int
+    __slots__ = ("top", "bot", "rep", "d")
+
+    def __init__(self, top: Index, bot: Index, rep: Index, d: int):
+        object.__setattr__(self, "top", top)
+        object.__setattr__(self, "bot", bot)
+        object.__setattr__(self, "rep", rep)
+        object.__setattr__(self, "d", d)
 
     @property
     def orbit(self) -> tuple[Index, Index]:

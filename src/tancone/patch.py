@@ -20,7 +20,6 @@ choice by ``FORM_LABEL``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 
@@ -34,6 +33,7 @@ from .grid import (
 from .indexsets import (
     AdmissiblePair,
     Index,
+    _Record,
     admissible_pairs,
     bruhat_leq,
     is_isotropic,
@@ -148,15 +148,24 @@ def pair_minor(matrix: PatchMatrix, pair: AdmissiblePair) -> Poly:
     return matrix.generator(pair.rep)[0]
 
 
-@dataclass
-class GeneratorSet:
+class GeneratorSet(_Record):
     """Eq-style generating set of the tangent-cone ideal on the patch."""
 
-    alpha: Index
-    gamma: Index
-    matrix: PatchMatrix
-    pairs: list[AdmissiblePair]
-    polys: list[Poly]
+    __slots__ = ("alpha", "gamma", "matrix", "pairs", "polys")
+
+    def __init__(
+        self,
+        alpha: Index,
+        gamma: Index,
+        matrix: PatchMatrix,
+        pairs: list[AdmissiblePair],
+        polys: list[Poly],
+    ):
+        self.alpha = alpha
+        self.gamma = gamma
+        self.matrix = matrix
+        self.pairs = pairs
+        self.polys = polys
 
 
 def generator_set(alpha: Index, gamma: Index, patch: PatchMatrix) -> GeneratorSet:

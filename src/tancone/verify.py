@@ -42,7 +42,6 @@ import json
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations
 from math import comb
@@ -53,6 +52,8 @@ from .indexsets import (
     MAX_TABLE_MONOMIALS,
     AdmissiblePair,
     Index,
+    _FrozenRecord,
+    _Record,
     admissible_pairs,
     bruhat_leq,
     enumerate_indices,
@@ -115,34 +116,41 @@ def parse_field(text: str) -> int:
     return p
 
 
-@dataclass(frozen=True)
-class CaseSpec:
-    d: int
-    alpha: Index
-    beta: Index
-    gamma: Index
-    field: str = "Q"
-    max_degree: int = 6
+class CaseSpec(_FrozenRecord):
+    __slots__ = ("d", "alpha", "beta", "gamma", "field", "max_degree")
 
-    def __post_init__(self):
-        enumerate_indices(self.d)  # rejects a d outside [1, MAX_D] by name
-        for v in (self.alpha, self.beta, self.gamma):
-            if not is_isotropic(v, self.d):
-                raise ValueError(f"{v} is not isotropic for d={self.d}")
-        if not (bruhat_leq(self.alpha, self.beta) and bruhat_leq(self.beta, self.gamma)):
+    def __init__(
+        self,
+        d: int,
+        alpha: Index,
+        beta: Index,
+        gamma: Index,
+        field: str = "Q",
+        max_degree: int = 6,
+    ):
+        enumerate_indices(d)  # rejects a d outside [1, MAX_D] by name
+        for v in (alpha, beta, gamma):
+            if not is_isotropic(v, d):
+                raise ValueError(f"{v} is not isotropic for d={d}")
+        if not (bruhat_leq(alpha, beta) and bruhat_leq(beta, gamma)):
             raise ValueError("need alpha <= beta <= gamma")
-        if self.max_degree < 0:
-            raise ValueError(f"max degree must be >= 0, got {self.max_degree}")
-        n = self.d * (self.d + 1) // 2
-        monomials = comb(n + self.max_degree, n)
+        if max_degree < 0:
+            raise ValueError(f"max degree must be >= 0, got {max_degree}")
+        n = d * (d + 1) // 2
+        monomials = comb(n + max_degree, n)
         if monomials > MAX_TABLE_MONOMIALS:
             raise ValueError(
-                f"max degree {self.max_degree} at d={self.d} needs {monomials} "
+                f"max degree {max_degree} at d={d} needs {monomials} "
                 f"staircase monomials, more than {MAX_TABLE_MONOMIALS}"
             )
         # one label per field, so 'Fp:007' and 'Fp:7' report alike
-        p = parse_field(self.field)
+        p = parse_field(field)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "beta", beta)
+        object.__setattr__(self, "gamma", gamma)
         object.__setattr__(self, "field", f"Fp:{p}" if p else "Q")
+        object.__setattr__(self, "max_degree", max_degree)
 
     @property
     def p(self) -> int:
@@ -162,15 +170,34 @@ class CaseSpec:
         )
 
 
-@dataclass
-class Verdict:
-    case: CaseSpec
-    groebner_equal: bool
-    counts_agree: bool
-    initial_ideal: list[str]
-    good_initial: list[str]
-    per_degree: dict[int, dict[str, int]]
-    runtime_ms: int = 0
+class Verdict(_Record):
+    __slots__ = (
+        "case",
+        "groebner_equal",
+        "counts_agree",
+        "initial_ideal",
+        "good_initial",
+        "per_degree",
+        "runtime_ms",
+    )
+
+    def __init__(
+        self,
+        case: CaseSpec,
+        groebner_equal: bool,
+        counts_agree: bool,
+        initial_ideal: list[str],
+        good_initial: list[str],
+        per_degree: dict[int, dict[str, int]],
+        runtime_ms: int = 0,
+    ):
+        self.case = case
+        self.groebner_equal = groebner_equal
+        self.counts_agree = counts_agree
+        self.initial_ideal = initial_ideal
+        self.good_initial = good_initial
+        self.per_degree = per_degree
+        self.runtime_ms = runtime_ms
 
     @property
     def ok(self) -> bool:

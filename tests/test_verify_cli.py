@@ -3,7 +3,10 @@ import gc
 import inspect
 import io
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -645,3 +648,24 @@ def test_verify_case_rejects_patch_of_another_fixed_point():
     for patch in (build_patch((1, 2), 2), build_patch((1, 3), 2, p=3)):
         with pytest.raises(ValueError, match="does not fit"):
             verify_case(case, patch)
+
+
+def test_importing_the_cli_loads_no_dataclasses_machinery():
+    """A fresh interpreter imports ``tancone.cli`` without loading
+    ``dataclasses`` or ``inspect`` (with ``ast``, ``dis`` and ``tokenize``
+    behind it): every CLI process pays its imports before any command
+    runs, so the value types are plain slotted classes."""
+    snippet = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import tancone.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run(
+        [sys.executable, "-c", snippet], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(done.stdout.split())
+    assert "tancone.cli" in loaded
+    assert not loaded & {"dataclasses", "inspect"}
