@@ -67,7 +67,8 @@ def _case_from_args(args) -> CaseSpec:
         beta=args.beta,
         gamma=args.gamma,
         field=args.field,
-        max_degree=args.max_degree,
+        # ``ideal`` builds no staircase, so it takes no degree to bound
+        max_degree=getattr(args, "max_degree", 0),
     )
 
 
@@ -93,14 +94,15 @@ def cmd_enum(args) -> int:
 
 def cmd_ideal(args) -> int:
     case = _case_from_args(args)
-    gens = generator_set(case.alpha, case.gamma, build_patch(case.beta, case.d, case.p))
-    _, good = good_subset(gens)
+    patch = build_patch(case.beta, case.d, case.p)
+    pairs, polys = generator_set(case.alpha, case.gamma, patch)
+    _, good = good_subset(case.alpha, case.gamma, patch, pairs)
     payload = {
         "alpha": format_index(case.alpha),
         "beta": format_index(case.beta),
         "gamma": format_index(case.gamma),
         "field": case.field,
-        "generators": [str(f) for f in gens.polys],
+        "generators": [str(f) for f in polys],
         "good": [str(f) for f in good],
         "form": FORM_LABEL,
     }
@@ -145,6 +147,7 @@ def _require_brsk_size(what: str, size: int) -> None:
 
 
 def cmd_brsk(args) -> int:
+    enumerate_indices(args.d)  # rejects a d outside [1, MAX_D] by name
     beta = parse_index(args.beta, args.d)
     data = json.loads(args.input) if args.input else json.load(sys.stdin)
     if args.inverse:
@@ -192,8 +195,12 @@ def _add_case_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--beta", required=True)
     p.add_argument("--gamma", required=True)
     p.add_argument("--field", default="Q", help="Q or Fp:<p>")
-    p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--out", default=None)
+
+
+def _add_staircase_args(p: argparse.ArgumentParser) -> None:
+    """The flags of a case command that builds the degree tables."""
+    p.add_argument("--max-degree", type=int, default=6)
     p.add_argument("--stable", action="store_true", help="zero out runtimes")
 
 
@@ -214,10 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gb-verify", help="verify one case")
     _add_case_args(p)
+    _add_staircase_args(p)
     p.set_defaults(func=cmd_gb_verify)
 
     p = sub.add_parser("count", help="per-degree counting table")
     _add_case_args(p)
+    _add_staircase_args(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("brsk", help="bitableau of a multiset (JSON in/out)")

@@ -178,23 +178,15 @@ class AdmissiblePair(_FrozenRecord):
     minor attached to the pair is computed from it.
     """
 
-    __slots__ = ("top", "bot", "rep", "d")
+    __slots__ = ("top", "bot", "rep")
 
-    def __init__(self, top: Index, bot: Index, rep: Index, d: int):
+    def __init__(self, top: Index, bot: Index, rep: Index):
         object.__setattr__(self, "top", top)
         object.__setattr__(self, "bot", bot)
         object.__setattr__(self, "rep", rep)
-        object.__setattr__(self, "d", d)
-
-    @property
-    def orbit(self) -> tuple[Index, Index]:
-        return (self.rep, sharp(self.rep, self.d))
 
     def beta_degree(self, beta) -> int:
         return len(set(self.rep) - set(beta))
-
-    def is_diagonal(self) -> bool:
-        return self.top == self.bot
 
 
 @lru_cache(maxsize=None)
@@ -219,6 +211,6 @@ def admissible_pairs(d: int) -> tuple[AdmissiblePair, ...]:
         if ends not in by_ends or rep < by_ends[ends]:
             by_ends[ends] = rep
     return tuple(
-        AdmissiblePair(top=top, bot=bot, rep=rep, d=d)
+        AdmissiblePair(top=top, bot=bot, rep=rep)
         for (top, bot), rep in sorted(by_ends.items(), key=lambda kv: kv[1])
     )

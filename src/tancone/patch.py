@@ -4,6 +4,9 @@ tangent-cone ideal generators, and the distinguished Groebner set.
 A generator and the fact of its initial chain depend only on the orbit
 representative and the fixed point, so the patch holds one memo entry
 per representative, shared by every case verified on it.
+``generator_set`` and ``good_subset`` read a case's alpha and gamma and
+its patch directly and return (pairs, polynomials) lists; the triple
+itself is validated once, by ``verify.CaseSpec``.
 
 The patch matrix is 2d x d with identity rows on beta; the remaining
 entries are the upper-region coordinates, with each strictly-lower
@@ -33,10 +36,8 @@ from .grid import (
 from .indexsets import (
     AdmissiblePair,
     Index,
-    _Record,
     admissible_pairs,
     bruhat_leq,
-    is_isotropic,
     star,
 )
 from .ring import Poly, PolyRing
@@ -148,44 +149,18 @@ def pair_minor(matrix: PatchMatrix, pair: AdmissiblePair) -> Poly:
     return matrix.generator(pair.rep)[0]
 
 
-class GeneratorSet(_Record):
-    """Eq-style generating set of the tangent-cone ideal on the patch."""
-
-    __slots__ = ("alpha", "gamma", "matrix", "pairs", "polys")
-
-    def __init__(
-        self,
-        alpha: Index,
-        gamma: Index,
-        matrix: PatchMatrix,
-        pairs: list[AdmissiblePair],
-        polys: list[Poly],
-    ):
-        self.alpha = alpha
-        self.gamma = gamma
-        self.matrix = matrix
-        self.pairs = pairs
-        self.polys = polys
-
-
-def generator_set(alpha: Index, gamma: Index, patch: PatchMatrix) -> GeneratorSet:
-    """Minors f for every admissible pair (x, y) with alpha !<= y or x !<= gamma,
-    on the patch at beta."""
-    beta, d = patch.beta, patch.d
-    _require_triple(alpha, beta, gamma, d)
+def generator_set(
+    alpha: Index, gamma: Index, patch: PatchMatrix
+) -> tuple[list[AdmissiblePair], list[Poly]]:
+    """(pairs, minors f) for every admissible pair (x, y) with alpha !<= y
+    or x !<= gamma, on the patch at beta."""
     pairs = []
     polys = []
-    for pair in admissible_pairs(d):
+    for pair in admissible_pairs(patch.d):
         if not bruhat_leq(alpha, pair.bot) or not bruhat_leq(pair.top, gamma):
             pairs.append(pair)
             polys.append(pair_minor(patch, pair))
-    return GeneratorSet(
-        alpha=tuple(alpha),
-        gamma=tuple(gamma),
-        matrix=patch,
-        pairs=pairs,
-        polys=polys,
-    )
+    return pairs, polys
 
 
 def initial_chain(f: Poly):
@@ -205,18 +180,20 @@ def initial_chain(f: Poly):
     return tuple(pts)
 
 
-def good_subset(gens: GeneratorSet) -> tuple[list[AdmissiblePair], list[Poly]]:
-    """Pairs of the generator set whose initial monomial is a one-signed
-    upper chain violating the matching bound: a positive chain whose
-    value is not at or below gamma, or a negative one whose value is not
-    at or above alpha.  Each generator's chain fact is read from the
-    patch (``PatchMatrix.generator``), so a case makes one Bruhat test
-    per generator with a one-signed chain."""
-    patch, alpha, gamma = gens.matrix, gens.alpha, gens.gamma
+def good_subset(
+    alpha: Index, gamma: Index, patch: PatchMatrix, pairs: list[AdmissiblePair]
+) -> tuple[list[AdmissiblePair], list[Poly]]:
+    """Those of ``pairs`` (the generator set's) whose initial monomial is
+    a one-signed upper chain violating the matching bound: a positive
+    chain whose value is not at or below gamma, or a negative one whose
+    value is not at or above alpha.  Each generator's monic minor and
+    chain fact are read together from the patch
+    (``PatchMatrix.generator``), so a case makes one Bruhat test per
+    generator with a one-signed chain."""
     good_pairs = []
     good_polys = []
-    for pair, f in zip(gens.pairs, gens.polys):
-        fact = patch.generator(pair.rep)[1]
+    for pair in pairs:
+        f, fact = patch.generator(pair.rep)
         if fact is None:
             continue
         positive, value = fact
@@ -228,11 +205,3 @@ def good_subset(gens: GeneratorSet) -> tuple[list[AdmissiblePair], list[Poly]]:
         good_pairs.append(pair)
         good_polys.append(f)
     return good_pairs, good_polys
-
-
-def _require_triple(alpha, beta, gamma, d):
-    for v in (alpha, beta, gamma):
-        if not is_isotropic(v, d):
-            raise ValueError(f"{v} is not isotropic")
-    if not (bruhat_leq(alpha, beta) and bruhat_leq(beta, gamma)):
-        raise ValueError("need alpha <= beta <= gamma")

@@ -398,12 +398,12 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
             f"patch at beta={format_index(patch.beta)}, d={patch.d}, p={patch.ring.p} "
             f"does not fit the case at beta={format_index(case.beta)}, d={d}, p={case.p}"
         )
-    gens = generator_set(case.alpha, case.gamma, patch)
+    pairs, polys = generator_set(case.alpha, case.gamma, patch)
     ring = patch.ring
-    _, good_polys = good_subset(gens)
+    _, good_polys = good_subset(case.alpha, case.gamma, patch, pairs)
 
     # the reduced basis is minimal and sorted by ascending lead
-    init_ideal = [g.leading_monomial() for g in reduced_groebner(gens.polys)]
+    init_ideal = [g.leading_monomial() for g in reduced_groebner(polys)]
     good_init = minimal_monomial_generators(
         g.leading_monomial() for g in good_polys
     )

@@ -239,7 +239,7 @@ def test_admissible_pairs_d2():
     assert len(nondiag) == 1
     assert nondiag[0].top == (2, 4)
     assert nondiag[0].bot == (1, 3)
-    assert set(nondiag[0].orbit) == {(1, 4), (2, 3)}
+    assert {nondiag[0].rep, sharp(nondiag[0].rep, 2)} == {(1, 4), (2, 3)}
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -265,7 +265,7 @@ def test_admissible_pairs_d4_deduplicates_shared_ends():
 def test_beta_degree_same_for_both_representatives(d):
     for beta in enumerate_indices(d):
         for p in admissible_pairs(d):
-            theta, mate = p.orbit
+            theta, mate = p.rep, sharp(p.rep, d)
             assert len(set(theta) - set(beta)) == len(set(mate) - set(beta))
             deg2 = len(set(p.top) - set(beta)) + len(set(p.bot) - set(beta))
             assert deg2 == 2 * p.beta_degree(beta)

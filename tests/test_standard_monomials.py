@@ -143,8 +143,9 @@ def test_evaluation_degree_matches(pairs2):
 @pytest.mark.parametrize("degree", range(7))
 def test_basis_property_d2_all_cases(degree):
     for a, b, g in all_triples(2):
-        gens = generator_set(a, g, build_patch(b, 2))
-        gb = reduced_groebner(gens.polys)
+        patch = build_patch(b, 2)
+        _, polys = generator_set(a, g, patch)
+        gb = reduced_groebner(polys)
         assert standard_basis_agrees(
-            gens.polys, gb, gens.matrix, a, b, g, 2, degree
+            polys, gb, patch, a, b, g, 2, degree
         ), (a, b, g, degree)

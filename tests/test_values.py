@@ -10,28 +10,21 @@ import pytest
 
 from tancone.brsk import NEG, NotchedBitableau, Row
 from tancone.indexsets import AdmissiblePair, admissible_pairs
-from tancone.patch import GeneratorSet
 from tancone.verify import CaseSpec, Verdict
 
 _ROW = Row(p=(3,), q=(2,), sign=NEG)
 _PAIR = admissible_pairs(2)[0]
 _CASE = CaseSpec(d=2, alpha=(1, 2), beta=(1, 3), gamma=(3, 4), field="Fp:3", max_degree=2)
 
-# (class, fields by name, frozen); a GeneratorSet's matrix is stood in for
-# by None, since a patch matrix compares by identity
+# (class, fields by name, frozen)
 SAMPLES = [
     (Row, dict(p=(3,), q=(2,), sign=NEG), True),
     (NotchedBitableau, dict(rows=(_ROW, _ROW)), True),
-    (AdmissiblePair, dict(top=_PAIR.top, bot=_PAIR.bot, rep=_PAIR.rep, d=2), True),
+    (AdmissiblePair, dict(top=_PAIR.top, bot=_PAIR.bot, rep=_PAIR.rep), True),
     (
         CaseSpec,
         dict(d=2, alpha=(1, 2), beta=(1, 3), gamma=(3, 4), field="Fp:3", max_degree=2),
         True,
-    ),
-    (
-        GeneratorSet,
-        dict(alpha=(1, 2), gamma=(3, 4), matrix=None, pairs=[_PAIR], polys=[]),
-        False,
     ),
     (
         Verdict,

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import gc
 import inspect
@@ -13,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 import tancone.cli
 import tancone.verify
-from tancone.cli import main
+from tancone.cli import build_parser, main
 from tancone.grid import multiset_from_json
 from tancone.indexsets import MAX_BRSK_BOXES, MAX_TABLE_MONOMIALS
 from tancone.patch import PatchMatrix, build_patch
@@ -68,8 +69,6 @@ def test_is_prime_matches_trial_division():
 def test_casespec_validation():
     with pytest.raises(ValueError):
         CaseSpec(2, (1, 4), (1, 4), (1, 4))  # not isotropic
-    with pytest.raises(ValueError):
-        CaseSpec(2, (3, 4), (1, 3), (3, 4))  # alpha > beta
     with pytest.raises(ValueError, match="max degree"):
         CaseSpec(2, (1, 2), (1, 3), (3, 4), max_degree=-1)
     case = CaseSpec.from_text(2, "1,2", "1,3", "3,4")
@@ -82,6 +81,16 @@ def test_casespec_validation():
         CaseSpec(d, lowest, lowest, lowest, max_degree=top)
         with pytest.raises(ValueError, match="staircase monomials"):
             CaseSpec(d, lowest, lowest, lowest, max_degree=top + 1)
+
+
+def test_casespec_refuses_a_triple_out_of_bruhat_order(capsys):
+    """The CLI's one check of the triple's order: ``ideal`` builds its
+    case through ``CaseSpec`` like every other case command."""
+    with pytest.raises(ValueError, match="^need alpha <= beta <= gamma$"):
+        CaseSpec(2, (3, 4), (1, 3), (1, 3))  # alpha > beta
+    argv = ["ideal", "--d", "2", "--alpha", "3,4", "--beta", "1,3", "--gamma", "1,3"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: need alpha <= beta <= gamma\n"
 
 
 def test_triple_counts():
@@ -231,6 +240,22 @@ def test_cli_ideal(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["good"] == ["X(2,3)", "X(2,1)", "X(4,1)"]
     assert "form" in payload
+
+
+def test_cli_ideal_takes_no_staircase_flags(capsys):
+    """``ideal`` builds no staircase, so the degree-table bound does not
+    apply to it (d = 8 at the default degree 6 would exceed it), and it
+    accepts neither --max-degree nor --stable."""
+    case = ["--alpha", "1,2,3,4,5,6,7,8", "--beta", "1,2,3,4,5,6,7,8",
+            "--gamma", "9,10,11,12,13,14,15,16"]
+    assert main(["ideal", "--d", "8", *case]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["generators"] == [] and payload["good"] == []
+    for flag in (["--max-degree", "1"], ["--stable"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["ideal", "--d", "8", *case, *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
 
 
 def test_cli_gb_verify_exit_codes(capsys):
@@ -391,13 +416,25 @@ def test_cli_rejects_bad_input(capsys):
     assert "error:" in capsys.readouterr().err
     assert main(["sweep", "--d", "1", "--max-degree", "-1"]) == 2
     assert "max degree" in capsys.readouterr().err
-    # d above MAX_D is refused before anything is enumerated
+    # d above MAX_D is refused before anything is enumerated, by every
+    # subcommand, and by brsk before its input is read
     nine = ",".join(map(str, range(1, 10)))
-    for argv in (
-        ["enum", "--d", "9"],
-        ["sweep", "--d", "9", "--max-degree", "1"],
-        ["count", "--d", "9", "--alpha", nine, "--beta", nine, "--gamma", nine],
-    ):
+    case = ["--alpha", nine, "--beta", nine, "--gamma", nine]
+    point = '[{"r":10,"c":1,"mult":1}]'
+    commands = {
+        "enum": [],
+        "ideal": case,
+        "gb-verify": case,
+        "count": case,
+        "brsk": ["--beta", nine, "--input", point],
+        "sweep": ["--max-degree", "1"],
+    }
+    subparsers = next(
+        a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    assert set(commands) == set(subparsers.choices)
+    for command, rest in [*commands.items(), ("brsk", ["--beta", nine, "--input", "["])]:
+        argv = [command, "--d", "9", *rest]
         assert main(argv) == 2, argv
         assert capsys.readouterr().err == "error: d must be <= 8, got 9\n", argv
     # a case whose degree tables would hold more than MAX_TABLE_MONOMIALS
