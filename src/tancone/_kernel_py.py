@@ -136,19 +136,6 @@ def divisor_record(terms, p):
     return lead, mono_support(lead), _inv(terms[lead], p), tail
 
 
-def monic_homogeneous(terms, p):
-    """(terms scaled to lead coefficient 1, their divisor record) for a
-    nonzero homogeneous polynomial, whose terms all share one degree: so
-    its lead is the plain tuple maximum and every tail offset is 0.  The
-    terms are ``terms`` itself when their lead coefficient already is 1."""
-    lead = max(terms)
-    inv = _inv(terms[lead], p)
-    if inv != 1:
-        terms = poly_scale(terms, inv, p)
-    tail = tuple((m, c, 0) for m, c in terms.items() if m != lead)
-    return terms, (lead, mono_support(lead), 1, tail)
-
-
 def normal_form(f, divisors, p):
     """Remainder of f modulo a list of divisor records (``divisor_record``).
 

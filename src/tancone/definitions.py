@@ -24,10 +24,10 @@ from .grid import (
     Multiset,
     Point,
     bound_value,
+    chain_gt,
     chain_parts,
     chain_value,
     double_multiset,
-    is_chain,
     is_upper,
     sharp_multiset,
     sharp_point,
@@ -88,6 +88,28 @@ def sqrt_special(m: Multiset, d: int) -> Multiset:
     if double_multiset(root, d) != m:
         raise ValueError("multiset is not special: not sharp-symmetric")
     return root
+
+
+def is_chain(points) -> bool:
+    """Strictly decreasing in the double inequality; empty chains allowed."""
+    return all(chain_gt(a, b) for a, b in zip(points, points[1:]))
+
+
+def initial_chain(f: Poly):
+    """Support of the initial monomial as a chain, or None.
+
+    Returns the points sorted into decreasing chain order when the
+    initial monomial is squarefree and its support is a chain; a repeated
+    variable can never sit inside a strictly decreasing chain.
+    """
+    lm = f.leading_monomial()
+    if any(e > 1 for e in lm):
+        return None
+    pts = [f.ring.variables[i] for i, e in enumerate(lm) if e == 1]
+    pts.sort(key=lambda q: (-q[0], q[1]))
+    if not is_chain(pts):
+        return None
+    return tuple(pts)
 
 
 def is_upper_chain(points, d: int) -> bool:

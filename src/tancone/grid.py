@@ -73,11 +73,6 @@ def chain_gt(a: Point, b: Point) -> bool:
     return a[0] > b[0] and a[1] < b[1]
 
 
-def is_chain(points) -> bool:
-    """Strictly decreasing in the double inequality; empty chains allowed."""
-    return all(chain_gt(a, b) for a, b in zip(points, points[1:]))
-
-
 def chain_parts(points) -> tuple[tuple[Point, ...], tuple[Point, ...]]:
     """(positive part, negative part)."""
     return tuple(filter(is_positive, points)), tuple(filterfalse(is_positive, points))

@@ -15,7 +15,7 @@ from operator import le
 Index = tuple[int, ...]
 
 # the largest d accepted: three sampled d = 8, degree 1 cases take about
-# 10 s and 280 MB, and d = 9 is not measured
+# 4 s and 270 MB, and d = 9 is not measured
 MAX_D = 8
 
 # the most boxes ``brsk`` takes, as the total multiplicity of a multiset or

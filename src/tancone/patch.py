@@ -1,12 +1,16 @@
 """Affine patch at a fixed point: coordinate matrix, minors, the
 tangent-cone ideal generators, and the distinguished Groebner set.
 
-A generator and the fact of its initial chain depend only on the orbit
-representative and the fixed point, so the patch holds one memo entry
-per representative, shared by every case verified on it.
-``generator_set`` and ``good_subset`` read a case's alpha and gamma and
-its patch directly and return (pairs, polynomials) lists; the triple
-itself is validated once, by ``verify.CaseSpec``.
+The patch memoizes each orbit representative's monic minor and chain
+fact for every case verified on it.  A minor is expanded along its last
+row over a memo of strict sub-minors keyed by (rows, cols), so a patch
+builds each sub-minor once for every minor that contains it, and drops
+them with the patch when a sweep is done with its beta.  Monomials are
+packed into one integer, one big-endian byte per variable in ring order:
+a term times a variable is one integer addition, and among terms of one
+degree (a minor is homogeneous) integer order is the term order.  That
+is exact because a variable fills at most two cells, X(r, c) and its
+mirror, so no exponent of a minor exceeds 2 and no byte carries.
 
 The patch matrix is 2d x d with identity rows on beta; the remaining
 entries are the upper-region coordinates, with each strictly-lower
@@ -23,12 +27,12 @@ choice by ``FORM_LABEL``.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import permutations
+from itertools import compress, filterfalse
 
+from ._kernel_py import _inv, mono_support
 from .grid import (
+    chain_gt,
     chain_value,
-    is_chain,
     is_positive,
     is_upper,
     sharp_point,
@@ -56,10 +60,10 @@ class PatchMatrix:
     """2d x d coordinate matrix of the affine patch at e_beta.
 
     Beta's rows are the identity; ``signed_vars`` holds every other entry
-    as the (variable index, sign) it is built from, which is what
-    ``minor`` reads (``definitions.patch_entries`` builds the explicit
-    matrix).  ``generator`` memoizes each theta's monic minor and chain
-    fact together, so neither is computed twice on one patch.
+    as the (variable index, sign) it is built from, which is what the
+    minors read (``definitions.patch_entries`` builds the explicit
+    matrix).  ``_minors`` holds the strict sub-minors, packed, and
+    ``_generators`` each theta's monic minor and chain fact.
     """
 
     def __init__(self, beta: Index, d: int, ring: PolyRing):
@@ -67,6 +71,8 @@ class PatchMatrix:
         self.d = d
         self.ring = ring
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
+        self._units = [1 << 8 * (ring.nvars - 1 - i) for i in range(ring.nvars)]
+        self._minors: dict[tuple[tuple, tuple], dict[int, int]] = {}
         self._generators: dict[Index, tuple[Poly, tuple[bool, Index] | None]] = {}
         for r in range(1, 2 * d + 1):
             if r in self.beta:
@@ -78,62 +84,93 @@ class PatchMatrix:
                     var, s = sharp_point((r, c), d), mirror_sign(r, c, d)
                 self.signed_vars[(r, c)] = (ring.index[var], s)
 
-    def minor(self, theta: Index) -> Poly:
-        """Determinant over rows theta minus beta, columns beta minus theta.
+    def _expand(self, rows: tuple, cols: tuple) -> dict[int, int]:
+        """{packed monomial: integer coefficient} of the minor on rows x
+        cols: sum_j (-1)^(k-1+j) X(r, c_j) minor(rows - r, cols - c_j), r
+        the last row, each sub-minor read from or put in ``_minors``."""
+        if len(rows) < 2:
+            if not rows:
+                return {0: 1}
+            var, s = self.signed_vars[(rows[0], cols[0])]
+            return {self._units[var]: s}
+        head, last = rows[:-1], rows[-1]
+        memo = self._minors
+        acc: dict[int, int] = {}
+        get = acc.get
+        sign = -1 if len(head) % 2 else 1
+        for j, c in enumerate(cols):
+            var, s = self.signed_vars[(last, c)]
+            unit = self._units[var]
+            s *= sign
+            sign = -sign
+            key = (head, cols[:j] + cols[j + 1 :])
+            sub = memo.get(key)
+            if sub is None:
+                sub = memo[key] = self._expand(*key)
+            for m, v in sub.items():
+                m += unit
+                acc[m] = get(m, 0) + s * v
+        return {m: v for m, v in acc.items() if v}
 
-        Those rows lie outside beta, so every entry used is +/- one
-        variable, and the Leibniz sum runs over ``signed_vars`` with
-        integer signs.  Built afresh on every call.
-        """
-        rows = sorted(set(theta) - set(self.beta))
-        cols = sorted(set(self.beta) - set(theta))
+    def _packed_minor(self, theta: Index) -> dict[int, int]:
+        """``_expand`` on rows theta - beta, columns beta - theta, recalled
+        if already a sub-minor."""
+        rows = tuple(filterfalse(set(self.beta).__contains__, sorted(theta)))
+        cols = tuple(filterfalse(set(theta).__contains__, self.beta))
         if len(rows) != len(cols):
             raise ValueError("theta and beta must have the same size")
-        cells = [[self.signed_vars[(r, c)] for c in cols] for r in rows]
-        acc: dict[tuple, int] = {}
-        for perm, sign in _signed_permutations(len(rows)):
-            exps = [0] * self.ring.nvars
-            for row, j in zip(cells, perm):
-                var, s = row[j]
-                exps[var] += 1
-                sign *= s
-            mono = tuple(exps)
-            acc[mono] = acc.get(mono, 0) + sign
-        return self.ring.poly(acc)
+        packed = self._minors.get((rows, cols))
+        return self._expand(rows, cols) if packed is None else packed
+
+    def minor(self, theta: Index) -> Poly:
+        """Determinant over rows theta minus beta, columns beta minus theta."""
+        n = self.ring.nvars
+        packed = self._packed_minor(theta)
+        return self.ring.poly({tuple(m.to_bytes(n, "big")): c for m, c in packed.items()})
 
     def generator(self, theta: Index) -> tuple[Poly, tuple[bool, Index] | None]:
         """(monic minor, chain fact) of theta, memoized; the polynomial
-        must not be mutated.  The minor is homogeneous, so it is scaled to
-        initial coefficient 1 and given its divisor record in one step
-        (``Poly.monic_homogeneous``).  The fact is (whether every point is
-        positive, chain value at beta) of its initial chain when that
-        chain is one-signed, else None (no chain, or a mixed-sign one)."""
+        must not be mutated.  A minor vanishing over F_p gives (zero, None).
+
+        The lead is the integer maximum of the terms left mod p; one pass
+        scales to lead coefficient 1, unpacks and builds the divisor
+        record.  The fact is (all points positive, chain value at
+        beta) of the lead's support, read off in chain order (the ring's
+        variable order), if that is a squarefree one-signed chain."""
         theta = tuple(theta)
         entry = self._generators.get(theta)
-        if entry is None:
-            f = self.minor(theta).monic_homogeneous()
-            fact = None
-            ch = initial_chain(f)
-            if ch is not None:
-                assert all(is_upper(q, self.d) for q in ch)
-                signs = {is_positive(q) for q in ch}
+        if entry is not None:
+            return entry
+        ring, p = self.ring, self.ring.p
+        packed = self._packed_minor(theta)
+        if p:
+            packed = {m: c % p for m, c in packed.items() if c % p}
+        if not packed:
+            entry = self._generators[theta] = (ring.zero(), None)
+            return entry
+        top = max(packed)
+        inv = _inv(packed[top], p)
+        n = ring.nvars
+        terms = {}
+        tail = []
+        for m, c in packed.items():
+            mono = tuple(m.to_bytes(n, "big"))
+            if inv != 1:
+                c = c * inv % p if p else c * inv
+            terms[mono] = c
+            if m != top:
+                tail.append((mono, c, 0))
+        lead = tuple(top.to_bytes(n, "big"))
+        f = Poly(ring, terms, (lead, mono_support(lead), 1, tuple(tail)))
+        fact = None
+        if max(lead) == 1:
+            pts = list(compress(ring.variables, lead))
+            if all(map(chain_gt, pts, pts[1:])):
+                signs = set(map(is_positive, pts))
                 if len(signs) == 1:
-                    fact = (signs.pop(), chain_value(ch, self.beta))
-            entry = self._generators[theta] = (f, fact)
+                    fact = (signs.pop(), chain_value(pts, self.beta))
+        entry = self._generators[theta] = (f, fact)
         return entry
-
-
-@lru_cache(maxsize=None)
-def _signed_permutations(k: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Every (permutation of range(k), its sign), built once per size k:
-    the sign is -1 to the number of inversions."""
-    out = []
-    for perm in permutations(range(k)):
-        inversions = sum(
-            perm[i] > perm[j] for i in range(k) for j in range(i + 1, k)
-        )
-        out.append((perm, -1 if inversions % 2 else 1))
-    return tuple(out)
 
 
 def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:
@@ -161,23 +198,6 @@ def generator_set(
             pairs.append(pair)
             polys.append(pair_minor(patch, pair))
     return pairs, polys
-
-
-def initial_chain(f: Poly):
-    """Support of the initial monomial as a chain, or None.
-
-    Returns the points sorted into decreasing chain order when the
-    initial monomial is squarefree and its support is a chain; a repeated
-    variable can never sit inside a strictly decreasing chain.
-    """
-    lm = f.leading_monomial()
-    if any(e > 1 for e in lm):
-        return None
-    pts = [f.ring.variables[i] for i, e in enumerate(lm) if e == 1]
-    pts.sort(key=lambda q: (-q[0], q[1]))
-    if not is_chain(pts):
-        return None
-    return tuple(pts)
 
 
 def good_subset(

@@ -27,7 +27,6 @@ from ._kernel_py import (
     mono_key,
     mono_lcm,
     mono_mul,
-    monic_homogeneous,
     poly_add,
     poly_mul,
     poly_scale,
@@ -155,17 +154,17 @@ class Poly:
     """Immutable-by-convention sparse polynomial bound to a ring.
 
     Its divisor record (lead, lead support mask, inverse lead
-    coefficient, tail) is built on first use and kept, which is sound
-    because ``terms`` is never mutated after construction; it takes no
-    part in ``==`` or ``hash``.
+    coefficient, tail) is built on first use, or passed in, and kept,
+    which is sound because ``terms`` is never mutated after
+    construction; it takes no part in ``==`` or ``hash``.
     """
 
     __slots__ = ("ring", "terms", "_record")
 
-    def __init__(self, ring: PolyRing, terms: dict):
+    def __init__(self, ring: PolyRing, terms: dict, record=None):
         self.ring = ring
         self.terms = terms
-        self._record = None
+        self._record = record
 
     def __bool__(self):
         return bool(self.terms)
@@ -231,17 +230,6 @@ class Poly:
         if inv == 1:
             return self
         return Poly(self.ring, poly_scale(self.terms, inv, self.ring.p))
-
-    def monic_homogeneous(self) -> "Poly":
-        """``monic()`` of a homogeneous polynomial, built together with its
-        divisor record (``_kernel_py.monic_homogeneous``), so neither this
-        polynomial nor the scaled one builds a generic record for it."""
-        if not self.terms:
-            return self
-        terms, record = monic_homogeneous(self.terms, self.ring.p)
-        out = self if terms is self.terms else Poly(self.ring, terms)
-        out._record = record
-        return out
 
     def __repr__(self):
         return self.ring.format_poly(self)

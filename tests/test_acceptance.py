@@ -188,7 +188,8 @@ def test_exhaustive_d5_degree1_matches_reference():
 @pytest.mark.slow
 def test_sampled_d6_degree1_sweep_is_ok():
     """Opt in with ``pytest -m slow``: 500 seeded cases of the d = 6,
-    degree 1 sweep (27456 cases on 64 betas), every verdict ok."""
+    degree 1 sweep (27456 cases on 64 betas), every verdict ok; about
+    6 s."""
     verdicts = sweep(6, max_degree=1, sample=500, seed=0)
     announce("sampled d=6, degree 1 sweep (500 cases) verifies every case",
              len(verdicts) == 500 and all(v.ok for v in verdicts))

@@ -27,6 +27,7 @@ from tancone.definitions import (
     _standard_sequences,
     delta_sequence,
     is_bounded_bitableau,
+    is_chain,
     is_standard_on_y,
     monomial_degree,
     multiset_bounded,
@@ -37,7 +38,6 @@ from tancone.grid import (
     chain_value,
     double_multiset,
     grid_points,
-    is_chain,
     is_positive,
     multiset_chain_values,
     sharp_point,

@@ -8,6 +8,7 @@ from tancone.definitions import (
     chain_bounded,
     enumerate_chains,
     fold_chain,
+    is_chain,
     is_diagonal,
     is_special,
     is_upper_chain,
@@ -19,7 +20,6 @@ from tancone.grid import (
     chain_value,
     double_multiset,
     grid_points,
-    is_chain,
     is_positive,
     is_upper,
     maximal_paths,

@@ -1,11 +1,16 @@
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
 from tancone._kernel_py import divisor_record
-from tancone.definitions import column_inner_products, form_eps, patch_entries
+from tancone.definitions import (
+    column_inner_products,
+    form_eps,
+    initial_chain,
+    patch_entries,
+)
 from tancone.grid import chain_value, is_positive, is_upper, sharp_point, upper_points
 from tancone.indexsets import (
     admissible_pairs,
@@ -19,7 +24,6 @@ from tancone.patch import (
     build_patch,
     generator_set,
     good_subset,
-    initial_chain,
     mirror_sign,
     pair_minor,
 )
@@ -64,6 +68,31 @@ def cofactor_det(entries, rows, cols, ring):
         term = entries[(r, c)] * sub
         total = total + (term if j % 2 == 0 else term.scale(-1))
     return total
+
+
+def leibniz_det(patch, rows, cols):
+    """Independent determinant oracle: the Leibniz sum over every
+    permutation, signed by its inversions, on the patch's signed
+    variables (how ``PatchMatrix.minor`` computed minors before it
+    expanded along rows)."""
+    ring = patch.ring
+    k = len(rows)
+    acc = {}
+    for perm in permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        sign = -1 if inversions % 2 else 1
+        exps = [0] * ring.nvars
+        for r, j in zip(rows, perm):
+            var, s = patch.signed_vars[(r, cols[j])]
+            exps[var] += 1
+            sign *= s
+        mono = tuple(exps)
+        acc[mono] = acc.get(mono, 0) + sign
+    return ring.poly(acc)
+
+
+def minor_lines(theta, beta):
+    return sorted(set(theta) - set(beta)), sorted(set(beta) - set(theta))
 
 
 def test_selected_convention_is_isotropic():
@@ -137,6 +166,8 @@ def test_patch_variable_count(d):
             seen.update(entry.terms)
         seen.discard((0,) * m.ring.nvars)
         assert len(seen) == d * (d + 1) // 2
+        # so every chain ``generator`` reads off a lead is an upper chain
+        assert all(is_upper(v, d) for v in m.ring.variables)
 
 
 def test_minor_examples():
@@ -172,6 +203,55 @@ def test_minor_memo_is_per_patch():
                 assert f0.ring is m0.ring and f3.ring is m3.ring
 
 
+@pytest.mark.parametrize("d", [5, 6])
+@pytest.mark.parametrize("p", [0, 2])
+def test_minor_matches_leibniz_oracle_on_a_sample(d, p):
+    rng = random.Random(d)
+    thetas = enumerate_indices(d, ambient_only=True)
+    for beta in rng.sample(enumerate_indices(d), 4):
+        m = build_patch(beta, d, p)
+        for theta in rng.sample(thetas, 40):
+            want = leibniz_det(m, *minor_lines(theta, beta))
+            assert m.minor(theta) == want, (p, beta, theta)
+            f, _ = m.generator(theta)
+            assert f == want.monic() and f._record == divisor_record(f.terms, p)
+
+
+def test_minor_at_d8_matches_leibniz_oracle():
+    """36 variables: one theta of each size 0..6 at one beta, so that the
+    packed monomials span 36 bytes."""
+    d, beta = 8, (2, 3, 5, 7, 9, 11, 13, 16)
+    m = build_patch(beta, d)
+    assert m.ring.nvars == 36
+    by_size = {}
+    for theta in enumerate_indices(d, ambient_only=True):
+        by_size.setdefault(len(set(theta) - set(beta)), theta)
+    for k in range(7):
+        theta = by_size[k]
+        want = leibniz_det(m, *minor_lines(theta, beta))
+        assert want.degree() == k
+        assert m.minor(theta) == want, theta
+        f, _ = m.generator(theta)
+        assert f == want.monic() and f._record == divisor_record(f.terms, 0)
+
+
+@pytest.mark.parametrize("d", [3, 4])
+def test_build_order_does_not_change_generators(d):
+    """The sub-minor memo fills in whatever order minors are asked for;
+    each generator, its record (tail order included) and its fact come
+    out the same in lex and in reverse order."""
+    thetas = enumerate_indices(d, ambient_only=True)
+    for p, beta in product((0, 2), enumerate_indices(d)):
+        forward, backward = build_patch(beta, d, p), build_patch(beta, d, p)
+        built = {theta: forward.generator(theta) for theta in thetas}
+        for theta in reversed(thetas):
+            f, fact = backward.generator(theta)
+            g, want = built[theta]
+            assert list(f.terms.items()) == list(g.terms.items()), (p, beta, theta)
+            assert f._record == g._record and fact == want, (p, beta, theta)
+        assert forward._minors.keys() == backward._minors.keys()
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_minor_sign_symmetry_with_sharp(d):
     for beta in enumerate_indices(d):
@@ -199,21 +279,21 @@ def test_pair_minor_scales_each_minor_once_per_patch():
         assert pair_minor(m, pair) is pair_minor(m, pair)
 
 
-def test_pair_minor_shares_the_memoized_minor_when_already_monic():
+def test_pair_minor_is_the_minor_scaled_to_a_monic_lead():
     m = build_patch((1, 3), 2)
-    shared = scaled = 0
+    kept = negated = 0
     for pair in admissible_pairs(2):
-        minor = m.minor(pair.rep)  # built afresh: minor() keeps no memo
+        minor = m.minor(pair.rep)
         f = pair_minor(m, pair)
+        assert f.initial_term()[1] == 1
+        assert f._record == divisor_record(f.terms, 0)
         if minor.initial_term()[1] == 1:
-            assert minor.monic_homogeneous().terms is minor.terms
-            shared += 1
+            assert f == minor
+            kept += 1
         else:
-            assert f.initial_term()[1] == 1 and f.terms is not minor.terms
-            assert minor.monic_homogeneous().terms is not minor.terms
-            assert minor.initial_term()[1] == -1  # scaled into a copy, not in place
-            scaled += 1
-    assert shared and scaled
+            assert minor.initial_term()[1] == -1 and f == minor.scale(-1)
+            negated += 1
+    assert kept and negated
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
@@ -229,13 +309,21 @@ def test_monic_minor_and_its_record_match_the_generic_ones(d):
             assert f._record == divisor_record(f.terms, p), (p, beta, pair)
 
 
-def test_monic_homogeneous_leaves_a_zero_polynomial_as_monic_does():
-    """No minor of a pair vanishes at d <= 4, even over F_2, so the zero
-    case is checked on the ring: it stays itself, with no record."""
-    for p in (0, 2):
-        zero = PolyRing.for_patch((1, 3), 2, p=p).zero()
-        assert zero.monic_homogeneous() is zero.monic() is zero
-        assert zero._record is None
+def test_a_minor_vanishing_over_fp_gives_zero_and_no_fact():
+    """No minor of a patch vanishes over F_2 or F_3 at d <= 6 (nor over F_2
+    at d = 7), so the zero case is made by re-signing one cell: the
+    minor on rows (2, 4), columns (1, 3) of the patch at (1, 3) becomes
+    -2 X(2,1) X(2,3), which vanishes over F_2 only."""
+    for p in (0, 2, 3):
+        m = build_patch((1, 3), 2, p)
+        var, _ = m.signed_vars[(2, 3)]
+        m.signed_vars[(4, 1)], m.signed_vars[(4, 3)] = m.signed_vars[(2, 1)], (var, -1)
+        f, fact = m.generator((2, 4))
+        if p == 2:
+            assert not f.terms and fact is None and f._record is None
+        else:
+            assert str(f) == "X(2,1)*X(2,3)" and fact is None
+            assert f._record == divisor_record(f.terms, p)
 
 
 def test_chain_facts_are_per_patch():
@@ -244,15 +332,20 @@ def test_chain_facts_are_per_patch():
     beta, d = (1, 3, 5), 3
     m1, m2 = build_patch(beta, d), build_patch(beta, d)
     assert m1._generators is not m2._generators
+    assert m1._minors is not m2._minors
     for pair in admissible_pairs(d):
         m1.generator(pair.rep)
     assert m1._generators and not m2._generators
+    assert m1._minors and not m2._minors
     for pair in admissible_pairs(d):
         f2, fact2 = m2.generator(pair.rep)
         f1, fact1 = m1.generator(pair.rep)
         assert fact2 == fact1 and f2 == f1 and f2 is not f1
         assert m1.generator(pair.rep)[0] is f1 is pair_minor(m1, pair)
     assert m1._generators.keys() == m2._generators.keys()
+    # the sub-minors agree, and neither patch holds one of the other's
+    assert m1._minors == m2._minors
+    assert not any(m2._minors[key] is sub for key, sub in m1._minors.items())
 
 
 def _assert_good_subset_matches_oracle(alpha, beta, gamma, patch):
