@@ -440,6 +440,7 @@ def standard_basis_agrees(
         nf = normal_form(evaluate(pairs, matrix), groebner)
         row = {}
         for m, c in nf.terms.items():
+            m = ring.unpack(m)
             if m not in col:  # remainder escaped the staircase: not a GB
                 return False
             row[col[m]] = c

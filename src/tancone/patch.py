@@ -6,11 +6,13 @@ fact for every case verified on it.  A minor is expanded along its last
 row over a memo of strict sub-minors keyed by (rows, cols), so a patch
 builds each sub-minor once for every minor that contains it, and drops
 them with the patch when a sweep is done with its beta.  Monomials are
-packed into one integer, one big-endian byte per variable in ring order:
-a term times a variable is one integer addition, and among terms of one
-degree (a minor is homogeneous) integer order is the term order.  That
-is exact because a variable fills at most two cells, X(r, c) and its
-mirror, so no exponent of a minor exceeds 2 and no byte carries.
+the ring's packed integers (``PolyRing.pack``), one big-endian byte per
+variable in ring order below the total degree: each variable's unit
+carries one degree unit too, so a term times a variable is one integer
+addition and the expansion yields the kernel's monomials directly, in
+which integer order is the term order.  That is exact because a variable
+fills at most two cells, X(r, c) and its mirror, so no exponent of a
+minor exceeds 2 and no guard bit is ever reached.
 
 The patch matrix is 2d x d with identity rows on beta; the remaining
 entries are the upper-region coordinates, with each strictly-lower
@@ -29,7 +31,7 @@ from __future__ import annotations
 
 from itertools import compress, filterfalse
 
-from ._kernel_py import _inv, mono_support
+from ._kernel_py import _inv
 from .grid import (
     chain_gt,
     chain_value,
@@ -71,7 +73,8 @@ class PatchMatrix:
         self.d = d
         self.ring = ring
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
-        self._units = [1 << 8 * (ring.nvars - 1 - i) for i in range(ring.nvars)]
+        n = ring.nvars
+        self._units = [ring.pack((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
         self._minors: dict[tuple[tuple, tuple], dict[int, int]] = {}
         self._generators: dict[Index, tuple[Poly, tuple[bool, Index] | None]] = {}
         for r in range(1, 2 * d + 1):
@@ -114,27 +117,31 @@ class PatchMatrix:
 
     def _packed_minor(self, theta: Index) -> dict[int, int]:
         """``_expand`` on rows theta - beta, columns beta - theta, recalled
-        if already a sub-minor."""
+        if already a sub-minor, with its coefficients reduced mod p over
+        F_p."""
         rows = tuple(filterfalse(set(self.beta).__contains__, sorted(theta)))
         cols = tuple(filterfalse(set(theta).__contains__, self.beta))
         if len(rows) != len(cols):
             raise ValueError("theta and beta must have the same size")
         packed = self._minors.get((rows, cols))
-        return self._expand(rows, cols) if packed is None else packed
+        if packed is None:
+            packed = self._expand(rows, cols)
+        p = self.ring.p
+        return {m: c % p for m, c in packed.items() if c % p} if p else packed
 
     def minor(self, theta: Index) -> Poly:
         """Determinant over rows theta minus beta, columns beta minus theta."""
-        n = self.ring.nvars
-        packed = self._packed_minor(theta)
-        return self.ring.poly({tuple(m.to_bytes(n, "big")): c for m, c in packed.items()})
+        return Poly(self.ring, self._packed_minor(theta))
 
     def generator(self, theta: Index) -> tuple[Poly, tuple[bool, Index] | None]:
         """(monic minor, chain fact) of theta, memoized; the polynomial
         must not be mutated.  A minor vanishing over F_p gives (zero, None).
 
-        The lead is the integer maximum of the terms left mod p; one pass
-        scales to lead coefficient 1, unpacks and builds the divisor
-        record.  The fact is (all points positive, chain value at
+        The expansion's terms are already the kernel's packed monomials,
+        so no term is unpacked: the lead is the integer maximum of the
+        terms left mod p, one pass scales them to lead coefficient 1, and
+        the divisor record is (lead, 1, the other terms).  The lead alone
+        is unpacked, for the fact: (all points positive, chain value at
         beta) of the lead's support, read off in chain order (the ring's
         variable order), if that is a squarefree one-signed chain."""
         theta = tuple(theta)
@@ -142,26 +149,18 @@ class PatchMatrix:
         if entry is not None:
             return entry
         ring, p = self.ring, self.ring.p
-        packed = self._packed_minor(theta)
-        if p:
-            packed = {m: c % p for m, c in packed.items() if c % p}
-        if not packed:
+        terms = self._packed_minor(theta)
+        if not terms:
             entry = self._generators[theta] = (ring.zero(), None)
             return entry
-        top = max(packed)
-        inv = _inv(packed[top], p)
-        n = ring.nvars
-        terms = {}
-        tail = []
-        for m, c in packed.items():
-            mono = tuple(m.to_bytes(n, "big"))
-            if inv != 1:
-                c = c * inv % p if p else c * inv
-            terms[mono] = c
-            if m != top:
-                tail.append((mono, c, 0))
-        lead = tuple(top.to_bytes(n, "big"))
-        f = Poly(ring, terms, (lead, mono_support(lead), 1, tuple(tail)))
+        top = max(terms)
+        inv = _inv(terms[top], p)
+        if inv != 1:
+            terms = {m: c * inv % p if p else c * inv for m, c in terms.items()}
+        tail = dict(terms)
+        del tail[top]
+        f = Poly(ring, terms, (top, 1, tuple(tail.items())))
+        lead = ring.unpack(top)
         fact = None
         if max(lead) == 1:
             pts = list(compress(ring.variables, lead))

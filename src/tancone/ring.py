@@ -2,8 +2,11 @@
 oracle for reduced Groebner bases under the homogeneous-lex term order.
 
 The variable order is X(r,c) > X(r',c') iff r > r', or r = r' and
-c < c'.  Variables are stored descending in that order, so comparing
-(degree, exponent tuple) realises the term order directly.
+c < c'.  Variables are stored descending in that order.  A monomial of
+a polynomial is one integer in the ring's one layout (``PolyRing.pack``,
+and ``_kernel_py`` for its guard bits), whose integer order is the term
+order; exponent tuples, ordered as (degree, tuple), appear only at the
+edges: ``PolyRing.poly`` packs them, and leads and formatting unpack.
 
 Coefficients live in Q or in a prime field F_p; the characteristic is a
 property of the ring.  Over Q an integral coefficient is an int and any
@@ -19,14 +22,11 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, compress
-from operator import itemgetter
+from operator import itemgetter, le
 
 from ._kernel_py import (
     divisor_record,
-    mono_divides,
-    mono_key,
     mono_lcm,
-    mono_mul,
     poly_add,
     poly_mul,
     poly_scale,
@@ -59,11 +59,30 @@ class PolyRing:
             raise ValueError("characteristic must be 0 or a prime")
         self.p = p
         self.nvars = len(self.variables)
-        self._zero_mono = (0,) * self.nvars
+        self.shift = 8 * self.nvars
+        self.guards = int.from_bytes(b"\x80" * self.nvars, "big")
 
     @classmethod
     def for_patch(cls, beta: Index, d: int, p: int = 0) -> "PolyRing":
         return cls(sorted(upper_points(beta, d), key=variable_sort_key), p=p)
+
+    # -- monomials -----------------------------------------------------------
+
+    def pack(self, exps) -> int:
+        """Exponent tuple -> packed monomial: exponent i in the 8-bit field
+        at bit 8 (nvars - 1 - i), whose top bit is its guard (``guards``
+        masks them all), and the degree from bit ``shift`` up.  ValueError
+        on an exponent outside [0, 127]."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars:
+            raise ValueError(f"{len(exps)} exponents for {self.nvars} variables")
+        if exps and not 0 <= min(exps) <= max(exps) <= 127:
+            raise ValueError(f"exponents must lie in [0, 127], got {exps}")
+        return int.from_bytes(bytes(exps), "big") + (sum(exps) << self.shift)
+
+    def unpack(self, m: int) -> tuple:
+        """The exponent tuple of a packed monomial."""
+        return tuple((m & ((1 << self.shift) - 1)).to_bytes(self.nvars, "big"))
 
     # -- coefficient helpers ------------------------------------------------
 
@@ -82,20 +101,20 @@ class PolyRing:
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {self._zero_mono: self.coeff(1)})
+        return Poly(self, {0: self.coeff(1)})
 
     def gen(self, var) -> "Poly":
-        mono = [0] * self.nvars
-        mono[self.index[var]] = 1
-        return Poly(self, {tuple(mono): self.coeff(1)})
+        unit = (1 << self.shift) + (1 << 8 * (self.nvars - 1 - self.index[var]))
+        return Poly(self, {unit: self.coeff(1)})
 
     def poly(self, terms) -> "Poly":
-        """Build from {monomial tuple: coefficient}, dropping zeros."""
+        """Build from {exponent tuple: coefficient}, dropping zeros; a
+        ValueError on an exponent above 127 (``pack``)."""
         out = {}
         for m, c in terms.items():
             c = self.coeff(c)
             if c:
-                out[tuple(m)] = c
+                out[self.pack(m)] = c
         return Poly(self, out)
 
     # -- rendering ----------------------------------------------------------
@@ -119,9 +138,9 @@ class PolyRing:
         if not poly.terms:
             return "0"
         chunks = []
-        for m in sorted(poly.terms, key=mono_key, reverse=True):
+        for m in sorted(poly.terms, reverse=True):
             c = poly.terms[m]
-            mono = self.format_monomial(m)
+            mono = self.format_monomial(self.unpack(m))
             if c == 1 and mono != "1":
                 chunks.append(f"+ {mono}")
             elif c == -1 and mono != "1" and not self.p:
@@ -153,10 +172,13 @@ class PolyRing:
 class Poly:
     """Immutable-by-convention sparse polynomial bound to a ring.
 
-    Its divisor record (lead, lead support mask, inverse lead
-    coefficient, tail) is built on first use, or passed in, and kept,
-    which is sound because ``terms`` is never mutated after
-    construction; it takes no part in ``==`` or ``hash``.
+    ``terms`` maps packed monomials (``PolyRing.pack``) to nonzero
+    coefficients; a product raises ``OverflowError`` rather than wrap past
+    an exponent of 127, and ``leading_monomial`` unpacks the lead alone.
+    Its divisor record (packed lead, inverse lead coefficient, tail) is
+    built on first use, or passed in, and kept, which is sound because
+    ``terms`` is never mutated after construction; it takes no part in
+    ``==`` or ``hash``.
     """
 
     __slots__ = ("ring", "terms", "_record")
@@ -187,7 +209,8 @@ class Poly:
 
     def __mul__(self, other):
         if isinstance(other, Poly):
-            return Poly(self.ring, poly_mul(self.terms, other.terms, self.ring.p))
+            ring = self.ring
+            return Poly(ring, poly_mul(self.terms, other.terms, ring.p, ring.guards))
         return self.scale(other)
 
     __rmul__ = __mul__
@@ -201,11 +224,11 @@ class Poly:
     def degree(self) -> int:
         if not self.terms:
             return -1
-        return max(sum(m) for m in self.terms)
+        return max(self.terms) >> self.ring.shift
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(m) for m in self.terms}
-        return len(degs) <= 1
+        shift = self.ring.shift
+        return len({m >> shift for m in self.terms}) <= 1
 
     def divisor_record(self):
         """``_kernel_py.divisor_record`` of this polynomial, built once."""
@@ -213,20 +236,21 @@ class Poly:
             self._record = divisor_record(self.terms, self.ring.p)
         return self._record
 
-    def leading_monomial(self):
-        return self.divisor_record()[0]
+    def leading_monomial(self) -> tuple:
+        """Exponent tuple of the order-largest term."""
+        return self.ring.unpack(self.divisor_record()[0])
 
     def initial_term(self):
-        """(monomial, coefficient) of the order-largest term."""
-        lm = self.leading_monomial()
-        return lm, self.terms[lm]
+        """(exponent tuple, coefficient) of the order-largest term."""
+        lead = self.divisor_record()[0]
+        return self.ring.unpack(lead), self.terms[lead]
 
     def monic(self) -> "Poly":
         """This polynomial scaled to leading coefficient 1; itself when it
         already is (or is zero)."""
         if not self.terms:
             return self
-        inv = self.divisor_record()[2]
+        inv = self.divisor_record()[1]
         if inv == 1:
             return self
         return Poly(self.ring, poly_scale(self.terms, inv, self.ring.p))
@@ -246,11 +270,17 @@ def normal_form(f: Poly, divisors) -> Poly:
     does not depend on that order; modulo other lists it may.
 
     Each divisor is handed to the kernel as its divisor record, which
-    the ``Poly`` builds once, on first use, and then keeps.
+    the ``Poly`` builds once, on first use, and then keeps.  A product
+    taking an exponent past 127 raises ``OverflowError`` (``_kernel_py``).
     """
     ring = f.ring
     records = [g.divisor_record() for g in divisors if g.terms]
-    return Poly(ring, _reduce_terms(f.terms, records, ring.p))
+    return Poly(ring, _reduce_terms(f.terms, records, ring.p, ring.guards))
+
+
+def _lead(g: Poly) -> int:
+    """The packed leading monomial, read from the divisor record."""
+    return g.divisor_record()[0]
 
 
 def reduced_groebner(gens) -> list[Poly]:
@@ -264,7 +294,7 @@ def reduced_groebner(gens) -> list[Poly]:
     basis of the other generators with every term that meets V dropped
     (unless those generate the unit ideal, whose basis is 1 alone).  That
     holds for every term order and field.  Whether a term meets V is one
-    ``compress`` of its exponents by V's 0/1 selector.  Many generators
+    AND of the packed monomial with the mask of V's fields.  Many generators
     of a tangent-cone ideal are 1 x 1 minors, single patch variables, and
     dropping those variables first leaves far fewer and shorter
     polynomials to the Buchberger loop (``_buchberger``).
@@ -273,25 +303,24 @@ def reduced_groebner(gens) -> list[Poly]:
     if not gens:
         return []
     ring = gens[0].ring
-    variables: dict[tuple, Poly] = {}
+    variables: dict[int, Poly] = {}
     for g in gens:
         if len(g.terms) == 1:
             (m,) = g.terms
-            if sum(m) == 1:
+            if m >> ring.shift == 1:
                 variables.setdefault(m, g)
-    in_v = [0] * ring.nvars
-    for m in variables:
-        in_v = mono_mul(in_v, m)
+    # a variable's field holds 1, so 0xFF times it fills that field
+    vmask = sum(m & (ring.guards >> 7) for m in variables) * 0xFF
     rest = []
     for g in gens:
-        terms = {m: c for m, c in g.terms.items() if not any(compress(m, in_v))}
+        terms = {m: c for m, c in g.terms.items() if not m & vmask}
         if terms:
             rest.append(g if len(terms) == len(g.terms) else Poly(ring, terms))
     basis = _buchberger(rest)
-    if basis and not any(basis[0].leading_monomial()):
+    if basis and not _lead(basis[0]):
         return basis  # the unit ideal
     basis += (g.monic() for g in variables.values())
-    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
+    basis.sort(key=_lead)
     return basis
 
 
@@ -304,49 +333,52 @@ def _buchberger(gens) -> list[Poly]:
     lead, since no other lead of a minimal basis divides it, so the
     output keeps the minimal basis's order.
 
-    Pending pairs wait in a heap of (degree of lcm, lcm, i, j), so the
-    pair popped next is the one with the least lcm in the term order,
-    ties broken by (i, j).  Each lcm is computed once, when its pair is
-    pushed, from the leading monomials kept in ``leads`` beside the basis,
-    which the minimalization reads too.  Every other lead, in the sort
-    and ``monic``, is read from the polynomial's divisor record, built
-    once per ``Poly``.
+    Pending pairs wait in a heap of (lcm, i, j), so the pair popped next
+    is the one with the least lcm in the term order, which is the integer
+    order of packed monomials, ties broken by (i, j).  Each lcm is
+    computed once, when its pair is pushed, from the packed leads kept in
+    ``leads`` beside the basis.  Every other lead, in the sorts, the
+    minimalization and ``monic``, is read from the polynomial's divisor
+    record, built once per ``Poly``.
     """
     if not gens:
         return []
     ring = gens[0].ring
+    guards = ring.guards
 
     basis: list[Poly] = []
-    for g in sorted(gens, key=lambda h: mono_key(h.leading_monomial())):
+    for g in sorted(gens, key=_lead):
         r = normal_form(g, basis)
         if r.terms:
             basis.append(r.monic())
-    leads = [g.leading_monomial() for g in basis]
+    leads = [_lead(g) for g in basis]
     pairs: list = []
 
     def push_pairs(j):
         for i in range(j):
-            lcm = mono_lcm(leads[i], leads[j])
-            heappush(pairs, (sum(lcm), lcm, i, j))
+            heappush(pairs, (mono_lcm(leads[i], leads[j], guards), i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
     while pairs:
-        _, lcm, i, j = heappop(pairs)
-        if lcm == mono_mul(leads[i], leads[j]):
+        lcm, i, j = heappop(pairs)
+        if lcm == leads[i] + leads[j]:
             continue  # coprime leads: S-poly reduces to zero
-        s = Poly(ring, spoly(basis[i].terms, basis[j].terms, ring.p))
+        s = Poly(ring, spoly(basis[i].terms, basis[j].terms, ring.p, guards))
         r = normal_form(s, basis)
         if r.terms:
             g = r.monic()
             basis.append(g)
-            leads.append(g.leading_monomial())
+            leads.append(_lead(g))
             push_pairs(len(basis) - 1)
 
     # minimalize: every element is a nonzero normal form modulo the ones
-    # before it, so the leads are distinct and name their element
-    by_lead = dict(zip(leads, basis))
-    minimal = [by_lead[lm] for lm in minimal_monomial_generators(leads)]
+    # before it, so the leads are distinct; in ascending order an element
+    # is kept unless a kept one's lead divides its lead
+    minimal: list[Poly] = []
+    for g in sorted(basis, key=_lead):
+        if all((_lead(g) - _lead(h)) & guards for h in minimal):
+            minimal.append(g)
     # interreduce tails
     reduced = []
     for idx, g in enumerate(minimal):
@@ -360,11 +392,12 @@ def _buchberger(gens) -> list[Poly]:
 
 
 def minimal_monomial_generators(monos) -> list[tuple]:
-    """Minimal generating set of the monomial ideal spanned by ``monos``."""
-    uniq = sorted(set(monos), key=mono_key)
+    """Minimal generating set of the monomial ideal spanned by the
+    exponent tuples ``monos``, ascending in the term order."""
+    uniq = sorted(set(monos), key=lambda m: (sum(m), m))
     minimal: list[tuple] = []
     for m in uniq:
-        if not any(mono_divides(g, m) for g in minimal):
+        if not any(all(map(le, g, m)) for g in minimal):
             minimal.append(m)
     return minimal
 

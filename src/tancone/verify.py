@@ -41,9 +41,10 @@ from __future__ import annotations
 import json
 import random
 import time
+from bisect import bisect_right
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations
+from itertools import accumulate, combinations
 from math import comb
 
 from .brsk import enumerate_on_starred
@@ -436,12 +437,31 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
     )
 
 
-def all_triples(d: int):
-    """Weakly increasing Bruhat triples (alpha, beta, gamma), lex order.
-    Each index's up-set is listed once, in lex order."""
+def _up_sets(d: int) -> dict[Index, list[Index]]:
+    """Each isotropic index's up-set, both in lex order."""
     iso = enumerate_indices(d)
-    above = {v: [w for w in iso if bruhat_leq(v, w)] for v in iso}
-    return [(a, b, g) for a in iso for b in above[a] for g in above[b]]
+    return {v: [w for w in iso if bruhat_leq(v, w)] for v in iso}
+
+
+def all_triples(d: int):
+    """Weakly increasing Bruhat triples (alpha, beta, gamma), lex order."""
+    above = _up_sets(d)
+    return [(a, b, g) for a in above for b in above[a] for g in above[b]]
+
+
+def sample_triples(d: int, sample: int, seed: int) -> list:
+    """``sorted(random.Random(seed).sample(all_triples(d), sample))``, or
+    all triples if no more, without listing them (1,244,672 at d = 8): the
+    same positions are drawn from a range and mapped by up-set sizes."""
+    above = _up_sets(d)
+    pairs = [(a, b) for a in above for b in above[a]]
+    ends = list(accumulate(len(above[b]) for _, b in pairs))
+    triples = []
+    for k in sorted(random.Random(seed).sample(range(ends[-1]), min(sample, ends[-1]))):
+        r = bisect_right(ends, k)
+        a, b = pairs[r]
+        triples.append((a, b, above[b][k - ends[r] + len(above[b])]))
+    return triples
 
 
 def sweep(
@@ -464,10 +484,7 @@ def sweep(
         raise ValueError(f"sample must be >= 1, got {sample}")
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
-    triples = all_triples(d)
-    if sample is not None and sample < len(triples):
-        rng = random.Random(seed)
-        triples = sorted(rng.sample(triples, sample))
+    triples = all_triples(d) if sample is None else sample_triples(d, sample, seed)
     cases = [
         CaseSpec(d=d, alpha=a, beta=b, gamma=g, field=field, max_degree=max_degree)
         for a, b, g in triples

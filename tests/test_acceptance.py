@@ -205,6 +205,23 @@ def test_sampled_d5_degree6_sweep_is_ok():
              len(verdicts) == 8 and all(v.ok for v in verdicts))
 
 
+# sha256 of report_json(sweep(7, max_degree=1, sample=20, seed=3), stable=True),
+# the first seeded step toward d = 7
+D7_SAMPLE_STABLE_REPORT_SHA256 = "aae24d4476ec2f0e4081bab9f34699db9140f903af36a2505bf75e913f5db450"
+
+
+@pytest.mark.slow
+def test_sampled_d7_degree1_report_pinned():
+    """Opt in with ``pytest -m slow``: 20 seeded cases of the d = 7, degree
+    1 sweep (about 1 s), every verdict ok, against the pinned sha256 of the
+    --stable report."""
+    verdicts = sweep(7, max_degree=1, sample=20, seed=3)
+    got = hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()
+    announce("sampled d=7, degree 1 sweep (20 cases) matches its pinned sha256",
+             len(verdicts) == 20 and all(v.ok for v in verdicts)
+             and got == D7_SAMPLE_STABLE_REPORT_SHA256)
+
+
 # sha256 of report_json(sweep(d, max_degree=6), stable=True) over Q at d = 4
 # and d = 5; every change to a counting layer is held to them
 D4_STABLE_REPORT_SHA256 = "77725c3456e405b2a742c4712956bbf1105059c0309a1c5f19f58d537c18da75"

@@ -56,17 +56,53 @@ def good_subset_oracle(alpha, gamma, patch, pairs, polys):
     return good_pairs, good_polys
 
 
-def cofactor_det(entries, rows, cols, ring):
-    """Independent determinant oracle: recursive first-row expansion."""
+# The determinant oracles compute on {exponent tuple: integer} dicts with
+# the helpers below, not with the ring's packed arithmetic they check; a
+# result is compared through ``ring.poly``, which packs it and reduces its
+# coefficients mod p.
+
+
+def tuple_terms(f):
+    """The terms of a ``Poly`` keyed by exponent tuples."""
+    return {f.ring.unpack(m): c for m, c in f.terms.items()}
+
+
+def tuple_add(f, g):
+    out = dict(f)
+    for m, c in g.items():
+        out[m] = out.get(m, 0) + c
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_mul(f, g):
+    out = {}
+    for m1, c1 in f.items():
+        for m2, c2 in g.items():
+            m = tuple(x + y for x, y in zip(m1, m2))
+            out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def tuple_monic(terms, p):
+    """``terms`` over Q (p = 0) or F_p, scaled to lead coefficient 1, the
+    lead being the largest (degree, exponents)."""
+    lead = max(terms, key=lambda m: (sum(m), m))
+    inv = pow(terms[lead], p - 2, p) if p else Fraction(1, terms[lead])
+    return {m: c * inv % p if p else c * inv for m, c in terms.items()}
+
+
+def cofactor_det(entries, rows, cols, nvars):
+    """Independent determinant oracle: recursive first-row expansion of the
+    matrix ``entries``, whose cells are tuple-keyed dicts."""
     if not rows:
-        return ring.one()
+        return {(0,) * nvars: 1}
     r, rest = rows[0], rows[1:]
-    total = ring.zero()
+    total = {}
     for j, c in enumerate(cols):
         rem = cols[:j] + cols[j + 1 :]
-        sub = cofactor_det(entries, rest, rem, ring)
-        term = entries[(r, c)] * sub
-        total = total + (term if j % 2 == 0 else term.scale(-1))
+        sub = cofactor_det(entries, rest, rem, nvars)
+        sign = {(0,) * nvars: 1 if j % 2 == 0 else -1}
+        total = tuple_add(total, tuple_mul(tuple_mul(entries[(r, c)], sub), sign))
     return total
 
 
@@ -74,7 +110,7 @@ def leibniz_det(patch, rows, cols):
     """Independent determinant oracle: the Leibniz sum over every
     permutation, signed by its inversions, on the patch's signed
     variables (how ``PatchMatrix.minor`` computed minors before it
-    expanded along rows)."""
+    expanded along rows), as a tuple-keyed dict."""
     ring = patch.ring
     k = len(rows)
     acc = {}
@@ -88,7 +124,7 @@ def leibniz_det(patch, rows, cols):
             sign *= s
         mono = tuple(exps)
         acc[mono] = acc.get(mono, 0) + sign
-    return ring.poly(acc)
+    return {m: c for m, c in acc.items() if c}
 
 
 def minor_lines(theta, beta):
@@ -163,7 +199,7 @@ def test_patch_variable_count(d):
         m = build_patch(beta, d)
         seen = set()
         for entry in patch_entries(m).values():
-            seen.update(entry.terms)
+            seen.update(tuple_terms(entry))
         seen.discard((0,) * m.ring.nvars)
         assert len(seen) == d * (d + 1) // 2
         # so every chain ``generator`` reads off a lead is an upper chain
@@ -184,12 +220,13 @@ def test_minor_matches_cofactor_oracle(d):
     for p, beta in product((0, 2, 3), enumerate_indices(d)):
         # a fresh matrix, so every minor is computed here, not recalled
         m = PatchMatrix(beta, d, PolyRing.for_patch(beta, d, p=p))
-        entries = patch_entries(m)
+        entries = {cell: tuple_terms(f) for cell, f in patch_entries(m).items()}
         for theta in enumerate_indices(d, ambient_only=True):
             rows = sorted(set(theta) - set(beta))
             cols = sorted(set(beta) - set(theta))
             f = m.minor(theta)
-            assert f == cofactor_det(entries, rows, cols, m.ring), (p, beta, theta)
+            want = cofactor_det(entries, rows, cols, m.ring.nvars)
+            assert f == m.ring.poly(want), (p, beta, theta)
 
 
 def test_minor_memo_is_per_patch():
@@ -211,10 +248,11 @@ def test_minor_matches_leibniz_oracle_on_a_sample(d, p):
     for beta in rng.sample(enumerate_indices(d), 4):
         m = build_patch(beta, d, p)
         for theta in rng.sample(thetas, 40):
-            want = leibniz_det(m, *minor_lines(theta, beta))
+            want = m.ring.poly(leibniz_det(m, *minor_lines(theta, beta)))
             assert m.minor(theta) == want, (p, beta, theta)
             f, _ = m.generator(theta)
-            assert f == want.monic() and f._record == divisor_record(f.terms, p)
+            assert f == m.ring.poly(tuple_monic(tuple_terms(want), p))
+            assert f._record == divisor_record(f.terms, p)
 
 
 def test_minor_at_d8_matches_leibniz_oracle():
@@ -229,10 +267,11 @@ def test_minor_at_d8_matches_leibniz_oracle():
     for k in range(7):
         theta = by_size[k]
         want = leibniz_det(m, *minor_lines(theta, beta))
-        assert want.degree() == k
-        assert m.minor(theta) == want, theta
+        assert {sum(mono) for mono in want} == {k}
+        assert m.minor(theta) == m.ring.poly(want), theta
         f, _ = m.generator(theta)
-        assert f == want.monic() and f._record == divisor_record(f.terms, 0)
+        assert f == m.ring.poly(tuple_monic(want, 0))
+        assert f._record == divisor_record(f.terms, 0)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -436,7 +475,7 @@ def fixed_point_coords(betap, beta, d, ring):
 
 def eval_at(f, coords):
     total = Fraction(0)
-    for mono, c in f.terms.items():
+    for mono, c in tuple_terms(f).items():
         v = Fraction(c)
         for i, e in enumerate(mono):
             if e:

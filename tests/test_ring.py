@@ -8,7 +8,7 @@ from math import comb
 import pytest
 
 import tancone.ring as R
-from tancone._kernel_py import _inv, mono_div, mono_mul
+from tancone._kernel_py import _inv
 from tancone.ring import (
     Poly,
     PolyRing,
@@ -32,8 +32,65 @@ def test_variable_order(ring13):
     assert ring13.variables == ((4, 1), (2, 1), (2, 3))
 
 
+# -- a tuple kernel for the oracles ----------------------------------------
+#
+# The oracles below compute on {exponent tuple: coefficient} dicts with
+# these helpers, independent of the packed kernel they check; results
+# are compared after unpacking (``tuple_terms``) or packing (``ring.poly``).
+
+
 def mono_key(m):
     return (sum(m), m)
+
+
+def mono_mul(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def mono_div(b, a):
+    """b / a, or None when a does not divide b."""
+    q = tuple(y - x for x, y in zip(a, b))
+    return None if any(e < 0 for e in q) else q
+
+
+def mono_lcm(a, b):
+    return tuple(map(max, a, b))
+
+
+def mono_divides(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def tuple_terms(f):
+    """The terms of a ``Poly`` keyed by exponent tuples."""
+    return {f.ring.unpack(m): c for m, c in f.terms.items()}
+
+
+def tuple_lead(terms):
+    return max(terms, key=mono_key)
+
+
+def tuple_inv(c, p):
+    return pow(c, p - 2, p) if p else 1 / Fraction(c)
+
+
+def tuple_monic(terms, p):
+    inv = tuple_inv(terms[tuple_lead(terms)], p)
+    return {m: c * inv % p if p else c * inv for m, c in terms.items()}
+
+
+def tuple_spoly(f, g, p):
+    """S-polynomial of two tuple-keyed polynomials, monic on both sides."""
+    lf, lg = tuple_lead(f), tuple_lead(g)
+    lcm = mono_lcm(lf, lg)
+    out = {}
+    for terms, lead, sign in ((f, lf, 1), (g, lg, -1)):
+        q = mono_div(lcm, lead)
+        for m, c in tuple_monic(terms, p).items():
+            mm = mono_mul(m, q)
+            v = out.get(mm, 0) + sign * c
+            out[mm] = v % p if p else v
+    return {m: c for m, c in out.items() if c}
 
 
 def test_compare_examples(ring13):
@@ -141,12 +198,14 @@ def test_normal_form_divides_in_the_order_given(ring13):
 
 
 def normal_form_oracle(f, basis, p):
-    """The division loop before divisor records, kept as the reference.
+    """The division loop on exponent tuples, before divisor records and
+    packed monomials, kept as the reference.
 
-    ``basis`` is a list of (leading monomial, terms) pairs.  The largest
-    remaining term is found by a keyed ``max`` over the whole work
-    polynomial, and it is reduced by the first pair in list order whose
-    leading monomial divides it, every pair being tried by ``mono_div``.
+    ``f`` is a tuple-keyed dict and ``basis`` a list of (leading monomial,
+    terms) pairs.  The largest remaining term is found by a keyed ``max``
+    over the whole work polynomial, and it is reduced by the first pair
+    in list order whose leading monomial divides it, every pair being
+    tried by ``mono_div``.
     """
     work = dict(f)
     remainder = {}
@@ -157,7 +216,7 @@ def normal_form_oracle(f, basis, p):
             q = mono_div(m, lm)
             if q is None:
                 continue
-            factor = c * _inv(g[lm], p)
+            factor = c * tuple_inv(g[lm], p)
             if p:
                 factor %= p
             for gm, gc in g.items():
@@ -201,8 +260,8 @@ def random_divisors(rng, ring):
         if kind < 0.15:
             divisors.append(ring.zero())
         elif kind < 0.4 and earlier:
-            lead = max(rng.choice(earlier).terms, key=mono_key)
-            lower = random_poly(rng, ring, rng.randint(1, 4), 2).terms
+            lead = rng.choice(earlier).leading_monomial()
+            lower = tuple_terms(random_poly(rng, ring, rng.randint(1, 4), 2))
             tail = {m: c for m, c in lower.items() if mono_key(m) < mono_key(lead)}
             g = ring.poly({**tail, lead: rng.choice(COEFFS)})
             if g.terms:
@@ -224,17 +283,18 @@ def test_normal_form_matches_the_division_oracle(p):
     for _ in range(250):
         ring = PolyRing(range(rng.randint(1, 5)), p=p)
         divisors = random_divisors(rng, ring)
-        basis = [(max(g.terms, key=mono_key), g.terms) for g in divisors if g.terms]
+        basis = [(g.leading_monomial(), tuple_terms(g)) for g in divisors if g.terms]
         leads = [lm for lm, _ in basis]
         repeated_leads += len(set(leads)) < len(leads)
         for _ in range(3):
             f = random_poly(rng, ring, rng.randint(1, 8), 3)
-            expected = normal_form_oracle(f.terms, basis, p)
+            f_terms = tuple_terms(f)
+            expected = normal_form_oracle(f_terms, basis, p)
             got = normal_form(f, divisors)
             assert got.ring == ring
-            assert got.terms == expected, (f, divisors)
-            mixed_degrees += len({sum(m) for m in f.terms}) > 1
-            reduced += bool(expected) and expected != f.terms
+            assert tuple_terms(got) == expected, (f, divisors)
+            mixed_degrees += len({sum(m) for m in f_terms}) > 1
+            reduced += bool(expected) and expected != f_terms
     assert mixed_degrees > 300 and repeated_leads > 40 and reduced > 200
 
 
@@ -289,7 +349,7 @@ def test_spoly_pairs_all_reduce_to_zero(ring13):
     gb = reduced_groebner([X21 * X21 + X23 * X41, X23 * X23 - X41 * X21])
     for i in range(len(gb)):
         for j in range(i):
-            s = spoly(gb[i].terms, gb[j].terms, 0)
+            s = spoly(gb[i].terms, gb[j].terms, 0, ring13.guards)
             from tancone.ring import Poly
 
             assert not normal_form(Poly(ring13, s), gb).terms
@@ -512,54 +572,66 @@ def test_homogeneous_flag(ring13):
 # -- pair-order oracle --------------------------------------------------------
 
 
-def oracle_groebner(gens):
-    """The Buchberger loop as it was before the heap queue: every iteration
-    rebuilds the lcm of every pending pair and takes the least by
-    (lcm key, (i, j)).  Returns the reduced basis and the basis the loop
-    built, before minimalization.  Kernel calls go through the
-    ``tancone.ring`` module, so a wrapped ``spoly`` sees them."""
-    gens = [g for g in gens if g.terms]
-    if not gens:
-        return [], []
-    ring = gens[0].ring
+def with_leads(basis):
+    """A tuple-keyed basis as ``normal_form_oracle`` reads it."""
+    return [(tuple_lead(g), g) for g in basis]
 
+
+def _initial_basis(gens):
+    """The nonzero ``gens`` as tuple-keyed dicts, in ascending lead order,
+    each reduced modulo the monic remainders kept before it; and p."""
+    p = gens[0].ring.p
     basis = []
-    for g in sorted(gens, key=lambda h: mono_key(h.leading_monomial())):
-        r = R.normal_form(g, basis)
-        if r.terms:
-            basis.append(r.monic())
+    terms = [tuple_terms(g) for g in gens if g.terms]
+    for g in sorted(terms, key=lambda h: mono_key(tuple_lead(h))):
+        r = normal_form_oracle(g, with_leads(basis), p)
+        if r:
+            basis.append(tuple_monic(r, p))
+    return basis, p
 
-    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
-    while pairs:
-        lcm_of = {
-            (i, j): R.mono_lcm(basis[i].leading_monomial(), basis[j].leading_monomial())
-            for (i, j) in pairs
-        }
-        i, j = min(pairs, key=lambda ij: (mono_key(lcm_of[ij]), ij))
-        pairs.remove((i, j))
-        lmi = basis[i].leading_monomial()
-        lmj = basis[j].leading_monomial()
-        if lcm_of[(i, j)] == R.mono_mul(lmi, lmj):
-            continue
-        s = R.Poly(ring, R.spoly(basis[i].terms, basis[j].terms, ring.p))
-        r = R.normal_form(s, basis)
-        if r.terms:
-            basis.append(r.monic())
-            pairs |= {(t, len(basis) - 1) for t in range(len(basis) - 1)}
-    built = list(basis)
 
-    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
+def _reduce_basis(basis, p):
+    """The reduced basis of a Groebner basis: minimalized, tails
+    interreduced, sorted by ascending lead."""
     minimal = []
-    for g in basis:
-        lm = g.leading_monomial()
-        if not any(R.mono_divides(h.leading_monomial(), lm) for h in minimal):
+    for g in sorted(basis, key=lambda h: mono_key(tuple_lead(h))):
+        lm = tuple_lead(g)
+        if not any(mono_divides(tuple_lead(h), lm) for h in minimal):
             minimal.append(g)
     reduced = []
     for idx, g in enumerate(minimal):
         others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(R.normal_form(g, others).monic())
-    reduced.sort(key=lambda h: mono_key(h.leading_monomial()))
-    return reduced, built
+        reduced.append(tuple_monic(normal_form_oracle(g, with_leads(others), p), p))
+    reduced.sort(key=lambda h: mono_key(tuple_lead(h)))
+    return reduced
+
+
+def oracle_groebner(gens):
+    """The Buchberger loop as it was before the heap queue, on exponent
+    tuples: every iteration rebuilds the lcm of every pending pair and
+    takes the least by (lcm key, (i, j)).  Returns the reduced basis, the
+    basis the loop built before minimalization, and the (i, j) of every
+    S-pair it reduced, in order."""
+    if not any(g.terms for g in gens):
+        return [], [], []
+    basis, p = _initial_basis(gens)
+    reduced_pairs = []
+    pairs = {(i, j) for j in range(len(basis)) for i in range(j)}
+    while pairs:
+        lcm_of = {
+            (i, j): mono_lcm(tuple_lead(basis[i]), tuple_lead(basis[j]))
+            for (i, j) in pairs
+        }
+        i, j = min(pairs, key=lambda ij: (mono_key(lcm_of[ij]), ij))
+        pairs.remove((i, j))
+        if lcm_of[(i, j)] == mono_mul(tuple_lead(basis[i]), tuple_lead(basis[j])):
+            continue
+        reduced_pairs.append((i, j))
+        r = normal_form_oracle(tuple_spoly(basis[i], basis[j], p), with_leads(basis), p)
+        if r:
+            basis.append(tuple_monic(r, p))
+            pairs |= {(t, len(basis) - 1) for t in range(len(basis) - 1)}
+    return _reduce_basis(basis, p), list(basis), reduced_pairs
 
 
 def _frozen(terms):
@@ -572,25 +644,24 @@ def assert_same_pair_order(monkeypatch, gens, label):
     real_spoly = R.spoly
     seen = []
 
-    def recording_spoly(f, g, p):
-        seen.append((_frozen(f), _frozen(g)))
-        return real_spoly(f, g, p)
+    def recording_spoly(f, g, p, guards):
+        seen.append((f, g))
+        return real_spoly(f, g, p, guards)
 
+    expected, built, oracle_pairs = oracle_groebner(gens)
     monkeypatch.setattr(R, "spoly", recording_spoly)
-    expected, built = oracle_groebner(gens)
-    oracle_seen, seen[:] = seen[:], []
     got = reduced_groebner(gens)
     monkeypatch.setattr(R, "spoly", real_spoly)
 
     # name each S-pair by the (i, j) of its operands in the oracle's basis
-    index = {_frozen(g.terms): k for k, g in enumerate(built)}
+    index = {_frozen(g): k for k, g in enumerate(built)}
     assert len(index) == len(built), label
 
-    def as_ij(log):
-        return [(index[f], index[g]) for f, g in log]
+    def name(terms):
+        return index[_frozen({gens[0].ring.unpack(m): c for m, c in terms.items()})]
 
-    assert got == expected, label
-    assert as_ij(seen) == as_ij(oracle_seen), label
+    assert [tuple_terms(g) for g in got] == expected, label
+    assert [(name(f), name(g)) for f, g in seen] == oracle_pairs, label
     return len(seen)
 
 
@@ -624,55 +695,36 @@ def test_pair_queue_matches_oracle_order_d4_sample(monkeypatch):
 
 def reduced_groebner_oracle(gens):
     """``reduced_groebner`` as it was before the quotient by the ideal's
-    variables: the heap-queue Buchberger loop on every generator, each
-    variable among them reducing the others inside ``normal_form``."""
-    gens = [g for g in gens if g.terms]
-    if not gens:
+    variables, on exponent tuples: the heap-queue Buchberger loop on every
+    generator, each variable among them reducing the others inside the
+    division."""
+    if not any(g.terms for g in gens):
         return []
-    ring = gens[0].ring
-
-    basis = []
-    for g in sorted(gens, key=lambda h: mono_key(h.leading_monomial())):
-        r = R.normal_form(g, basis)
-        if r.terms:
-            basis.append(r.monic())
-    leads = [g.leading_monomial() for g in basis]
+    basis, p = _initial_basis(gens)
+    leads = [tuple_lead(g) for g in basis]
     pairs = []
 
     def push_pairs(j):
         for i in range(j):
-            lcm = R.mono_lcm(leads[i], leads[j])
+            lcm = mono_lcm(leads[i], leads[j])
             heapq.heappush(pairs, (sum(lcm), lcm, i, j))
 
     for j in range(len(basis)):
         push_pairs(j)
     while pairs:
         _, lcm, i, j = heapq.heappop(pairs)
-        if lcm == R.mono_mul(leads[i], leads[j]):
+        if lcm == mono_mul(leads[i], leads[j]):
             continue
-        s = R.Poly(ring, R.spoly(basis[i].terms, basis[j].terms, ring.p))
-        r = R.normal_form(s, basis)
-        if r.terms:
-            g = r.monic()
-            basis.append(g)
-            leads.append(g.leading_monomial())
+        r = normal_form_oracle(tuple_spoly(basis[i], basis[j], p), with_leads(basis), p)
+        if r:
+            basis.append(tuple_monic(r, p))
+            leads.append(tuple_lead(basis[-1]))
             push_pairs(len(basis) - 1)
-
-    basis.sort(key=lambda h: mono_key(h.leading_monomial()))
-    minimal = []
-    for g in basis:
-        lm = g.leading_monomial()
-        if not any(R.mono_divides(h.leading_monomial(), lm) for h in minimal):
-            minimal.append(g)
-    reduced = []
-    for idx, g in enumerate(minimal):
-        others = minimal[:idx] + minimal[idx + 1 :]
-        reduced.append(R.normal_form(g, others).monic())
-    return reduced
+    return _reduce_basis(basis, p)
 
 
 def ideal_variables(gens):
-    return {m for g in gens if len(g.terms) == 1 for m in g.terms if sum(m) == 1}
+    return {g.leading_monomial() for g in gens if len(g.terms) == 1 and g.degree() == 1}
 
 
 def assert_matches_quotient_oracle(gens, label):
@@ -680,7 +732,7 @@ def assert_matches_quotient_oracle(gens, label):
     for coefficient, with only int (and over Q Fraction) coefficients."""
     got = reduced_groebner(gens)
     expected = reduced_groebner_oracle(gens)
-    assert [g.terms for g in got] == [g.terms for g in expected], label
+    assert [tuple_terms(g) for g in got] == expected, label
     allowed = (int,) if gens and gens[0].ring.p else (int, Fraction)
     for g in got:
         assert all(type(c) in allowed for c in g.terms.values()), label
@@ -733,7 +785,7 @@ def test_quotient_scaled_variable_is_returned_monic(ring4):
     gens = [x0.scale(-3), x1 * x2 - x0 * x3, x2 * x2 + x0 * x1]
     got = assert_matches_quotient_oracle(gens, "scaled variable")
     assert got == [x0, x2 * x2, x1 * x2]
-    assert got[0].terms == {x0.leading_monomial(): 1}
+    assert tuple_terms(got[0]) == {x0.leading_monomial(): 1}
 
 
 def test_quotient_generator_becomes_a_variable(ring4):
@@ -798,8 +850,9 @@ def test_rational_coefficients_are_int_when_integral():
 
 def test_equality_and_hash_agree_across_int_and_fraction():
     ring = PolyRing(range(2))
-    as_int = Poly(ring, {(1, 0): 2, (0, 1): -1})
-    as_fraction = Poly(ring, {(1, 0): Fraction(2), (0, 1): Fraction(-1, 1)})
+    x, y = ring.pack((1, 0)), ring.pack((0, 1))
+    as_int = Poly(ring, {x: 2, y: -1})
+    as_fraction = Poly(ring, {x: Fraction(2), y: Fraction(-1, 1)})
     assert as_int == as_fraction and as_fraction == as_int
     assert hash(as_int) == hash(as_fraction)
     assert len({as_int, as_fraction}) == 1

@@ -5,6 +5,7 @@ import inspect
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from tancone.verify import (
     parse_field,
     report_csv,
     report_json,
+    sample_triples,
     sweep,
     verify_case,
 )
@@ -213,6 +215,25 @@ def test_sampled_sweep_is_seed_deterministic():
     assert [v.case for v in a] == [v.case for v in b]
     c = sweep(2, max_degree=1, sample=5, seed=43)
     assert [v.case for v in a] != [v.case for v in c]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+def test_sample_triples_draws_what_sampling_the_list_draws(d):
+    """Positions drawn from a range and mapped to triples by up-set counts
+    are the triples that sampling the listed ``all_triples(d)`` gives, for
+    samples of one case up to more than every case."""
+    triples = all_triples(d)
+    n = len(triples)
+    for seed in range(6):
+        for k in sorted({1, 2, 7, n // 3, n - 1, n, n + 4} - {0}):
+            want = sorted(random.Random(seed).sample(triples, k)) if k < n else triples
+            assert sample_triples(d, k, seed) == want, (d, seed, k)
+
+
+def test_a_sampled_sweep_verifies_the_drawn_triples():
+    verdicts = sweep(4, max_degree=1, sample=9, seed=5)
+    want = sorted(random.Random(5).sample(all_triples(4), 9))
+    assert [(v.case.alpha, v.case.beta, v.case.gamma) for v in verdicts] == want
 
 
 def test_characteristic_agreement_spot():
