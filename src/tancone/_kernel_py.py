@@ -31,7 +31,10 @@ monic tangent-cone minors are, stays in int arithmetic.
 
 Division reads each divisor as a record built once per polynomial
 (``divisor_record``): its lead, the inverse of its lead coefficient, and
-its other terms.
+its other terms.  A ``ring.Poly`` builds its record on its first
+division only: a polynomial that is only ever divided, as the patch
+minors are in Buchberger, keeps its lead and no second copy of its
+terms.
 """
 
 from fractions import Fraction

@@ -6,10 +6,11 @@ The verifier counts five columns from tables built for speed (see
 special multisets and the boundedness of chains, semistandard and
 bounded bitableaux with their delta sequences, standard monomials on the
 variety with their evaluation, the degree-doubling and degree-halving
-injections, the explicit patch matrix and its isotropy, and the basis
-statement for one degree.  Every row value here comes from
-``bound_value``; no definition reads a fast path's memo or table, and no
-module of the verifier imports this one.
+injections, the explicit patch matrix and its isotropy, minimal
+generators of a monomial ideal, and the basis statement for one degree.
+Every row value here comes from ``bound_value``; no definition reads a
+fast path's memo or table, and no module of the verifier imports this
+one.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
-from operator import add
+from operator import add, le
 
 from .brsk import NEG, POS, NotchedBitableau, brsk_map
 from .grid import (
@@ -397,6 +398,18 @@ def column_inner_products(entries, beta: Index, d: int) -> list[Poly]:
 
 # ---------------------------------------------------------------------------
 # the basis statement
+
+
+def minimal_monomial_generators(monos) -> list[tuple]:
+    """Minimal generating set of the monomial ideal spanned by the
+    exponent tuples ``monos``, ascending in the term order: the oracle
+    of the packed ``ring.minimal_leads``."""
+    uniq = sorted(set(monos), key=lambda m: (sum(m), m))
+    minimal: list[tuple] = []
+    for m in uniq:
+        if not any(all(map(le, g, m)) for g in minimal):
+            minimal.append(m)
+    return minimal
 
 
 def _exact_rank(rows) -> int:

@@ -9,13 +9,13 @@ j* = 2d+1-j.  All functions work with plain sorted tuples of ints.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from operator import le
 
 Index = tuple[int, ...]
 
 # the largest d accepted: three sampled d = 8, degree 1 cases take about
-# 1.2 s and 141 MiB, mostly one beta's generators; d = 9 is not measured
+# 1.2 s and 106 MiB, mostly one beta's generators; d = 9 is not measured
 MAX_D = 8
 
 # the most boxes ``brsk`` takes, as the total multiplicity of a multiset or
@@ -214,3 +214,51 @@ def admissible_pairs(d: int) -> tuple[AdmissiblePair, ...]:
         AdmissiblePair(top=top, bot=bot, rep=rep)
         for (top, bot), rep in sorted(by_ends.items(), key=lambda kv: kv[1])
     )
+
+
+class _LazyTests(dict):
+    """A lazy dict from a value to ``test(value)``, each computed on first
+    lookup."""
+
+    def __init__(self, test):
+        self.test = test
+
+    def __missing__(self, value):
+        result = self[value] = self.test(value)
+        return result
+
+
+def _bits(ends, mask: int) -> int:
+    """The bitset of the positions i with ``not mask & ends[i]``."""
+    return sum(1 << i for i, end in enumerate(ends) if not mask & end)
+
+
+@lru_cache(maxsize=None)
+def _pair_bitsets(d: int) -> tuple[_LazyTests, _LazyTests]:
+    """(up, down), lazy bitsets over ``admissible_pairs(d)``, bit i for
+    pair i: up[alpha] the pairs with alpha <= bot, down[gamma] those with
+    top <= gamma, v <= w being ``not mask(v) & ~mask(w)`` on
+    ``bruhat_mask``s.  They depend on d alone, so every fixed point and
+    case at d shares them."""
+    pairs = admissible_pairs(d)
+    bots = [~bruhat_mask(pair.bot, d) for pair in pairs]
+    tops = [bruhat_mask(pair.top, d) for pair in pairs]
+    return (
+        _LazyTests(lambda alpha: _bits(bots, bruhat_mask(alpha, d))),
+        _LazyTests(lambda gamma: _bits(tops, ~bruhat_mask(gamma, d))),
+    )
+
+
+# a binary digit of the bounded set, as a selector of the pairs outside it
+_UNBOUNDED = bytes.maketrans(b"01", b"\x01\x00")
+
+
+def pairs_outside(alpha: Index, gamma: Index, d: int) -> list[AdmissiblePair]:
+    """The admissible pairs (top, bot) with alpha !<= bot or top !<= gamma,
+    in the order of ``admissible_pairs(d)``: the complement of up[alpha]
+    & down[gamma] (``_pair_bitsets``), read off its binary digits."""
+    pairs = admissible_pairs(d)
+    up, down = _pair_bitsets(d)
+    bounded = up[tuple(alpha)] & down[tuple(gamma)]
+    digits = format(bounded, f"0{len(pairs)}b").encode()[::-1]
+    return list(compress(pairs, digits.translate(_UNBOUNDED)))

@@ -3,16 +3,17 @@ tangent-cone ideal generators, and the distinguished Groebner set.
 
 The patch memoizes each orbit representative's monic minor and chain
 fact for every case verified on it.  A minor is expanded along its last
-row over a memo of strict sub-minors keyed by (rows, cols), so a patch
-builds each sub-minor once for every minor that contains it, and drops
-them with the patch when a sweep is done with its beta.  Monomials are
-the ring's packed integers (``PolyRing.pack``), one big-endian byte per
-variable in ring order below the total degree: each variable's unit
-carries one degree unit too, so a term times a variable is one integer
-addition and the expansion yields the kernel's monomials directly, in
-which integer order is the term order.  That is exact because a variable
-fills at most two cells, X(r, c) and its mirror, so no exponent of a
-minor exceeds 2 and no guard bit is ever reached.
+row over a memo of strict sub-minors keyed by one integer, the row and
+column bitmasks side by side, so a patch builds each sub-minor once for
+every minor that contains it, and drops them with the patch when a sweep
+is done with its beta.  Monomials are the ring's packed integers
+(``PolyRing.pack``), one big-endian byte per variable in ring order
+below the total degree: each variable's unit carries one degree unit
+too, so a term times a variable is one integer addition and the
+expansion yields the kernel's monomials directly, in which integer order
+is the term order.  That is exact because a variable fills at most two
+cells, X(r, c) and its mirror, so no exponent of a minor exceeds 2 and
+no guard bit is ever reached.
 
 The patch matrix is 2d x d with identity rows on beta; the remaining
 entries are the upper-region coordinates, with each strictly-lower
@@ -29,7 +30,7 @@ choice by ``FORM_LABEL``.
 
 from __future__ import annotations
 
-from itertools import compress, filterfalse
+from itertools import compress
 
 from ._kernel_py import _inv
 from .grid import (
@@ -42,8 +43,8 @@ from .grid import (
 from .indexsets import (
     AdmissiblePair,
     Index,
-    admissible_pairs,
     bruhat_leq,
+    pairs_outside,
     star,
 )
 from .ring import Poly, PolyRing
@@ -62,9 +63,13 @@ class PatchMatrix:
     """2d x d coordinate matrix of the affine patch at e_beta.
 
     Beta's rows are the identity; ``signed_vars`` holds every other entry
-    as the (variable index, sign) it is built from, which is what the
-    minors read (``definitions.patch_entries`` builds the explicit
-    matrix).  ``_minors`` holds the strict sub-minors, packed, and
+    as the (variable index, sign) it is built from, which is what
+    ``definitions.patch_entries`` reads to build the explicit matrix.
+    The minors read the same entries by bit position: the d rows off
+    beta, ascending, are bits 0..d-1 of a row mask, beta's columns bits
+    0..d-1 of a column mask, and ``_entries[row][col]`` is (the packed
+    variable, sign) of that cell.  ``_minors`` holds the strict
+    sub-minors, packed, keyed by ``rows | cols << d``, and
     ``_generators`` each theta's monic minor and chain fact.
     """
 
@@ -74,42 +79,56 @@ class PatchMatrix:
         self.ring = ring
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
         n = ring.nvars
-        self._units = [ring.pack((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
-        self._minors: dict[tuple[tuple, tuple], dict[int, int]] = {}
-        self._generators: dict[Index, tuple[Poly, tuple[bool, Index] | None]] = {}
-        for r in range(1, 2 * d + 1):
-            if r in self.beta:
-                continue
+        units = [ring.pack((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+        rows = [r for r in range(1, 2 * d + 1) if r not in self.beta]
+        self._row_bits = {r: 1 << i for i, r in enumerate(rows)}
+        self._col_bits = {c: 1 << j for j, c in enumerate(self.beta)}
+        self._entries: list[list[tuple[int, int]]] = []
+        for r in rows:
+            row = []
             for c in self.beta:
                 if is_upper((r, c), d):
                     var, s = (r, c), 1
                 else:
                     var, s = sharp_point((r, c), d), mirror_sign(r, c, d)
-                self.signed_vars[(r, c)] = (ring.index[var], s)
+                i = ring.index[var]
+                self.signed_vars[(r, c)] = (i, s)
+                row.append((units[i], s))
+            self._entries.append(row)
+        # a lead is squarefree when no field holds an exponent above 1
+        self._doubles = (ring.guards >> 7) * 0x7E
+        self._minors: dict[int, dict[int, int]] = {}
+        self._generators: dict[Index, tuple[Poly, tuple[bool, Index] | None]] = {}
 
-    def _expand(self, rows: tuple, cols: tuple) -> dict[int, int]:
-        """{packed monomial: integer coefficient} of the minor on rows x
-        cols: sum_j (-1)^(k-1+j) X(r, c_j) minor(rows - r, cols - c_j), r
-        the last row, each sub-minor read from or put in ``_minors``."""
-        if len(rows) < 2:
+    def _expand(self, rows: int, cols: int) -> dict[int, int]:
+        """{packed monomial: integer coefficient} of the minor on the rows
+        and columns of two masks: sum_j (-1)^(k-1+j) X(r, c_j) minor(rows
+        - r, cols - c_j), r the last row and c_j the j-th column from 0,
+        each sub-minor read from or put in ``_minors``."""
+        if not rows & (rows - 1):  # at most one row
             if not rows:
                 return {0: 1}
-            var, s = self.signed_vars[(rows[0], cols[0])]
-            return {self._units[var]: s}
-        head, last = rows[:-1], rows[-1]
+            unit, s = self._entries[rows.bit_length() - 1][cols.bit_length() - 1]
+            return {unit: s}
+        last = rows.bit_length() - 1
+        head = rows ^ (1 << last)
+        entries = self._entries[last]
+        shift = self.d
         memo = self._minors
         acc: dict[int, int] = {}
         get = acc.get
-        sign = -1 if len(head) % 2 else 1
-        for j, c in enumerate(cols):
-            var, s = self.signed_vars[(last, c)]
-            unit = self._units[var]
+        sign = -1 if head.bit_count() % 2 else 1
+        rest = cols
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            unit, s = entries[bit.bit_length() - 1]
             s *= sign
             sign = -sign
-            key = (head, cols[:j] + cols[j + 1 :])
+            key = head | (cols ^ bit) << shift
             sub = memo.get(key)
             if sub is None:
-                sub = memo[key] = self._expand(*key)
+                sub = memo[key] = self._expand(head, cols ^ bit)
             for m, v in sub.items():
                 m += unit
                 acc[m] = get(m, 0) + s * v
@@ -119,11 +138,17 @@ class PatchMatrix:
         """``_expand`` on rows theta - beta, columns beta - theta, recalled
         if already a sub-minor, with its coefficients reduced mod p over
         F_p."""
-        rows = tuple(filterfalse(set(self.beta).__contains__, sorted(theta)))
-        cols = tuple(filterfalse(set(theta).__contains__, self.beta))
-        if len(rows) != len(cols):
+        row_bits, col_bits = self._row_bits, self._col_bits
+        rows = taken = 0
+        for t in theta:
+            if t in col_bits:
+                taken |= col_bits[t]
+            else:
+                rows |= row_bits[t]
+        cols = ((1 << len(self.beta)) - 1) ^ taken
+        if rows.bit_count() != cols.bit_count():
             raise ValueError("theta and beta must have the same size")
-        packed = self._minors.get((rows, cols))
+        packed = self._minors.get(rows | cols << self.d)
         if packed is None:
             packed = self._expand(rows, cols)
         p = self.ring.p
@@ -139,11 +164,14 @@ class PatchMatrix:
 
         The expansion's terms are already the kernel's packed monomials,
         so no term is unpacked: the lead is the integer maximum of the
-        terms left mod p, one pass scales them to lead coefficient 1, and
-        the divisor record is (lead, 1, the other terms).  The lead alone
-        is unpacked, for the fact: (all points positive, chain value at
-        beta) of the lead's support, read off in chain order (the ring's
-        variable order), if that is a squarefree one-signed chain."""
+        terms left mod p, and one pass scales them to lead coefficient 1.
+        The polynomial keeps its lead but no divisor record, which it
+        builds only if it ever divides (``Poly.divisor_record``); the
+        generators of a case are only dividends.  The fact is (all points
+        positive, chain value at beta) of the lead's support, read off in
+        chain order (the ring's variable order), if that is a squarefree
+        one-signed chain; one AND tells a squarefree lead, and only such a
+        lead is unpacked."""
         theta = tuple(theta)
         entry = self._generators.get(theta)
         if entry is not None:
@@ -157,18 +185,14 @@ class PatchMatrix:
         inv = _inv(terms[top], p)
         if inv != 1:
             terms = {m: c * inv % p if p else c * inv for m, c in terms.items()}
-        tail = dict(terms)
-        del tail[top]
-        f = Poly(ring, terms, (top, 1, tuple(tail.items())))
-        lead = ring.unpack(top)
         fact = None
-        if max(lead) == 1:
-            pts = list(compress(ring.variables, lead))
+        if not top & self._doubles:
+            pts = list(compress(ring.variables, ring.unpack(top)))
             if all(map(chain_gt, pts, pts[1:])):
                 signs = set(map(is_positive, pts))
                 if len(signs) == 1:
                     fact = (signs.pop(), chain_value(pts, self.beta))
-        entry = self._generators[theta] = (f, fact)
+        entry = self._generators[theta] = (Poly(ring, terms, top), fact)
         return entry
 
 
@@ -189,14 +213,10 @@ def generator_set(
     alpha: Index, gamma: Index, patch: PatchMatrix
 ) -> tuple[list[AdmissiblePair], list[Poly]]:
     """(pairs, minors f) for every admissible pair (x, y) with alpha !<= y
-    or x !<= gamma, on the patch at beta."""
-    pairs = []
-    polys = []
-    for pair in admissible_pairs(patch.d):
-        if not bruhat_leq(alpha, pair.bot) or not bruhat_leq(pair.top, gamma):
-            pairs.append(pair)
-            polys.append(pair_minor(patch, pair))
-    return pairs, polys
+    or x !<= gamma, on the patch at beta, in the order of
+    ``admissible_pairs`` (``indexsets.pairs_outside``)."""
+    pairs = pairs_outside(alpha, gamma, patch.d)
+    return pairs, [pair_minor(patch, pair) for pair in pairs]
 
 
 def good_subset(

@@ -22,10 +22,12 @@ from fractions import Fraction
 from functools import lru_cache
 from heapq import heappop, heappush
 from itertools import combinations, compress
-from operator import itemgetter, le
+from operator import itemgetter
 
 from ._kernel_py import (
+    _inv,
     divisor_record,
+    leading_monomial,
     mono_lcm,
     poly_add,
     poly_mul,
@@ -175,18 +177,21 @@ class Poly:
     ``terms`` maps packed monomials (``PolyRing.pack``) to nonzero
     coefficients; a product raises ``OverflowError`` rather than wrap past
     an exponent of 127, and ``leading_monomial`` unpacks the lead alone.
-    Its divisor record (packed lead, inverse lead coefficient, tail) is
-    built on first use, or passed in, and kept, which is sound because
-    ``terms`` is never mutated after construction; it takes no part in
-    ``==`` or ``hash``.
+    The packed lead (``lead``) is computed on first use, or passed in,
+    and kept; the divisor record (packed lead, inverse lead coefficient,
+    tail) is built on first division only, so a polynomial that is only
+    ever a dividend holds no second copy of its terms.  Both are sound to
+    keep because ``terms`` is never mutated after construction, and
+    neither takes part in ``==`` or ``hash``.
     """
 
-    __slots__ = ("ring", "terms", "_record")
+    __slots__ = ("ring", "terms", "_lead", "_record")
 
-    def __init__(self, ring: PolyRing, terms: dict, record=None):
+    def __init__(self, ring: PolyRing, terms: dict, lead: int | None = None):
         self.ring = ring
         self.terms = terms
-        self._record = record
+        self._lead = lead
+        self._record = None
 
     def __bool__(self):
         return bool(self.terms)
@@ -230,6 +235,13 @@ class Poly:
         shift = self.ring.shift
         return len({m >> shift for m in self.terms}) <= 1
 
+    def lead(self) -> int:
+        """The packed leading monomial, the integer maximum of the terms,
+        computed once; ValueError on zero."""
+        if self._lead is None:
+            self._lead = leading_monomial(self.terms)
+        return self._lead
+
     def divisor_record(self):
         """``_kernel_py.divisor_record`` of this polynomial, built once."""
         if self._record is None:
@@ -238,11 +250,11 @@ class Poly:
 
     def leading_monomial(self) -> tuple:
         """Exponent tuple of the order-largest term."""
-        return self.ring.unpack(self.divisor_record()[0])
+        return self.ring.unpack(self.lead())
 
     def initial_term(self):
         """(exponent tuple, coefficient) of the order-largest term."""
-        lead = self.divisor_record()[0]
+        lead = self.lead()
         return self.ring.unpack(lead), self.terms[lead]
 
     def monic(self) -> "Poly":
@@ -250,10 +262,11 @@ class Poly:
         already is (or is zero)."""
         if not self.terms:
             return self
-        inv = self.divisor_record()[1]
+        lead = self.lead()
+        inv = _inv(self.terms[lead], self.ring.p)
         if inv == 1:
             return self
-        return Poly(self.ring, poly_scale(self.terms, inv, self.ring.p))
+        return Poly(self.ring, poly_scale(self.terms, inv, self.ring.p), lead)
 
     def __repr__(self):
         return self.ring.format_poly(self)
@@ -276,11 +289,6 @@ def normal_form(f: Poly, divisors) -> Poly:
     ring = f.ring
     records = [g.divisor_record() for g in divisors if g.terms]
     return Poly(ring, _reduce_terms(f.terms, records, ring.p, ring.guards))
-
-
-def _lead(g: Poly) -> int:
-    """The packed leading monomial, read from the divisor record."""
-    return g.divisor_record()[0]
 
 
 def reduced_groebner(gens) -> list[Poly]:
@@ -317,10 +325,10 @@ def reduced_groebner(gens) -> list[Poly]:
         if terms:
             rest.append(g if len(terms) == len(g.terms) else Poly(ring, terms))
     basis = _buchberger(rest)
-    if basis and not _lead(basis[0]):
+    if basis and not basis[0].lead():
         return basis  # the unit ideal
     basis += (g.monic() for g in variables.values())
-    basis.sort(key=_lead)
+    basis.sort(key=Poly.lead)
     return basis
 
 
@@ -338,8 +346,9 @@ def _buchberger(gens) -> list[Poly]:
     order of packed monomials, ties broken by (i, j).  Each lcm is
     computed once, when its pair is pushed, from the packed leads kept in
     ``leads`` beside the basis.  Every other lead, in the sorts, the
-    minimalization and ``monic``, is read from the polynomial's divisor
-    record, built once per ``Poly``.
+    minimalization and ``monic``, is the polynomial's own, computed once
+    per ``Poly``.  Only basis elements divide, so the generators, which
+    are only dividends, never build a divisor record.
     """
     if not gens:
         return []
@@ -347,11 +356,11 @@ def _buchberger(gens) -> list[Poly]:
     guards = ring.guards
 
     basis: list[Poly] = []
-    for g in sorted(gens, key=_lead):
+    for g in sorted(gens, key=Poly.lead):
         r = normal_form(g, basis)
         if r.terms:
             basis.append(r.monic())
-    leads = [_lead(g) for g in basis]
+    leads = [g.lead() for g in basis]
     pairs: list = []
 
     def push_pairs(j):
@@ -369,16 +378,13 @@ def _buchberger(gens) -> list[Poly]:
         if r.terms:
             g = r.monic()
             basis.append(g)
-            leads.append(_lead(g))
+            leads.append(g.lead())
             push_pairs(len(basis) - 1)
 
     # minimalize: every element is a nonzero normal form modulo the ones
-    # before it, so the leads are distinct; in ascending order an element
-    # is kept unless a kept one's lead divides its lead
-    minimal: list[Poly] = []
-    for g in sorted(basis, key=_lead):
-        if all((_lead(g) - _lead(h)) & guards for h in minimal):
-            minimal.append(g)
+    # before it, so the leads are distinct
+    by_lead = dict(zip(leads, basis))
+    minimal = [by_lead[m] for m in minimal_leads(leads, guards)]
     # interreduce tails
     reduced = []
     for idx, g in enumerate(minimal):
@@ -391,13 +397,14 @@ def _buchberger(gens) -> list[Poly]:
 # monomial ideals and staircases
 
 
-def minimal_monomial_generators(monos) -> list[tuple]:
-    """Minimal generating set of the monomial ideal spanned by the
-    exponent tuples ``monos``, ascending in the term order."""
-    uniq = sorted(set(monos), key=lambda m: (sum(m), m))
-    minimal: list[tuple] = []
-    for m in uniq:
-        if not any(all(map(le, g, m)) for g in minimal):
+def minimal_leads(monos, guards: int) -> list[int]:
+    """Minimal generating set of the monomial ideal spanned by the packed
+    monomials ``monos`` of a ring with these ``guards``, ascending: in
+    integer order, which is the term order, a monomial is kept unless a
+    kept one divides it (``(m - g) & guards == 0``, ``_kernel_py``)."""
+    minimal: list[int] = []
+    for m in sorted(set(monos)):
+        if all((m - g) & guards for g in minimal):
             minimal.append(m)
     return minimal
 

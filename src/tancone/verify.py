@@ -54,6 +54,7 @@ from .indexsets import (
     AdmissiblePair,
     Index,
     _FrozenRecord,
+    _LazyTests,
     _Record,
     admissible_pairs,
     bruhat_leq,
@@ -63,7 +64,7 @@ from .indexsets import (
     parse_index,
 )
 from .patch import FORM_LABEL, PatchMatrix, build_patch, generator_set, good_subset
-from .ring import minimal_monomial_generators, monomials_outside, reduced_groebner
+from .ring import minimal_leads, monomials_outside, reduced_groebner
 
 SCHEMA = "tancone/1"
 
@@ -337,18 +338,6 @@ def _standard_chains(beta: Index, d: int, m: int):
     return tuple(cells.items())
 
 
-class _LazyTests(dict):
-    """A lazy dict from a value to ``test(value)``, each computed on first
-    lookup."""
-
-    def __init__(self, test):
-        self.test = test
-
-    def __missing__(self, value):
-        result = self[value] = self.test(value)
-        return result
-
-
 def _bruhat_tests(alpha, gamma) -> tuple[_LazyTests, _LazyTests]:
     """The lazy tests alpha <= v and v <= gamma of one case, which every
     table and degree of that case reads."""
@@ -403,12 +392,13 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
     ring = patch.ring
     _, good_polys = good_subset(case.alpha, case.gamma, patch, pairs)
 
-    # the reduced basis is minimal and sorted by ascending lead
-    init_ideal = [g.leading_monomial() for g in reduced_groebner(polys)]
-    good_init = minimal_monomial_generators(
-        g.leading_monomial() for g in good_polys
-    )
-    groebner_equal = init_ideal == good_init
+    # the reduced basis is minimal and sorted by ascending lead, and both
+    # sides are compared packed, in the integer order that is the term order
+    init_leads = [g.lead() for g in reduced_groebner(polys)]
+    good_leads = minimal_leads((f.lead() for f in good_polys), ring.guards)
+    groebner_equal = init_leads == good_leads
+    init_ideal = list(map(ring.unpack, init_leads))
+    good_init = list(map(ring.unpack, good_leads))
 
     per_degree: dict[int, dict[str, int]] = {}
     agree = True

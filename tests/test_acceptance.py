@@ -222,6 +222,23 @@ def test_sampled_d7_degree1_report_pinned():
              and got == D7_SAMPLE_STABLE_REPORT_SHA256)
 
 
+# sha256 of report_json(sweep(8, max_degree=1, sample=3, seed=0), stable=True),
+# the largest d accepted
+D8_SAMPLE_STABLE_REPORT_SHA256 = "034f3736afc5f27c2626529a6eb003552008b6684bd0263185ea7edcb416bb10"
+
+
+@pytest.mark.slow
+def test_sampled_d8_degree1_report_pinned():
+    """Opt in with ``pytest -m slow``: 3 seeded cases of the d = 8, degree
+    1 sweep (about 1.2 s and 106 MiB), every verdict ok, against the pinned
+    sha256 of the --stable report."""
+    verdicts = sweep(8, max_degree=1, sample=3, seed=0)
+    got = hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()
+    announce("sampled d=8, degree 1 sweep (3 cases) matches its pinned sha256",
+             len(verdicts) == 3 and all(v.ok for v in verdicts)
+             and got == D8_SAMPLE_STABLE_REPORT_SHA256)
+
+
 # sha256 of report_json(sweep(d, max_degree=6), stable=True) over Q at d = 4
 # and d = 5; every change to a counting layer is held to them
 D4_STABLE_REPORT_SHA256 = "77725c3456e405b2a742c4712956bbf1105059c0309a1c5f19f58d537c18da75"

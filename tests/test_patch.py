@@ -9,6 +9,7 @@ from tancone.definitions import (
     column_inner_products,
     form_eps,
     initial_chain,
+    minimal_monomial_generators,
     patch_entries,
 )
 from tancone.grid import chain_value, is_positive, is_upper, sharp_point, upper_points
@@ -27,8 +28,8 @@ from tancone.patch import (
     mirror_sign,
     pair_minor,
 )
-from tancone.ring import PolyRing, minimal_monomial_generators, reduced_groebner
-from tancone.verify import all_triples
+from tancone.ring import PolyRing, normal_form, reduced_groebner
+from tancone.verify import all_triples, sample_triples
 
 
 def good_subset_oracle(alpha, gamma, patch, pairs, polys):
@@ -54,6 +55,18 @@ def good_subset_oracle(alpha, gamma, patch, pairs, polys):
                 good_pairs.append(pair)
                 good_polys.append(f)
     return good_pairs, good_polys
+
+
+def generator_set_oracle(alpha, gamma, patch):
+    """``generator_set`` as it was before the per-d pair bitsets: two
+    ``bruhat_leq`` tests per admissible pair."""
+    pairs = []
+    polys = []
+    for pair in admissible_pairs(patch.d):
+        if not bruhat_leq(alpha, pair.bot) or not bruhat_leq(pair.top, gamma):
+            pairs.append(pair)
+            polys.append(pair_minor(patch, pair))
+    return pairs, polys
 
 
 # The determinant oracles compute on {exponent tuple: integer} dicts with
@@ -252,7 +265,7 @@ def test_minor_matches_leibniz_oracle_on_a_sample(d, p):
             assert m.minor(theta) == want, (p, beta, theta)
             f, _ = m.generator(theta)
             assert f == m.ring.poly(tuple_monic(tuple_terms(want), p))
-            assert f._record == divisor_record(f.terms, p)
+            assert f.divisor_record() == divisor_record(f.terms, p)
 
 
 def test_minor_at_d8_matches_leibniz_oracle():
@@ -271,7 +284,7 @@ def test_minor_at_d8_matches_leibniz_oracle():
         assert m.minor(theta) == m.ring.poly(want), theta
         f, _ = m.generator(theta)
         assert f == m.ring.poly(tuple_monic(want, 0))
-        assert f._record == divisor_record(f.terms, 0)
+        assert f.divisor_record() == divisor_record(f.terms, 0)
 
 
 @pytest.mark.parametrize("d", [3, 4])
@@ -287,7 +300,7 @@ def test_build_order_does_not_change_generators(d):
             f, fact = backward.generator(theta)
             g, want = built[theta]
             assert list(f.terms.items()) == list(g.terms.items()), (p, beta, theta)
-            assert f._record == g._record and fact == want, (p, beta, theta)
+            assert f.divisor_record() == g.divisor_record() and fact == want, (p, beta, theta)
         assert forward._minors.keys() == backward._minors.keys()
 
 
@@ -325,7 +338,7 @@ def test_pair_minor_is_the_minor_scaled_to_a_monic_lead():
         minor = m.minor(pair.rep)
         f = pair_minor(m, pair)
         assert f.initial_term()[1] == 1
-        assert f._record == divisor_record(f.terms, 0)
+        assert f.divisor_record() == divisor_record(f.terms, 0)
         if minor.initial_term()[1] == 1:
             assert f == minor
             kept += 1
@@ -345,7 +358,52 @@ def test_monic_minor_and_its_record_match_the_generic_ones(d):
             minor = m.minor(pair.rep)
             f = pair_minor(m, pair)
             assert f == minor.monic(), (p, beta, pair)
-            assert f._record == divisor_record(f.terms, p), (p, beta, pair)
+            assert f.divisor_record() == divisor_record(f.terms, p), (p, beta, pair)
+
+
+def resign(m, cell, var, sign):
+    """Make one cell of a patch ``sign`` times variable ``var``, both in
+    ``signed_vars`` and in the bit-indexed entries the minors read."""
+    r, c = cell
+    m.signed_vars[cell] = (var, sign)
+    (unit,) = m.ring.gen(m.ring.variables[var]).terms
+    row, col = m._row_bits[r].bit_length() - 1, m._col_bits[c].bit_length() - 1
+    m._entries[row][col] = (unit, sign)
+
+
+def test_entries_are_the_signed_variables_by_bit_position():
+    """``_entries[row][col]`` is the packed variable and sign that
+    ``signed_vars`` names for the cell at those bit positions: rows off
+    beta and beta's columns, each ascending."""
+    for d in (1, 2, 3, 4):
+        for beta in enumerate_indices(d):
+            m = build_patch(beta, d)
+            rows = [r for r in range(1, 2 * d + 1) if r not in beta]
+            assert list(m._row_bits) == rows and list(m._col_bits) == list(beta)
+            assert [*m._row_bits.values()] == [*m._col_bits.values()] == [1 << i for i in range(d)]
+            for i, r in enumerate(rows):
+                for j, c in enumerate(beta):
+                    var, sign = m.signed_vars[(r, c)]
+                    (unit,) = m.ring.gen(m.ring.variables[var]).terms
+                    assert m._entries[i][j] == (unit, sign)
+
+
+@pytest.mark.parametrize("p", [0, 3])
+def test_generator_holds_no_tail_until_it_divides(p):
+    """A patch generator keeps its lead, ``max(f.terms)``, and no divisor
+    record: Buchberger reads it only as a dividend.  Its record appears on
+    its first division, as the generic one, and is then kept."""
+    for beta in enumerate_indices(3):
+        m = build_patch(beta, 3, p)
+        gens = [pair_minor(m, pair) for pair in admissible_pairs(3)]
+        for f in gens:
+            assert f._record is None and f.lead() == max(f.terms)
+        reduced_groebner(gens)
+        assert all(f._record is None for f in gens), beta
+        for f in gens:
+            normal_form(f * f, [f])
+            assert f._record == divisor_record(f.terms, p)
+            assert f.divisor_record() is f._record and f.lead() == f._record[0]
 
 
 def test_a_minor_vanishing_over_fp_gives_zero_and_no_fact():
@@ -355,14 +413,14 @@ def test_a_minor_vanishing_over_fp_gives_zero_and_no_fact():
     -2 X(2,1) X(2,3), which vanishes over F_2 only."""
     for p in (0, 2, 3):
         m = build_patch((1, 3), 2, p)
-        var, _ = m.signed_vars[(2, 3)]
-        m.signed_vars[(4, 1)], m.signed_vars[(4, 3)] = m.signed_vars[(2, 1)], (var, -1)
+        resign(m, (4, 1), *m.signed_vars[(2, 1)])
+        resign(m, (4, 3), m.signed_vars[(2, 3)][0], -1)
         f, fact = m.generator((2, 4))
         if p == 2:
             assert not f.terms and fact is None and f._record is None
         else:
             assert str(f) == "X(2,1)*X(2,3)" and fact is None
-            assert f._record == divisor_record(f.terms, p)
+            assert f.divisor_record() == divisor_record(f.terms, p)
 
 
 def test_chain_facts_are_per_patch():
@@ -409,6 +467,26 @@ def test_good_subset_matches_oracle_on_a_d5_sample():
     for alpha, beta, gamma in triples:
         patch = patches.setdefault(beta, build_patch(beta, 5))
         _assert_good_subset_matches_oracle(alpha, beta, gamma, patch)
+
+
+def _assert_generator_set_matches_oracle(triples, d):
+    patches = {}
+    for alpha, beta, gamma in triples:
+        patch = patches.setdefault(beta, build_patch(beta, d))
+        pairs, polys = generator_set(alpha, gamma, patch)
+        want_pairs, want_polys = generator_set_oracle(alpha, gamma, patch)
+        assert pairs == want_pairs, (alpha, beta, gamma)
+        assert polys == want_polys, (alpha, beta, gamma)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_generator_set_matches_oracle(d):
+    _assert_generator_set_matches_oracle(all_triples(d), d)
+
+
+@pytest.mark.parametrize("d, sample", [(5, 100), (6, 40)])
+def test_generator_set_matches_oracle_on_a_sample(d, sample):
+    _assert_generator_set_matches_oracle(sample_triples(d, sample, seed=d), d)
 
 
 def test_generator_set_point_case():

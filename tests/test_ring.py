@@ -9,10 +9,10 @@ import pytest
 
 import tancone.ring as R
 from tancone._kernel_py import _inv
+from tancone.definitions import minimal_monomial_generators
 from tancone.ring import (
     Poly,
     PolyRing,
-    minimal_monomial_generators,
     monomials_of_degree,
     monomials_outside,
     normal_form,
@@ -534,6 +534,48 @@ def test_staircase_at_exponents_wider_than_a_byte(gens, nvars, m):
 def test_minimal_monomial_generators():
     gens = minimal_monomial_generators([(2, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)])
     assert gens == [(0, 0, 1), (1, 0, 0)]
+
+
+def assert_minimal_leads_match(monos, ring):
+    """``minimal_leads`` on the packed ``monos`` is the packed
+    ``minimal_monomial_generators`` of them, as a list and as an iterator."""
+    want = [ring.pack(m) for m in minimal_monomial_generators(monos)]
+    packed = [ring.pack(m) for m in monos]
+    assert R.minimal_leads(packed, ring.guards) == want, monos
+    assert R.minimal_leads(iter(packed), ring.guards) == want, monos
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_packed_minimalization_matches_the_definition_on_good_leads(d):
+    """The leads of every d <= 3 case's good set, as ``verify_case``
+    minimalizes them."""
+    patches = {}
+    for alpha, beta, gamma in all_triples(d):
+        patch = patches.setdefault(beta, build_patch(beta, d))
+        pairs, _ = generator_set(alpha, gamma, patch)
+        _, good = good_subset(alpha, gamma, patch, pairs)
+        assert_minimal_leads_match([f.leading_monomial() for f in good], patch.ring)
+
+
+@pytest.mark.parametrize("nvars", [1, 2, 3, 5, 8])
+def test_packed_minimalization_matches_the_definition_on_random_lists(nvars):
+    """Random exponent lists with duplicates, the empty list, and lists
+    holding the zero monomial, which divides everything."""
+    ring = PolyRing(range(nvars))
+    rng = random.Random(nvars)
+    zero = (0,) * nvars
+    assert R.minimal_leads([], ring.guards) == []
+    assert_minimal_leads_match([zero, zero], ring)
+    for _ in range(200):
+        monos = [
+            tuple(rng.choice((0, 0, 1, 2, 3, 127)) for _ in range(nvars))
+            for _ in range(rng.randint(1, 12))
+        ]
+        monos += rng.sample(monos, rng.randint(0, len(monos)))
+        if rng.random() < 0.1:
+            monos.append(zero)
+        rng.shuffle(monos)
+        assert_minimal_leads_match(monos, ring)
 
 
 @pytest.mark.parametrize("p", [2, 3])
