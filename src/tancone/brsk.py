@@ -32,9 +32,11 @@ from .grid import (
 from .indexsets import (
     Index,
     _FrozenRecord,
+    bits_index,
     bruhat_leq,
     bruhat_mask,
-    enumerate_indices,
+    index_bits,
+    isotropic_masks,
     star_set,
 )
 
@@ -318,28 +320,38 @@ def is_on_starred(t: NotchedBitableau, beta: Index, d: int) -> bool:
 # direct enumeration (kept independent of the insertion algorithm)
 
 
-def _starred_row_values(beta: Index, d: int):
-    """Values usable as rows of an on-starred bitableau, with box weights.
+def _starred_candidates(beta: Index, d: int, degree: int):
+    """(values, masks) of the values usable as rows of an on-starred
+    bitableau with at most ``degree`` boxes: (value, boxes, eps-degree,
+    (row,), sign) of each, and its ``bruhat_mask``, in lex order.
 
     Mirror symmetry of a row forces its value into I(d); rows are
     nonempty, so the value beta itself is excluded, and semistandardness
-    needs comparability with beta.
-    """
-    out = []
-    for v in enumerate_indices(d):
-        if v == tuple(beta):
+    needs comparability with beta: NEG below it, POS above.  All of it is
+    read off the per-d bit data on I(d) (``indexsets.isotropic_masks``):
+    comparability as mask containment, the boxes as the entries outside
+    beta, the eps-degree as the entries above d, and the row (P, Q) as
+    the entries of the value outside beta and of beta outside the value;
+    a row is built only for a value that fits in the box count.
+    ``definitions._starred_row_values`` and ``definitions._row_from_value``
+    are the oracles on tuples."""
+    beta_bits, beta_mask = index_bits(beta), bruhat_mask(beta, d)
+    values, masks = [], []
+    for v, (bits, mask) in isotropic_masks(d).items():
+        boxes = (bits & ~beta_bits).bit_count()
+        if not 0 < boxes <= degree:
             continue
-        if bruhat_leq(v, beta):
-            out.append((v, len(set(v) - set(beta)), NEG))
-        elif bruhat_leq(beta, v):
-            out.append((v, len(set(v) - set(beta)), POS))
-    return tuple(out)
-
-
-def _row_from_value(v: Index, beta: Index, sign: int) -> Row:
-    p = tuple(sorted(set(v) - set(beta)))
-    q = tuple(sorted(set(beta) - set(v)))
-    return Row(p=p, q=q, sign=sign)
+        if not mask & ~beta_mask:
+            sign = NEG
+        elif not beta_mask & ~mask:
+            sign = POS
+        else:
+            continue
+        eps = (bits >> d + 1).bit_count()
+        row = Row(bits_index(bits & ~beta_bits), bits_index(beta_bits & ~bits), sign)
+        values.append((v, boxes, eps, (row,), sign))
+        masks.append(mask)
+    return values, masks
 
 
 def enumerate_on_starred(beta: Index, d: int, degree: int):
@@ -357,10 +369,13 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
     exactly when the row count is odd.  So ``first`` is the a of the
     first pair and ``last`` the b of the last one, beta where the wedge
     stands, and both are beta for the empty bitableau.  Every chain of
-    whole pairs is on-starred, so no prefix is dropped.  Which values may
-    follow each one, and which pairs start at each, are listed once per
-    call.  Every result is still certified by one full ``is_on_starred``
-    call, which reads its row facts from a memo.
+    whole pairs is on-starred, so no prefix is dropped.  The candidates,
+    with their signs, boxes, eps-degrees and ``bruhat_mask``s, come from
+    the per-d bit table on I(d) (``_starred_candidates``), filtered by
+    box count before any row is built; which values may follow each one
+    (one AND of masks per pair of values), and which pairs start at each,
+    are listed once per call.  Every result is still certified by one
+    full ``is_on_starred`` call, which reads its row facts from a memo.
     """
     if degree < 0 or degree % 2 == 1:
         return []
@@ -368,13 +383,8 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
     # values: (value, boxes, eps-degree, rows, sign) of each candidate that
     # fits in the box count; the wedge beta is last, adds no row and has no
     # sign
-    values = [
-        (v, w, epsilon_degree(v, d), (_row_from_value(v, beta, s),), s)
-        for v, w, s in _starred_row_values(beta, d)
-        if w <= degree
-    ]
+    values, masks = _starred_candidates(beta, d, degree)
     wedge = len(values)
-    masks = [bruhat_mask(v, d) for v, *_ in values]
     # successors[i]: the values that may follow value i, at or above it in
     # Bruhat order (mask containment) and light enough to fit beside it.
     # The wedge follows exactly the NEG candidates and is followed exactly

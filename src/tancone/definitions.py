@@ -8,6 +8,8 @@ bounded bitableaux with their delta sequences, standard monomials on the
 variety with their evaluation, the degree-doubling and degree-halving
 injections, the explicit patch matrix and its isotropy, minimal
 generators of a monomial ideal, and the basis statement for one degree.
+It also holds, on tuples, what the verifier reads off bitsets: chain
+values, the candidate rows of a bitableau and the plain pairs.
 Every row value here comes from ``bound_value``; no definition reads a
 fast path's memo or table, and no module of the verifier imports this
 one.
@@ -20,14 +22,13 @@ from functools import lru_cache, reduce
 from itertools import combinations, combinations_with_replacement
 from operator import add, le
 
-from .brsk import NEG, POS, NotchedBitableau, brsk_map
+from .brsk import NEG, POS, NotchedBitableau, Row, brsk_map
 from .grid import (
     Multiset,
     Point,
     bound_value,
     chain_gt,
     chain_parts,
-    chain_value,
     double_multiset,
     is_upper,
     sharp_multiset,
@@ -39,11 +40,11 @@ from .indexsets import (
     Index,
     admissible_pairs,
     bruhat_leq,
+    enumerate_indices,
     star,
 )
 from .patch import PatchMatrix, pair_minor
 from .ring import Poly, monomials_outside, normal_form
-from .verify import pair_is_plain
 
 # ---------------------------------------------------------------------------
 # the grid: special multisets and chains
@@ -111,6 +112,14 @@ def initial_chain(f: Poly):
     if not is_chain(pts):
         return None
     return tuple(pts)
+
+
+def chain_value(points, beta: Index) -> Index:
+    """The value of a chain part, ``bound_value`` of its rows and columns:
+    the tuple oracle of the bitset values of
+    ``grid.multiset_chain_values`` and ``PatchMatrix.generator``."""
+    rows, cols = zip(*points) if points else ((), ())
+    return bound_value(rows, cols, beta)
 
 
 def is_upper_chain(points, d: int) -> bool:
@@ -212,6 +221,33 @@ def is_bounded_bitableau(
     return bruhat_leq(alpha, delta[0]) and bruhat_leq(delta[-1], gamma)
 
 
+def _starred_row_values(beta: Index, d: int):
+    """Values usable as rows of an on-starred bitableau, with box weights
+    and signs, in lex order: the oracle on tuples of the candidates that
+    ``brsk.enumerate_on_starred`` reads off bit data.
+
+    Mirror symmetry of a row forces its value into I(d); rows are
+    nonempty, so the value beta itself is excluded, and semistandardness
+    needs comparability with beta.
+    """
+    out = []
+    for v in enumerate_indices(d):
+        if v == tuple(beta):
+            continue
+        if bruhat_leq(v, beta):
+            out.append((v, len(set(v) - set(beta)), NEG))
+        elif bruhat_leq(beta, v):
+            out.append((v, len(set(v) - set(beta)), POS))
+    return tuple(out)
+
+
+def _row_from_value(v: Index, beta: Index, sign: int) -> Row:
+    """The row (P, Q) whose value (beta minus Q) union P is v."""
+    p = tuple(sorted(set(v) - set(beta)))
+    q = tuple(sorted(set(beta) - set(v)))
+    return Row(p=p, q=q, sign=sign)
+
+
 def top_bot_of_chain(chain, beta: Index, d: int) -> tuple[Index, Index]:
     """(bottom row value, top row value) of the doubled chain's bitableau."""
     if not chain:
@@ -231,6 +267,15 @@ def top_bot_of_chain(chain, beta: Index, d: int) -> tuple[Index, Index]:
 def admissible_pair_by_ends(d: int) -> dict[tuple[Index, Index], AdmissiblePair]:
     """Lookup (top, bot) -> pair.  Not every top >= bot is admissible."""
     return {(p.top, p.bot): p for p in admissible_pairs(d)}
+
+
+def pair_is_plain(pair: AdmissiblePair, beta: Index) -> bool:
+    """Not (beta, beta), and beta is above the top or below the bottom:
+    the oracle of the plain pairs that ``verify._standard_chains`` reads
+    off the per-d pair bitsets."""
+    if pair.top == tuple(beta) and pair.bot == tuple(beta):
+        return False
+    return bruhat_leq(pair.top, beta) or bruhat_leq(beta, pair.bot)
 
 
 def pair_leq(w1: AdmissiblePair, w2: AdmissiblePair) -> bool:

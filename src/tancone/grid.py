@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from itertools import filterfalse
 
-from .indexsets import Index, is_isotropic, star
+from .indexsets import Index, bits_index, index_bits, is_isotropic, star
 
 Point = tuple[int, int]
 Multiset = dict[Point, int]
@@ -123,9 +123,16 @@ def bound_value(rows, cols, beta: Index) -> Index:
     return tuple(sorted((bset - cols) | rows))
 
 
-def chain_value(points, beta: Index) -> Index:
-    rows, cols = zip(*points) if points else ((), ())
-    return bound_value(rows, cols, beta)
+def _part_value(rows: int, cols: int, beta_bits: int) -> int:
+    """``bound_value`` on bitsets (bit j for index j): (beta minus cols)
+    union rows, with its three checks."""
+    if rows & beta_bits:
+        raise ValueError("row indices must avoid beta")
+    if cols & ~beta_bits:
+        raise ValueError("column indices must lie in beta")
+    if rows.bit_count() != cols.bit_count():
+        raise ValueError("row and column sets must have equal size")
+    return beta_bits & ~cols | rows
 
 
 def multiset_chain_values(m: Multiset, beta: Index):
@@ -139,16 +146,32 @@ def multiset_chain_values(m: Multiset, beta: Index):
     order is componentwise.  Only the support ``m.keys()`` is read, so every
     special multiset on this support shares the result, from which
     ``verify._sign_supports`` keys the support's cell by that min or max.
+
+    Each part's value is formed on bitsets, its rows' and columns' bits
+    gathered in one pass over the chain (``_part_value``), and only the
+    distinct values are turned back into tuples; ``definitions.chain_value``
+    is the tuple oracle.
     """
+    beta_bits = index_bits(beta)
     pos_vals = set()
     neg_vals = set()
     for ch in maximal_paths(m.keys()):
-        pos, neg = chain_parts(ch)
-        if pos:
-            pos_vals.add(chain_value(pos, beta))
-        if neg:
-            neg_vals.add(chain_value(neg, beta))
-    return tuple(sorted(pos_vals)), tuple(sorted(neg_vals))
+        pos_rows = pos_cols = neg_rows = neg_cols = 0
+        for r, c in ch:
+            if r > c:
+                pos_rows |= 1 << r
+                pos_cols |= 1 << c
+            else:
+                neg_rows |= 1 << r
+                neg_cols |= 1 << c
+        if pos_rows:
+            pos_vals.add(_part_value(pos_rows, pos_cols, beta_bits))
+        if neg_rows:
+            neg_vals.add(_part_value(neg_rows, neg_cols, beta_bits))
+    return (
+        tuple(sorted(map(bits_index, pos_vals))),
+        tuple(sorted(map(bits_index, neg_vals))),
+    )
 
 
 def multiset_to_json(m: Multiset) -> list[dict]:

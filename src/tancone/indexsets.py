@@ -106,6 +106,33 @@ def bruhat_mask(v, d: int) -> int:
     return sum(((1 << x) - 1) << (i * width) for i, x in enumerate(v) if x > 0)
 
 
+def index_bits(v) -> int:
+    """The entries of v as a bitset, bit j for entry j."""
+    bits = 0
+    for j in v:
+        bits |= 1 << j
+    return bits
+
+
+def bits_index(bits: int) -> Index:
+    """The sorted tuple of the set bits' positions: the inverse of
+    ``index_bits``."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)
+
+
+@lru_cache(maxsize=None)
+def isotropic_masks(d: int) -> dict[Index, tuple[int, int]]:
+    """v -> (``index_bits(v)``, ``bruhat_mask(v, d)``) for every v in I(d),
+    in lex order: the bit data on I(d) that the starred candidates and
+    the standard chains read, computed once per d."""
+    return {v: (index_bits(v), bruhat_mask(v, d)) for v in enumerate_indices(d)}
+
+
 def join_meet(v, w) -> tuple[Index, Index]:
     """Componentwise (max, min) of two sorted tuples; both stay sorted."""
     if len(v) != len(w):
@@ -228,9 +255,38 @@ class _LazyTests(dict):
         return result
 
 
-def _bits(ends, mask: int) -> int:
-    """The bitset of the positions i with ``not mask & ends[i]``."""
-    return sum(1 << i for i, end in enumerate(ends) if not mask & end)
+def _groups(ends) -> tuple[tuple[int, int], ...]:
+    """(end, the bitset of the positions i with ends[i] == end) for each
+    distinct end: far fewer than the pairs, which share their tops and
+    bots."""
+    groups: dict[int, int] = {}
+    for i, end in enumerate(ends):
+        groups[end] = groups.get(end, 0) | 1 << i
+    return tuple(groups.items())
+
+
+def _bits(groups, mask: int) -> int:
+    """The bitset of the positions whose end has ``not mask & end``: the
+    union of those ``_groups``."""
+    out = 0
+    for end, bits in groups:
+        if not mask & end:
+            out |= bits
+    return out
+
+
+@lru_cache(maxsize=None)
+def pair_masks(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """(reps, tops, bots) over ``admissible_pairs(d)``: each pair's
+    ``index_bits(rep)``, so that its beta-degree is
+    ``(rep & ~index_bits(beta)).bit_count()``, and the ``bruhat_mask``s
+    of its top and bot."""
+    pairs = admissible_pairs(d)
+    return (
+        tuple(index_bits(pair.rep) for pair in pairs),
+        tuple(bruhat_mask(pair.top, d) for pair in pairs),
+        tuple(bruhat_mask(pair.bot, d) for pair in pairs),
+    )
 
 
 @lru_cache(maxsize=None)
@@ -238,14 +294,14 @@ def _pair_bitsets(d: int) -> tuple[_LazyTests, _LazyTests]:
     """(up, down), lazy bitsets over ``admissible_pairs(d)``, bit i for
     pair i: up[alpha] the pairs with alpha <= bot, down[gamma] those with
     top <= gamma, v <= w being ``not mask(v) & ~mask(w)`` on
-    ``bruhat_mask``s.  They depend on d alone, so every fixed point and
+    ``bruhat_mask``s (``pair_masks``), tested once per distinct bot or
+    top (``_groups``).  They depend on d alone, so every fixed point and
     case at d shares them."""
-    pairs = admissible_pairs(d)
-    bots = [~bruhat_mask(pair.bot, d) for pair in pairs]
-    tops = [bruhat_mask(pair.top, d) for pair in pairs]
+    _, tops, bots = pair_masks(d)
+    by_bot, by_top = _groups([~mask for mask in bots]), _groups(tops)
     return (
-        _LazyTests(lambda alpha: _bits(bots, bruhat_mask(alpha, d))),
-        _LazyTests(lambda gamma: _bits(tops, ~bruhat_mask(gamma, d))),
+        _LazyTests(lambda alpha: _bits(by_bot, bruhat_mask(alpha, d))),
+        _LazyTests(lambda gamma: _bits(by_top, ~bruhat_mask(gamma, d))),
     )
 
 

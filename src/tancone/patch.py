@@ -30,20 +30,14 @@ choice by ``FORM_LABEL``.
 
 from __future__ import annotations
 
-from itertools import compress
-
 from ._kernel_py import _inv
-from .grid import (
-    chain_gt,
-    chain_value,
-    is_positive,
-    is_upper,
-    sharp_point,
-)
+from .grid import is_upper, sharp_point
 from .indexsets import (
     AdmissiblePair,
     Index,
+    bits_index,
     bruhat_leq,
+    index_bits,
     pairs_outside,
     star,
 )
@@ -70,7 +64,10 @@ class PatchMatrix:
     0..d-1 of a column mask, and ``_entries[row][col]`` is (the packed
     variable, sign) of that cell.  ``_minors`` holds the strict
     sub-minors, packed, keyed by ``rows | cols << d``, and
-    ``_generators`` each theta's monic minor and chain fact.
+    ``_generators`` each theta's monic minor and chain fact, which is
+    read off the lead's bits through ``_points``: for the low bit of each
+    variable's field, the variable's (row bit, column bit, row, column,
+    whether it is positive), bit j of an index bitset standing for j.
     """
 
     def __init__(self, beta: Index, d: int, ring: PolyRing):
@@ -79,7 +76,7 @@ class PatchMatrix:
         self.ring = ring
         self.signed_vars: dict[tuple[int, int], tuple[int, int]] = {}
         n = ring.nvars
-        units = [ring.pack((0,) * i + (1,) + (0,) * (n - 1 - i)) for i in range(n)]
+        units = [ring.unit(i) for i in range(n)]
         rows = [r for r in range(1, 2 * d + 1) if r not in self.beta]
         self._row_bits = {r: 1 << i for i, r in enumerate(rows)}
         self._col_bits = {c: 1 << j for j, c in enumerate(self.beta)}
@@ -97,6 +94,14 @@ class PatchMatrix:
             self._entries.append(row)
         # a lead is squarefree when no field holds an exponent above 1
         self._doubles = (ring.guards >> 7) * 0x7E
+        # a squarefree lead's support is the low bit of each variable's
+        # field, bit 8 (n - 1 - i) for variable i
+        self._support = (1 << ring.shift) - 1
+        self._points = {
+            8 * (n - 1 - i): (1 << r, 1 << c, r, c, r > c)
+            for i, (r, c) in enumerate(ring.variables)
+        }
+        self._beta_bits = index_bits(self.beta)
         self._minors: dict[int, dict[int, int]] = {}
         self._generators: dict[Index, tuple[Poly, tuple[bool, Index] | None]] = {}
 
@@ -168,10 +173,9 @@ class PatchMatrix:
         The polynomial keeps its lead but no divisor record, which it
         builds only if it ever divides (``Poly.divisor_record``); the
         generators of a case are only dividends.  The fact is (all points
-        positive, chain value at beta) of the lead's support, read off in
-        chain order (the ring's variable order), if that is a squarefree
-        one-signed chain; one AND tells a squarefree lead, and only such a
-        lead is unpacked."""
+        positive, chain value at beta) of the lead's support, if that is a
+        squarefree one-signed chain; one AND tells a squarefree lead, and
+        ``_chain_fact`` reads the rest off its bits."""
         theta = tuple(theta)
         entry = self._generators.get(theta)
         if entry is not None:
@@ -185,15 +189,38 @@ class PatchMatrix:
         inv = _inv(terms[top], p)
         if inv != 1:
             terms = {m: c * inv % p if p else c * inv for m, c in terms.items()}
-        fact = None
-        if not top & self._doubles:
-            pts = list(compress(ring.variables, ring.unpack(top)))
-            if all(map(chain_gt, pts, pts[1:])):
-                signs = set(map(is_positive, pts))
-                if len(signs) == 1:
-                    fact = (signs.pop(), chain_value(pts, self.beta))
+        fact = None if top & self._doubles else self._chain_fact(top)
         entry = self._generators[theta] = (Poly(ring, terms, top), fact)
         return entry
+
+    def _chain_fact(self, lead: int) -> tuple[bool, Index] | None:
+        """(positive, value) of a squarefree lead whose support is a
+        one-signed chain, else None.
+
+        The support's bits are read high bit first, which is the ring's
+        variable order and so chain order (larger row first, smaller
+        column first): each point must lie strictly below the one before
+        in the chain order (a smaller row and a larger column) and have
+        the first point's sign.  The value, (beta minus the columns) union the rows, is
+        formed on index bitsets (``indexsets.index_bits``) as
+        ``beta_bits & ~cols | rows``."""
+        support = lead & self._support
+        if not support:
+            return None
+        points = self._points
+        bit = support.bit_length() - 1
+        rows, cols, last_r, last_c, positive = points[bit]
+        support ^= 1 << bit
+        while support:
+            bit = support.bit_length() - 1
+            support ^= 1 << bit
+            row, col, r, c, sign = points[bit]
+            if sign is not positive or r >= last_r or c <= last_c:
+                return None
+            rows |= row
+            cols |= col
+            last_r, last_c = r, c
+        return positive, bits_index(self._beta_bits & ~cols | rows)
 
 
 def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:

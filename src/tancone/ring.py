@@ -37,7 +37,7 @@ from ._kernel_py import (
 )
 from ._kernel_py import normal_form as _reduce_terms
 from .grid import Point, upper_points
-from .indexsets import Index
+from .indexsets import Index, _LazyTests
 
 
 def variable_sort_key(p: Point):
@@ -105,9 +105,12 @@ class PolyRing:
     def one(self) -> "Poly":
         return Poly(self, {0: self.coeff(1)})
 
+    def unit(self, i: int) -> int:
+        """The packed monomial of variable i alone."""
+        return (1 << self.shift) + (1 << 8 * (self.nvars - 1 - i))
+
     def gen(self, var) -> "Poly":
-        unit = (1 << self.shift) + (1 << 8 * (self.nvars - 1 - self.index[var]))
-        return Poly(self, {unit: self.coeff(1)})
+        return Poly(self, {self.unit(self.index[var]): self.coeff(1)})
 
     def poly(self, terms) -> "Poly":
         """Build from {exponent tuple: coefficient}, dropping zeros; a
@@ -416,11 +419,13 @@ def monomials_of_degree(nvars: int, m: int):
 
 
 @lru_cache(maxsize=None)
-def _degree_table(nvars: int, m: int) -> tuple[tuple[tuple, ...], tuple]:
+def _degree_table(nvars: int, m: int) -> tuple[tuple[tuple, ...], list[_LazyTests]]:
     """The degree-m exponent tuples in lexicographic order, and their
-    ``_threshold_bitsets``."""
+    threshold bitsets: for each variable i a lazy dict from an exponent
+    e to ``_threshold_bitset(table, i, e, m)``, each built on first read
+    and kept with the table."""
     if nvars == 0:
-        return ((),) if m == 0 else (), ()
+        return ((),) if m == 0 else (), []
     # stars and bars via combinations of bar positions
     table = []
     for bars in combinations(range(m + nvars - 1), nvars - 1):
@@ -432,7 +437,9 @@ def _degree_table(nvars: int, m: int) -> tuple[tuple[tuple, ...], tuple]:
         exps.append(m + nvars - 2 - prev)
         table.append(tuple(exps))
     table = tuple(table)
-    return table, _threshold_bitsets(table, nvars, m)
+    return table, [
+        _LazyTests(lambda e, i=i: _threshold_bitset(table, i, e, m)) for i in range(nvars)
+    ]
 
 
 # a field's top byte after masking, 0x80 or 0, as a binary digit
@@ -441,9 +448,9 @@ _TOP_BIT = bytes.maketrans(b"\x00\x80", b"01")
 _OUTSIDE = bytes.maketrans(b"01", b"\x01\x00")
 
 
-def _threshold_bitsets(table, nvars: int, m: int) -> tuple[tuple[int, ...], ...]:
-    """``bits[i][e - 1]`` for every variable i and 1 <= e <= m: the integer
-    whose bit j is set when ``table[j][i] >= e``.
+def _threshold_bitset(table, i: int, e: int, m: int) -> int:
+    """The integer whose bit j is set when ``table[j][i] >= e``, for a
+    table of degree-m tuples and 1 <= e <= m.
 
     Built word-parallel, with no loop over the table in Python.  Variable
     i's exponents are packed into one integer, a little-endian field of k
@@ -455,20 +462,12 @@ def _threshold_bitsets(table, nvars: int, m: int) -> tuple[tuple[int, ...], ...]
     """
     widths = ((1, "B"), (2, "H"), (4, "I"), (8, "Q"))
     k, code = next((k, code) for k, code in widths if m < 1 << 8 * k - 1)
-    pack = struct.Struct(f"<{len(table)}{code}").pack
+    column = struct.pack(f"<{len(table)}{code}", *map(itemgetter(i), reversed(table)))
     ones = int.from_bytes((b"\x01" + bytes(k - 1)) * len(table), "little")
     tops = ones << 8 * k - 1
-    reverse = table[::-1]
-    bits = []
-    for i in range(nvars):
-        shifted = int.from_bytes(pack(*map(itemgetter(i), reverse)), "little") + tops
-        column = []
-        for _ in range(m):
-            shifted -= ones
-            digits = (shifted & tops).to_bytes(k * len(table), "little")[k - 1 :: k]
-            column.append(int(digits.translate(_TOP_BIT), 2))
-        bits.append(tuple(column))
-    return tuple(bits)
+    shifted = int.from_bytes(column, "little") + tops - e * ones
+    digits = (shifted & tops).to_bytes(k * len(table), "little")[k - 1 :: k]
+    return int(digits.translate(_TOP_BIT), 2)
 
 
 def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:
@@ -476,7 +475,9 @@ def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:
     in table order.
 
     Divisibility is decided for the whole degree-m table at once, on
-    bitsets over its positions (``_threshold_bitsets``): a generator's
+    bitsets over its positions (``_threshold_bitset``), built only for
+    the (variable, exponent) pairs that the generators read and kept with
+    the table (``_degree_table``): a generator's
     multiples are the AND of the bitsets of its nonzero exponents (all
     of the table for the zero monomial, none of it for a generator of
     degree above m), and the divisible set is their OR.  The staircase
@@ -495,7 +496,7 @@ def monomials_outside(gen_monos, nvars: int, m: int) -> list[tuple]:
         multiples = everything
         for i, e in enumerate(g):
             if e:
-                multiples &= bits[i][e - 1]
+                multiples &= bits[i][e]
         divisible |= multiples
     digits = format(divisible, f"0{len(table)}b").encode()[::-1]
     return list(compress(monomials_of_degree(nvars, m), digits.translate(_OUTSIDE)))

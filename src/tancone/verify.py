@@ -51,16 +51,18 @@ from .brsk import enumerate_on_starred
 from .grid import chain_parts, double_multiset, multiset_chain_values, upper_points
 from .indexsets import (
     MAX_TABLE_MONOMIALS,
-    AdmissiblePair,
     Index,
     _FrozenRecord,
     _LazyTests,
+    _pair_bitsets,
     _Record,
     admissible_pairs,
     bruhat_leq,
     enumerate_indices,
     format_index,
     is_isotropic,
+    isotropic_masks,
+    pair_masks,
     parse_index,
 )
 from .patch import FORM_LABEL, PatchMatrix, build_patch, generator_set, good_subset
@@ -292,13 +294,6 @@ def _bitableau_profiles(beta: Index, d: int, m: int):
     return tuple(cells.items())
 
 
-def pair_is_plain(pair: AdmissiblePair, beta: Index) -> bool:
-    """Not (beta, beta), and beta is above the top or below the bottom."""
-    if pair.top == tuple(beta) and pair.bot == tuple(beta):
-        return False
-    return bruhat_leq(pair.top, beta) or bruhat_leq(beta, pair.bot)
-
-
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _standard_chains(beta: Index, d: int, m: int):
@@ -307,11 +302,13 @@ def _standard_chains(beta: Index, d: int, m: int):
     is ``((beta, beta), 1)``.
 
     A standard monomial is a weakly increasing sequence of admissible
-    pairs (consecutively top(w_i) <= bot(w_{i+1})), each plain
-    (``pair_is_plain``); it lies on the variety when alpha <= bot of the
-    first pair and top of the last pair <= gamma, the meet of the bots
-    and the join of the tops, which rise along the sequence.  Its degree
-    is the sum of the pairs' beta-degrees, positive for every plain pair.
+    pairs (consecutively top(w_i) <= bot(w_{i+1})), each plain: not
+    (beta, beta), and beta is above its top or below its bot
+    (``definitions.pair_is_plain``).  It lies on the variety when alpha
+    <= bot of the first pair and top of the last pair <= gamma, the meet
+    of the bots and the join of the tops, which rise along the sequence.
+    Its degree is the sum of the pairs' beta-degrees, positive for every
+    plain pair.
 
     A sequence of degree m that ends in the pair w is (w) alone, or one
     of degree m - deg(w) whose last top is <= bot(w), extended by w.
@@ -319,21 +316,39 @@ def _standard_chains(beta: Index, d: int, m: int):
     degree, taken through this function's cache, are the whole state.
     A cold call fills the lower degrees in ascending order first, so the
     recursion stays two calls deep whatever m is.
+
+    Everything is read off bit tables of d alone: the plain pairs from
+    the per-d pair bitsets (``indexsets._pair_bitsets``), up[beta] (beta
+    <= bot) and down[beta] (top <= beta), whose one common pair is (beta,
+    beta), so the plain ones are their symmetric difference; a pair's
+    beta-degree as the entries of its rep outside beta
+    (``indexsets.pair_masks``); and whether it may follow a cell as one
+    AND of ``bruhat_mask``s, the cell's top's from
+    ``indexsets.isotropic_masks``.
     """
     if m == 0:
         return (((beta, beta), 1),)
     for lower in range(1, m):
         _standard_chains(beta, d, lower)
+    pairs = admissible_pairs(d)
+    reps, _, bots = pair_masks(d)
+    masks = isotropic_masks(d)
+    up, down = _pair_bitsets(d)
+    plain = up[beta] ^ down[beta]
+    outside = ~masks[beta][0]
     cells: Counter = Counter()
-    for w in admissible_pairs(d):
-        if not pair_is_plain(w, beta):
-            continue
-        wdeg = w.beta_degree(beta)
+    while plain:
+        low = plain & -plain
+        plain ^= low
+        i = low.bit_length() - 1
+        w = pairs[i]
+        wdeg = (reps[i] & outside).bit_count()
         if wdeg == m:
             cells[(w.bot, w.top)] += 1
         elif 0 < wdeg < m:
+            not_bot = ~bots[i]
             for (bot, top), count in _standard_chains(beta, d, m - wdeg):
-                if bruhat_leq(top, w.bot):
+                if not masks[top][1] & not_bot:
                     cells[(bot, w.top)] += count
     return tuple(cells.items())
 
@@ -428,9 +443,14 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
 
 
 def _up_sets(d: int) -> dict[Index, list[Index]]:
-    """Each isotropic index's up-set, both in lex order."""
-    iso = enumerate_indices(d)
-    return {v: [w for w in iso if bruhat_leq(v, w)] for v in iso}
+    """Each isotropic index's up-set, both in lex order: w is above v when
+    the ``bruhat_mask`` of v has no bit outside that of w, one AND on the
+    per-d masks (``indexsets.isotropic_masks``)."""
+    masks = {v: mask for v, (_, mask) in isotropic_masks(d).items()}
+    return {
+        v: [w for w, upper in masks.items() if not mask & ~upper]
+        for v, mask in masks.items()
+    }
 
 
 def all_triples(d: int):

@@ -15,8 +15,7 @@ from tancone.brsk import (
     NotInImageError,
     Row,
     _row_fact,
-    _row_from_value,
-    _starred_row_values,
+    _starred_candidates,
     brsk_inverse,
     brsk_map,
     enumerate_on_starred,
@@ -24,6 +23,8 @@ from tancone.brsk import (
     is_on_starred,
 )
 from tancone.definitions import (
+    _row_from_value,
+    _starred_row_values,
     delta_sequence,
     enumerate_chains,
     is_bounded_bitableau,
@@ -35,7 +36,13 @@ from tancone.definitions import (
     top_bot_of_chain,
 )
 from tancone.grid import upper_points
-from tancone.indexsets import bruhat_leq, enumerate_indices, is_isotropic, star_set
+from tancone.indexsets import (
+    bruhat_leq,
+    bruhat_mask,
+    enumerate_indices,
+    is_isotropic,
+    star_set,
+)
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -251,6 +258,32 @@ def test_enumerate_on_starred_equals_the_unpruned_oracle(d, top):
             found = Counter(enumerate_on_starred(beta, d, degree))
             assert found == expected, (beta, degree)
         assert enumerate_on_starred(beta, d, 0) == [(EMPTY, (beta, beta))], beta
+
+
+@pytest.mark.parametrize(
+    "d, top, draws",
+    [(1, 6, None), (2, 6, None), (3, 6, None), (4, 4, None), (5, 4, 6), (6, 3, 3)],
+)
+def test_starred_candidates_match_the_tuple_oracle(d, top, draws):
+    """The candidates read off the per-d bit data on I(d) equal the
+    ``bruhat_leq`` candidate list with set-difference boxes and rows, and
+    ``epsilon_degree`` and ``bruhat_mask`` of each value, in order, for
+    every box count 2m with m <= top: at every fixed point for d <= 4 and
+    at a seeded sample for d = 5 and 6."""
+    betas = enumerate_indices(d)
+    if draws is not None:
+        betas = random.Random(d).sample(betas, draws)
+    for beta in betas:
+        oracle = _starred_row_values(beta, d)
+        for degree in range(0, 2 * top + 1, 2):
+            want = [
+                (v, w, epsilon_degree(v, d), (_row_from_value(v, beta, s),), s)
+                for v, w, s in oracle
+                if w <= degree
+            ]
+            values, masks = _starred_candidates(beta, d, degree)
+            assert values == want, (beta, degree)
+            assert masks == [bruhat_mask(v, d) for v, *_ in want], (beta, degree)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])

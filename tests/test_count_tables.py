@@ -25,6 +25,8 @@ from test_brsk import enumerate_on_starred_oracle
 
 from tancone.definitions import (
     _standard_sequences,
+    chain_value,
+    pair_is_plain,
     delta_sequence,
     is_bounded_bitableau,
     is_chain,
@@ -35,15 +37,15 @@ from tancone.definitions import (
 )
 from tancone.grid import (
     chain_parts,
-    chain_value,
     double_multiset,
     grid_points,
     is_positive,
+    maximal_paths,
     multiset_chain_values,
     sharp_point,
     upper_points,
 )
-from tancone.indexsets import bruhat_leq, enumerate_indices
+from tancone.indexsets import admissible_pairs, bruhat_leq, enumerate_indices
 from tancone.verify import (
     _bitableau_profiles,
     _bruhat_tests,
@@ -266,6 +268,114 @@ def test_standard_cells_match_dfs(d, top):
             assert dict(_standard_chains(beta, d, m)) == standard_cells_oracle(
                 beta, d, m
             ), (beta, m)
+
+
+def standard_chains_oracle(beta, d, top):
+    """The standard table at degrees 0..top as it was built before its bit
+    tables: plain pairs by ``pair_is_plain``, beta-degrees by set
+    difference, and each pair after a cell of lower degree by
+    ``bruhat_leq`` of the cell's top and the pair's bot."""
+    tables = [(((beta, beta), 1),)]
+    plain = [w for w in admissible_pairs(d) if pair_is_plain(w, beta)]
+    for m in range(1, top + 1):
+        cells = Counter()
+        for w in plain:
+            wdeg = w.beta_degree(beta)
+            if wdeg == m:
+                cells[(w.bot, w.top)] += 1
+            elif 0 < wdeg < m:
+                for (bot, high), count in tables[m - wdeg]:
+                    if bruhat_leq(high, w.bot):
+                        cells[(bot, w.top)] += count
+        tables.append(tuple(cells.items()))
+    return tables
+
+
+def sampled_betas(d, draws, seed):
+    """Every fixed point at d, or a seeded sample of ``draws`` of them."""
+    betas = enumerate_indices(d)
+    return betas if draws is None else random.Random(seed).sample(betas, draws)
+
+
+# (d, highest degree m, fixed points drawn or None for all, seed)
+BIT_SCALES = [
+    (1, 6, None, 0),
+    (2, 6, None, 0),
+    (3, 6, None, 0),
+    (4, 4, None, 0),
+    (5, 4, 6, 5),
+    (6, 3, 3, 6),
+]
+
+
+@pytest.mark.parametrize("d, top, draws, seed", BIT_SCALES)
+def test_standard_chains_match_the_pair_oracle(d, top, draws, seed):
+    """The table read off the per-d pair bitsets and masks equals the
+    ``pair_is_plain`` / ``bruhat_leq`` loop cell for cell, in order."""
+    for beta in sampled_betas(d, draws, seed):
+        want = standard_chains_oracle(beta, d, top)
+        for m in range(top + 1):
+            assert _standard_chains(beta, d, m) == want[m], (beta, m)
+
+
+def chain_values_oracle(m, beta):
+    """``multiset_chain_values`` on tuples: each maximal chain's parts
+    split by ``chain_parts`` and valued by ``chain_value``."""
+    pos_vals, neg_vals = set(), set()
+    for ch in maximal_paths(m.keys()):
+        pos, neg = chain_parts(ch)
+        if pos:
+            pos_vals.add(chain_value(pos, beta))
+        if neg:
+            neg_vals.add(chain_value(neg, beta))
+    return tuple(sorted(pos_vals)), tuple(sorted(neg_vals))
+
+
+@pytest.mark.parametrize("d, top, draws, seed", BIT_SCALES)
+def test_chain_values_match_the_tuple_oracle(d, top, draws, seed):
+    """The bitset chain values equal the tuple ones on the doubled
+    supports of at most ``top`` upper points, every such support at
+    d <= 4 and 300 seeded ones per drawn fixed point at d = 5 and 6, and
+    at d <= 3 on every subset of the grid, doubled or not."""
+    rng = random.Random(seed)
+    for beta in sampled_betas(d, draws, seed):
+        upper = upper_points(beta, d)
+        if draws is None:
+            supports = [s for k in range(1, top + 1) for s in combinations(upper, k)]
+        else:
+            supports = [rng.sample(upper, rng.randint(1, top)) for _ in range(300)]
+        multisets = [double_multiset(dict.fromkeys(s, 1), d) for s in supports]
+        if d <= 3:
+            points = grid_points(beta, d)
+            multisets += [
+                dict.fromkeys(s, 1)
+                for k in range(1, len(points) + 1)
+                for s in combinations(points, k)
+            ]
+        for m in multisets:
+            want = chain_values_oracle(m, beta)
+            assert multiset_chain_values(m, beta) == want, (beta, m)
+
+
+@pytest.mark.parametrize(
+    "m, beta",
+    [
+        ({(1, 3): 1}, (1, 3)),  # a row in beta
+        ({(4, 2): 1}, (1, 3)),  # a column outside beta
+        ({(3, 4): 1}, (1, 3)),  # both, so the checks' order shows
+        ({(2, 1): 1, (4, 3): 1}, (1, 3)),  # on the grid: two one-point chains
+    ],
+)
+def test_chain_values_keep_the_bound_value_checks(m, beta):
+    """A support off the grid fails as ``bound_value`` fails on it, with
+    the same message, and one on the grid gives the same values."""
+    try:
+        want = chain_values_oracle(m, beta)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            multiset_chain_values(m, beta)
+    else:
+        assert multiset_chain_values(m, beta) == want
 
 
 def test_standard_cells_cold_at_high_degree():

@@ -6,6 +6,7 @@ from hypothesis import given, strategies as st
 
 from tancone.definitions import (
     chain_bounded,
+    chain_value,
     enumerate_chains,
     fold_chain,
     is_chain,
@@ -17,7 +18,6 @@ from tancone.definitions import (
 )
 from tancone.grid import (
     bound_value,
-    chain_value,
     double_multiset,
     grid_points,
     is_positive,

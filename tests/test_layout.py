@@ -18,7 +18,12 @@ edge; the graph can only over-approximate what runs.
   R4  the definitions reach none of the fast paths they are the oracles
       of: the three count tables, the one-sign support tables, the bitableau
       enumeration, the row memo, or the Bruhat mask (the definitions
-      compare indices with ``bruhat_leq``).
+      compare indices with ``bruhat_leq``), nor the bit tables on I(d) and
+      on the admissible pairs, the starred candidates read off them, or
+      the bitset chain value (the definitions form values with
+      ``bound_value``).  ``indexsets.index_bits`` and ``bits_index`` are
+      not listed: the definitions build patches, and ``PatchMatrix``, one
+      node, reads its chain facts with them.
 """
 
 import ast
@@ -46,7 +51,12 @@ FAST_PATHS = (
     ("verify", "_sign_supports"),
     ("brsk", "enumerate_on_starred"),
     ("brsk", "_row_fact"),
+    ("brsk", "_starred_candidates"),
+    ("grid", "_part_value"),
     ("indexsets", "bruhat_mask"),
+    ("indexsets", "isotropic_masks"),
+    ("indexsets", "pair_masks"),
+    ("indexsets", "_pair_bitsets"),
 )
 
 

@@ -58,6 +58,13 @@ def test_pack_unpack_round_trip():
     assert ring.pack(()) == 0 and ring.unpack(0) == ()
 
 
+def test_a_unit_is_the_packed_variable():
+    for n in (1, 2, 15, 36):
+        ring = PolyRing(range(n))
+        for i in range(n):
+            assert ring.unit(i) == ring.pack((0,) * i + (1,) + (0,) * (n - 1 - i))
+
+
 def test_integer_order_is_the_term_order():
     below = equal = 0
     for ring, a, b in random_pairs(10_000, 2):

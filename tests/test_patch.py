@@ -1,18 +1,19 @@
 import random
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import compress, permutations, product
 
 import pytest
 
 from tancone._kernel_py import divisor_record
 from tancone.definitions import (
+    chain_value,
     column_inner_products,
     form_eps,
     initial_chain,
     minimal_monomial_generators,
     patch_entries,
 )
-from tancone.grid import chain_value, is_positive, is_upper, sharp_point, upper_points
+from tancone.grid import chain_gt, is_positive, is_upper, sharp_point, upper_points
 from tancone.indexsets import (
     admissible_pairs,
     bruhat_leq,
@@ -55,6 +56,22 @@ def good_subset_oracle(alpha, gamma, patch, pairs, polys):
                 good_pairs.append(pair)
                 good_polys.append(f)
     return good_pairs, good_polys
+
+
+def chain_fact_oracle(lead, ring, beta):
+    """The chain fact of a lead exponent tuple as ``PatchMatrix.generator``
+    read it before it used the lead's bits: the support listed in
+    variable order, tested with ``chain_gt`` and ``is_positive``, and
+    valued with the tuple ``chain_value``."""
+    if any(e > 1 for e in lead):
+        return None
+    pts = list(compress(ring.variables, lead))
+    if not all(map(chain_gt, pts, pts[1:])):
+        return None
+    signs = set(map(is_positive, pts))
+    if len(signs) != 1:
+        return None
+    return signs.pop(), chain_value(pts, beta)
 
 
 def generator_set_oracle(alpha, gamma, patch):
@@ -443,6 +460,36 @@ def test_chain_facts_are_per_patch():
     # the sub-minors agree, and neither patch holds one of the other's
     assert m1._minors == m2._minors
     assert not any(m2._minors[key] is sub for key, sub in m1._minors.items())
+
+
+@pytest.mark.parametrize("p", [0, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_chain_facts_match_the_tuple_oracle(d, p):
+    """Every generator of every fixed point at d <= 4, over Q and F_3: the
+    chain fact read off the lead's bits equals the unpacked one, and the
+    facts cover all three outcomes (none, positive, negative)."""
+    seen = set()
+    for beta in enumerate_indices(d):
+        patch = build_patch(beta, d, p)
+        for pair in admissible_pairs(d):
+            f, fact = patch.generator(pair.rep)
+            want = chain_fact_oracle(f.leading_monomial(), f.ring, beta) if f else None
+            assert fact == want, (beta, pair)
+            seen.add(None if fact is None else fact[0])
+    assert seen == {None, True, False}
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_chain_fact_of_every_squarefree_lead(d):
+    """``_chain_fact`` on every squarefree monomial of every fixed point at
+    d <= 4, not only on the leads that minors have: supports with two
+    points in one row or one column, or of both signs, are no chain fact."""
+    for beta in enumerate_indices(d):
+        patch = build_patch(beta, d)
+        ring = patch.ring
+        for lead in product((0, 1), repeat=ring.nvars):
+            want = chain_fact_oracle(lead, ring, beta)
+            assert patch._chain_fact(ring.pack(lead)) == want, (beta, lead)
 
 
 def _assert_good_subset_matches_oracle(alpha, beta, gamma, patch):

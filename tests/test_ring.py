@@ -531,6 +531,45 @@ def test_staircase_at_exponents_wider_than_a_byte(gens, nvars, m):
     assert monomials_outside(gens, nvars, m) == staircase_by_definition(gens, nvars, m)
 
 
+def read_pairs(gens, m):
+    """The distinct (variable, exponent) pairs, exponent nonzero, that
+    ``monomials_outside`` reads off generators of degree at most m."""
+    return {(i, e) for g in gens if sum(g) <= m for i, e in enumerate(g) if e}
+
+
+@pytest.mark.parametrize("nvars, m", [(3, 4), (6, 6), (2, 40)])
+def test_threshold_bitsets_are_built_only_when_read(nvars, m):
+    """A cold degree-m table builds the bitset of a (variable, exponent)
+    pair only when some generator reads it, keeps it with the table, and
+    gives the staircase of the definition."""
+    rng = random.Random(nvars * m)
+    R._degree_table.cache_clear()
+    try:
+        read = set()
+        for _ in range(8):
+            count = rng.randint(0, 4)
+            gens = [random_monomial(rng, nvars, max_exp=3) for _ in range(count)]
+            read |= read_pairs(gens, m)
+            expected = staircase_by_definition(gens, nvars, m)
+            assert monomials_outside(gens, nvars, m) == expected, gens
+            _, bits = R._degree_table(nvars, m)
+            built = {(i, e) for i, column in enumerate(bits) for e in column}
+            assert built == read, gens
+    finally:
+        R._degree_table.cache_clear()
+
+
+def test_threshold_bitset_matches_the_table():
+    """Each bitset has bit j set exactly when the j-th tuple of the table
+    holds at least e in that variable, at byte and two-byte field widths."""
+    for nvars, m in [(1, 5), (3, 5), (4, 6), (2, 200)]:
+        table = tuple(monomials_of_degree(nvars, m))
+        for i in range(nvars):
+            for e in sorted({1, 2, m // 2, m} - {0}):
+                want = sum(1 << j for j, mono in enumerate(table) if mono[i] >= e)
+                assert R._threshold_bitset(table, i, e, m) == want, (nvars, m, i, e)
+
+
 def test_minimal_monomial_generators():
     gens = minimal_monomial_generators([(2, 0, 0), (1, 0, 0), (1, 1, 0), (0, 0, 1)])
     assert gens == [(0, 0, 1), (1, 0, 0)]

@@ -17,12 +17,18 @@ import tancone.cli
 import tancone.verify
 from tancone.cli import build_parser, main
 from tancone.grid import multiset_from_json
-from tancone.indexsets import MAX_BRSK_BOXES, MAX_TABLE_MONOMIALS
+from tancone.indexsets import (
+    MAX_BRSK_BOXES,
+    MAX_TABLE_MONOMIALS,
+    bruhat_leq,
+    enumerate_indices,
+)
 from tancone.patch import PatchMatrix, build_patch
 from tancone.verify import (
     PRIME_BOUND,
     SCHEMA,
     CaseSpec,
+    _up_sets,
     all_triples,
     is_prime,
     parse_field,
@@ -215,6 +221,16 @@ def test_sampled_sweep_is_seed_deterministic():
     assert [v.case for v in a] == [v.case for v in b]
     c = sweep(2, max_degree=1, sample=5, seed=43)
     assert [v.case for v in a] != [v.case for v in c]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4, 5, 6, 7])
+def test_up_sets_match_bruhat_leq(d):
+    """The up-sets read off the per-d Bruhat masks are those of
+    ``bruhat_leq``, keys and members in lex order."""
+    iso = enumerate_indices(d)
+    want = {v: [w for w in iso if bruhat_leq(v, w)] for v in iso}
+    got = _up_sets(d)
+    assert got == want and list(got) == list(want)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
