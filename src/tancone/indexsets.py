@@ -95,7 +95,10 @@ def bruhat_mask(v, d: int) -> int:
     """Bruhat order as bit containment: the low v_i bits of the i-th block
     of 2d + 1 bits (none for v_i <= 0), so that for equal-length v and w
     with entries in [0, 2d + 1], ``bruhat_leq(v, w)`` holds exactly when
-    ``bruhat_mask(v, d) & ~bruhat_mask(w, d) == 0``.
+    ``bruhat_mask(v, d) & ~bruhat_mask(w, d) == 0``.  On such tuples the
+    mask is injective, and AND is the meet and OR the join (``join_meet``):
+    a block's low max(a, b) bits are the OR of its low a and low b bits,
+    and its low min(a, b) bits their AND.
 
     Also exact on sorted tuples of equal length that agree at every
     position where either holds an entry outside that range: a larger
@@ -129,7 +132,7 @@ def bits_index(bits: int) -> Index:
 def isotropic_masks(d: int) -> dict[Index, tuple[int, int]]:
     """v -> (``index_bits(v)``, ``bruhat_mask(v, d)``) for every v in I(d),
     in lex order: the bit data on I(d) that the starred candidates and
-    the standard chains read, computed once per d."""
+    a sweep's up-sets read, computed once per d."""
     return {v: (index_bits(v), bruhat_mask(v, d)) for v in enumerate_indices(d)}
 
 

@@ -23,10 +23,10 @@ Bruhat order is componentwise, so values lie at or above alpha exactly
 when their meet (componentwise min) does, and at or below gamma exactly
 when their join (max) does; low and high are those of the values an
 object must bound, or beta, which every case bounds, for a side with
-none.  Degree 0 is the one cell ``((beta, beta), 1)``.  One filter,
-``_count_cells``, sums the counts of the cells that pass, through two
-lazy Bruhat tests that a case builds once (``_bruhat_tests``) for all
-its tables and degrees.
+none.  Each is kept as its ``indexsets.bruhat_mask``, under which the
+order is bit containment, the meet an AND and the join an OR; degree 0
+is the one cell of beta's mask twice.  One filter, ``_count_cells``,
+sums the counts of the cells that pass, at two ANDs a cell.
 Specials are counted by support (every multiset on one support has the
 same chain values), as products of the cells of one-sign supports of
 each size, which every degree reuses; standard monomials by recursion
@@ -53,13 +53,13 @@ from .indexsets import (
     MAX_TABLE_MONOMIALS,
     Index,
     _FrozenRecord,
-    _LazyTests,
     _pair_bitsets,
     _Record,
-    admissible_pairs,
     bruhat_leq,
+    bruhat_mask,
     enumerate_indices,
     format_index,
+    index_bits,
     is_isotropic,
     isotropic_masks,
     pair_masks,
@@ -233,20 +233,21 @@ class Verdict(_Record):
 @lru_cache(maxsize=None)
 def _special_profiles(beta: Index, d: int, m: int):
     """Special multisets of degree 2m as cells ``((low, high), count)``:
-    the meet of the negative and the join of the positive chain values of
-    their supports, and how many specials have them.
+    the masks of the meet of the negative and the join of the positive
+    chain values of their supports, and how many specials have them.
 
     A special multiset is U union U# for a multiset U of degree m on the
     upper region, and its chain values depend only on the support of U.
     A support of a positive and b negative points carries C(m-1, a+b-1)
     such U, and its key pairs those of its two one-sign parts
     (``_sign_supports``), since sharp keeps a point's sign; an empty part
-    is keyed by beta.
+    is keyed by beta's mask.
     """
+    beta_mask = bruhat_mask(beta, d)
     if m == 0:
-        return (((beta, beta), 1),)
+        return (((beta_mask, beta_mask), 1),)
     positive, negative = chain_parts(upper_points(beta, d))
-    empty = ((beta, 1),)  # the one empty part, of either sign
+    empty = ((beta_mask, 1),)  # the one empty part, of either sign
     cells: dict = {}
     for a in range(min(m, len(positive)) + 1):
         pos_cells = _sign_supports(beta, d, positive, a) if a else empty
@@ -266,18 +267,24 @@ def _special_profiles(beta: Index, d: int, m: int):
 def _sign_supports(beta: Index, d: int, points: tuple, size: int):
     """The supports of exactly ``size`` of ``points``, the upper points of
     one sign, as cells ``(key, number of supports)``: the join of the
-    doubled support's positive chain values or the meet of its negative
-    ones, and beta for the empty support.  A support of both signs has
-    the join and meet of its parts, as each of its chains' one-sign parts
-    is a sub-chain of a maximal chain of that part, whose positive value
-    lies at or above the sub-chain's and negative value at or below."""
+    doubled support's positive chain values, the OR of their masks, or
+    the meet of its negative ones, the AND of theirs and beta's, which is
+    above them, so beta's for the empty support.  A support of both signs
+    has the join and meet of its parts, as each of its chains' one-sign
+    parts is a sub-chain of a maximal chain of that part, whose positive
+    value lies at or above the sub-chain's and negative value at or below."""
+    beta_mask = bruhat_mask(beta, d)
     cells: Counter = Counter()
     for support in combinations(points, size):
         pos_vals, neg_vals = multiset_chain_values(
             double_multiset(dict.fromkeys(support, 1), d), beta
         )
-        join, meet = tuple(map(max, zip(*pos_vals))), tuple(map(min, zip(*neg_vals)))
-        cells[join or meet or beta] += 1
+        join, meet = 0, beta_mask
+        for v in pos_vals:
+            join |= bruhat_mask(v, d)
+        for v in neg_vals:
+            meet &= bruhat_mask(v, d)
+        cells[join or meet] += 1
     return tuple(cells.items())
 
 
@@ -285,21 +292,24 @@ def _sign_supports(beta: Index, d: int, points: tuple, size: int):
 @lru_cache(maxsize=None)
 def _bitableau_profiles(beta: Index, d: int, m: int):
     """On-starred bitableaux with 2m boxes as cells ``((first, last),
-    count)``: the first and last delta values, and how many bitableaux
-    have them (the meet and join of the increasing delta sequence).
-    ``enumerate_on_starred`` builds each delta sequence as a chain of
-    pairs of equal epsilon degree and returns each bitableau with those
-    two values, ``(beta, beta)`` for the empty one (m = 0)."""
+    count)``: the masks of the first and last delta values (the meet and
+    join of the increasing delta sequence), and how many bitableaux have
+    them.  ``enumerate_on_starred`` builds each delta sequence as a chain
+    of pairs of equal epsilon degree and returns each bitableau with
+    those two values, ``(beta, beta)`` for the empty one (m = 0)."""
     cells = Counter(ends for _, ends in enumerate_on_starred(beta, d, 2 * m))
-    return tuple(cells.items())
+    return tuple(
+        ((bruhat_mask(first, d), bruhat_mask(last, d)), count)
+        for (first, last), count in cells.items()
+    )
 
 
 # lru_cache kept: perfbench/layertrace.py reads its cache_info for beta_cache_hit_ratio
 @lru_cache(maxsize=None)
 def _standard_chains(beta: Index, d: int, m: int):
     """Standard monomials of degree m as cells ``((bot of first, top of
-    last), count)``; the empty one (m = 0) has neither end, and its cell
-    is ``((beta, beta), 1)``.
+    last), count)``, as masks; the empty one (m = 0) has neither end, and
+    its cell is beta's mask twice.
 
     A standard monomial is a weakly increasing sequence of admissible
     pairs (consecutively top(w_i) <= bot(w_{i+1})), each plain: not
@@ -320,57 +330,44 @@ def _standard_chains(beta: Index, d: int, m: int):
     Everything is read off bit tables of d alone: the plain pairs from
     the per-d pair bitsets (``indexsets._pair_bitsets``), up[beta] (beta
     <= bot) and down[beta] (top <= beta), whose one common pair is (beta,
-    beta), so the plain ones are their symmetric difference; a pair's
-    beta-degree as the entries of its rep outside beta
-    (``indexsets.pair_masks``); and whether it may follow a cell as one
-    AND of ``bruhat_mask``s, the cell's top's from
-    ``indexsets.isotropic_masks``.
+    beta), so the plain ones are their symmetric difference; and from
+    ``indexsets.pair_masks``, a pair's beta-degree as the entries of its
+    rep outside beta, and the ``bruhat_mask``s of its top and bot, which
+    are the cells' keys, so that whether it may follow a cell is one AND.
     """
     if m == 0:
-        return (((beta, beta), 1),)
+        key = bruhat_mask(beta, d)
+        return (((key, key), 1),)
     for lower in range(1, m):
         _standard_chains(beta, d, lower)
-    pairs = admissible_pairs(d)
-    reps, _, bots = pair_masks(d)
-    masks = isotropic_masks(d)
+    reps, tops, bots = pair_masks(d)
     up, down = _pair_bitsets(d)
     plain = up[beta] ^ down[beta]
-    outside = ~masks[beta][0]
+    outside = ~index_bits(beta)
     cells: Counter = Counter()
     while plain:
         low = plain & -plain
         plain ^= low
         i = low.bit_length() - 1
-        w = pairs[i]
         wdeg = (reps[i] & outside).bit_count()
         if wdeg == m:
-            cells[(w.bot, w.top)] += 1
+            cells[(bots[i], tops[i])] += 1
         elif 0 < wdeg < m:
-            not_bot = ~bots[i]
-            for (bot, top), count in _standard_chains(beta, d, m - wdeg):
-                if not masks[top][1] & not_bot:
-                    cells[(bot, w.top)] += count
+            top, not_bot = tops[i], ~bots[i]
+            for (bot, high), count in _standard_chains(beta, d, m - wdeg):
+                if not high & not_bot:
+                    cells[(bot, top)] += count
     return tuple(cells.items())
 
 
-def _bruhat_tests(alpha, gamma) -> tuple[_LazyTests, _LazyTests]:
-    """The lazy tests alpha <= v and v <= gamma of one case, which every
-    table and degree of that case reads."""
-    return (
-        _LazyTests(lambda v: bruhat_leq(alpha, v)),
-        _LazyTests(lambda v: bruhat_leq(v, gamma)),
-    )
-
-
 def _count_cells(cells, above, below) -> int:
-    """Total count of the cells ``((low, high), count)`` with ``above[low]``
-    and ``below[high]``: a case's ``_bruhat_tests``, which test each
-    distinct value once per case, on first meeting it.  Special chain
-    values and their meets and joins lie in I(d, 2d), not only in I(d),
-    so the values are not listed beforehand."""
+    """Total count of the cells ``((low, high), count)``, keyed by
+    ``bruhat_mask``s, with alpha <= low and high <= gamma: ``above`` is
+    alpha's mask and ``below`` the complement of gamma's, so that each
+    test is one AND, as mask containment is Bruhat order."""
     total = 0
     for (low, high), count in cells:
-        if above[low] and below[high]:
+        if not (above & ~low or high & below):
             total += count
     return total
 
@@ -418,7 +415,7 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
     per_degree: dict[int, dict[str, int]] = {}
     agree = True
     beta = case.beta
-    above, below = _bruhat_tests(case.alpha, case.gamma)
+    above, below = bruhat_mask(case.alpha, d), ~bruhat_mask(case.gamma, d)
     for m in range(1, case.max_degree + 1):
         row = {
             "outside_good": len(monomials_outside(good_init, ring.nvars, m)),

@@ -1,14 +1,16 @@
 """The per-beta count tables against brute-force oracles.
 
 Each table ``table(beta, d, m)`` holds the column's objects at monomial
-degree m as cells ((low, high), count).  The oracles list every object
-the table counts (special multisets by their multiplicities, standard
-sequences by DFS, bitableaux by the unpruned direct enumeration of
-``test_brsk``) and group them by the same key, the meet of the values
-bounded below by alpha and the join of those bounded above by gamma
-(beta for a side with none); the two must agree cell for cell.  Each
-column's count is also checked against a brute-force count by the
-column's own predicate.
+degree m as cells ((low, high), count), low and high kept as their
+``bruhat_mask``s.  The oracles list every object the table counts
+(special multisets by their multiplicities, standard sequences by DFS,
+bitableaux by the unpruned direct enumeration of ``test_brsk``) and
+group them by the same key as tuples, the meet of the values bounded
+below by alpha and the join of those bounded above by gamma (beta for a
+side with none); ``by_masks`` turns those keys into masks, and the two
+must agree cell for cell.  The filter is checked against ``bruhat_leq``
+on the decoded values, and each column's count against a brute-force
+count by the column's own predicate.
 The special table was once built from two-sign support tables keyed by
 every chain value, kept here as ``special_profiles_oracle``; its keys
 differ, so the two are compared by their filtered counts.
@@ -45,10 +47,9 @@ from tancone.grid import (
     sharp_point,
     upper_points,
 )
-from tancone.indexsets import admissible_pairs, bruhat_leq, enumerate_indices
+from tancone.indexsets import admissible_pairs, bruhat_leq, bruhat_mask, enumerate_indices
 from tancone.verify import (
     _bitableau_profiles,
-    _bruhat_tests,
     _count_bitableaux,
     _count_cells,
     _count_specials,
@@ -57,19 +58,45 @@ from tancone.verify import (
     _special_profiles,
     _standard_chains,
     all_triples,
+    sample_triples,
 )
 
 # (d, highest degree m checked); specials have degree 2m
 SCALES = [(1, 6), (2, 6), (3, 6), (4, 4)]
 
 
-def count_cells_oracle(cells, alpha, gamma):
-    """``_count_cells`` without the lazy tests: every cell's two values
-    are tested afresh."""
+TABLES = (_special_profiles, _bitableau_profiles, _standard_chains)
+
+
+def by_masks(cells, d):
+    """Cells ``((low, high), count)`` keyed by tuples, keyed by their
+    ``bruhat_mask``s instead, in the same order; a dict stays a dict."""
+    items = cells.items() if isinstance(cells, dict) else cells
+    out = tuple(
+        ((bruhat_mask(low, d), bruhat_mask(high, d)), count) for (low, high), count in items
+    )
+    return dict(out) if isinstance(cells, dict) else out
+
+
+def decode(mask, d):
+    """The d-tuple whose i-th entry is the number of bits set in block i
+    of 2d + 1 bits: the inverse of ``bruhat_mask`` on its image."""
+    width = 2 * d + 1
+    return tuple((mask >> i * width & (1 << width) - 1).bit_count() for i in range(d))
+
+
+def case_masks(alpha, gamma, d):
+    """The two masks ``verify_case`` filters a case's cells by."""
+    return bruhat_mask(alpha, d), ~bruhat_mask(gamma, d)
+
+
+def count_cells_oracle(cells, alpha, gamma, d):
+    """``_count_cells`` by definition: every cell's two decoded values
+    are compared with ``bruhat_leq``."""
     return sum(
         count
         for (low, high), count in cells
-        if bruhat_leq(alpha, low) and bruhat_leq(high, gamma)
+        if bruhat_leq(alpha, decode(low, d)) and bruhat_leq(decode(high, d), gamma)
     )
 
 
@@ -158,8 +185,8 @@ def bitableau_cells_oracle(beta, d, m):
 def test_special_cells_match_oracle(d, top):
     for beta in enumerate_indices(d):
         for m in range(top + 1):
-            assert dict(_special_profiles(beta, d, m)) == special_cells_oracle(
-                beta, d, m
+            assert dict(_special_profiles(beta, d, m)) == by_masks(
+                special_cells_oracle(beta, d, m), d
             ), (beta, m)
 
 
@@ -181,7 +208,7 @@ def _filtered_special_counts_agree(d, betas, top):
             new, old = _special_profiles(beta, d, m), special_profiles_oracle(beta, d, m)
             for alpha in below:
                 for gamma in above:
-                    got = _count_cells(new, *_bruhat_tests(alpha, gamma))
+                    got = _count_cells(new, *case_masks(alpha, gamma, d))
                     assert got == count_value_sets_oracle(old, alpha, gamma), (
                         alpha,
                         beta,
@@ -265,8 +292,8 @@ def test_sub_chain_values_move_one_way(d):
 def test_standard_cells_match_dfs(d, top):
     for beta in enumerate_indices(d):
         for m in range(top + 1):
-            assert dict(_standard_chains(beta, d, m)) == standard_cells_oracle(
-                beta, d, m
+            assert dict(_standard_chains(beta, d, m)) == by_masks(
+                standard_cells_oracle(beta, d, m), d
             ), (beta, m)
 
 
@@ -315,7 +342,7 @@ def test_standard_chains_match_the_pair_oracle(d, top, draws, seed):
     for beta in sampled_betas(d, draws, seed):
         want = standard_chains_oracle(beta, d, top)
         for m in range(top + 1):
-            assert _standard_chains(beta, d, m) == want[m], (beta, m)
+            assert _standard_chains(beta, d, m) == by_masks(want[m], d), (beta, m)
 
 
 def chain_values_oracle(m, beta):
@@ -395,8 +422,8 @@ def test_standard_cells_cold_at_high_degree():
 def test_bitableau_cells_group_the_enumeration(d, top):
     for beta in enumerate_indices(d):
         for m in range(top + 1):
-            assert dict(_bitableau_profiles(beta, d, m)) == bitableau_cells_oracle(
-                beta, d, m
+            assert dict(_bitableau_profiles(beta, d, m)) == by_masks(
+                bitableau_cells_oracle(beta, d, m), d
             ), (beta, m)
 
 
@@ -410,18 +437,29 @@ def is_value(v, d):
     )
 
 
+def is_value_mask(mask, d):
+    """The ``bruhat_mask`` of a strictly increasing d-tuple in [1, 2d]."""
+    if type(mask) is not int:
+        return False
+    v = decode(mask, d)
+    return is_value(v, d) and bruhat_mask(v, d) == mask
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_every_cell_is_one_low_and_one_high(d):
     """Every table, every beta and m <= 6: each cell is ((low, high),
-    count) with two values and a positive count, and degree 0 is the one
-    cell ((beta, beta), 1)."""
+    count) with the masks of two values and a positive count, and degree
+    0 is the one cell of beta's mask twice."""
     for beta in enumerate_indices(d):
-        for table in (_special_profiles, _bitableau_profiles, _standard_chains):
-            assert table(beta, d, 0) == (((beta, beta), 1),), (table.__name__, beta)
+        key = bruhat_mask(beta, d)
+        for table in TABLES:
+            assert table(beta, d, 0) == (((key, key), 1),), (table.__name__, beta)
             for m in range(7):
                 for cell in table(beta, d, m):
                     (low, high), count = cell
-                    assert is_value(low, d) and is_value(high, d), (table.__name__, beta, m, cell)
+                    assert is_value_mask(low, d) and is_value_mask(high, d), (
+                        table.__name__, beta, m, cell
+                    )
                     assert type(count) is int and count > 0, (table.__name__, beta, m, cell)
 
 
@@ -434,7 +472,7 @@ def test_count_columns_match_their_predicates(d, top):
                 multiset_bounded(multiset, alpha, gamma, beta)
                 for multiset in special_multisets(beta, d, m)
             )
-            tests = _bruhat_tests(alpha, gamma)
+            tests = case_masks(alpha, gamma, d)
             assert _count_specials(beta, d, m, *tests) == specials, (case, m)
             bitableaux = sum(
                 is_bounded_bitableau(t, alpha, gamma, beta)
@@ -448,15 +486,27 @@ def test_count_columns_match_their_predicates(d, top):
             assert _count_standard(beta, d, m, *tests) == standard, (case, m)
 
 
+def _filter_matches_oracle(d, triples, top):
+    for alpha, beta, gamma in triples:
+        above, below = case_masks(alpha, gamma, d)
+        for table in TABLES:
+            for m in range(top + 1):
+                cells = table(beta, d, m)
+                assert _count_cells(cells, above, below) == count_cells_oracle(
+                    cells, alpha, gamma, d
+                ), (table.__name__, alpha, beta, gamma, m)
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_count_cells_matches_oracle_on_every_table(d):
-    """Every table at d <= 3 up to degree 6, filtered for every triple
-    through one pair of lazy tests per triple, as ``verify_case`` does."""
-    for alpha, beta, gamma in all_triples(d):
-        tests = _bruhat_tests(alpha, gamma)
-        for table in (_special_profiles, _bitableau_profiles, _standard_chains):
-            for m in range(7):
-                cells = table(beta, d, m)
-                assert _count_cells(cells, *tests) == count_cells_oracle(
-                    cells, alpha, gamma
-                ), (table.__name__, alpha, beta, gamma, m)
+    """Every table at d <= 3 up to degree 6, filtered for every triple by
+    the two masks ``verify_case`` forms."""
+    _filter_matches_oracle(d, all_triples(d), 6)
+
+
+# (d, triples drawn, seed, highest m)
+@pytest.mark.parametrize("d, draws, seed, top", [(4, 100, 4, 4), (5, 30, 5, 3)])
+def test_count_cells_matches_oracle_on_a_sample(d, draws, seed, top):
+    """A seeded sample of triples at d = 4 and 5 and low degree, where a
+    mask spans more than one 30-bit digit of a Python int."""
+    _filter_matches_oracle(d, sample_triples(d, draws, seed), top)

@@ -185,6 +185,37 @@ def test_bruhat_mask_containment_on_a_max_d_sample():
     assert answers == {False, True}
 
 
+def _assert_or_is_join_and_is_meet(v, w, d):
+    join, meet = join_meet(v, w)
+    mv, mw = bruhat_mask(v, d), bruhat_mask(w, d)
+    assert bruhat_mask(join, d) == mv | mw, (v, w)
+    assert bruhat_mask(meet, d) == mv & mw, (v, w)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_bruhat_mask_or_is_join_and_is_meet(d):
+    """Every ordered pair of I(d, 2d): the mask of the componentwise max
+    is the OR of the two masks and that of the min their AND, and no two
+    elements share a mask, so the count tables may key cells by masks."""
+    elems = enumerate_indices(d, ambient_only=True)
+    assert len({bruhat_mask(v, d) for v in elems}) == len(elems)
+    for v in elems:
+        for w in elems:
+            _assert_or_is_join_and_is_meet(v, w, d)
+
+
+@pytest.mark.parametrize("d", range(4, MAX_D + 1))
+def test_bruhat_mask_or_is_join_and_is_meet_on_a_sample(d):
+    """A seeded sample of pairs of I(d, 2d) for 4 <= d <= MAX_D, where a
+    mask spans more than one 30-bit digit of a Python int; and no two
+    elements of I(d, 2d) share a mask."""
+    rng = random.Random(d)
+    elems = enumerate_indices(d, ambient_only=True)
+    assert len({bruhat_mask(v, d) for v in elems}) == len(elems)
+    for _ in range(3000):
+        _assert_or_is_join_and_is_meet(rng.choice(elems), rng.choice(elems), d)
+
+
 def test_bruhat_mask_blocks():
     assert bruhat_mask((), 2) == 0
     assert bruhat_mask((1, 3), 2) == 0b00111_00001
