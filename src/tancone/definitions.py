@@ -29,9 +29,7 @@ from .grid import (
     bound_value,
     chain_gt,
     chain_parts,
-    double_multiset,
     is_upper,
-    sharp_multiset,
     sharp_point,
     upper_points,
 )
@@ -48,6 +46,22 @@ from .ring import Poly, monomials_outside, normal_form
 
 # ---------------------------------------------------------------------------
 # the grid: special multisets and chains
+
+
+def sharp_multiset(m: Multiset, d: int) -> Multiset:
+    out: Multiset = {}
+    for p, k in m.items():
+        q = sharp_point(p, d)
+        out[q] = out.get(q, 0) + k
+    return out
+
+
+def double_multiset(m: Multiset, d: int) -> Multiset:
+    """U -> U union U#; always special."""
+    out = dict(m)
+    for p, k in sharp_multiset(m, d).items():
+        out[p] = out.get(p, 0) + k
+    return out
 
 
 def is_diagonal(p: Point, d: int) -> bool:
@@ -272,7 +286,7 @@ def admissible_pair_by_ends(d: int) -> dict[tuple[Index, Index], AdmissiblePair]
 def pair_is_plain(pair: AdmissiblePair, beta: Index) -> bool:
     """Not (beta, beta), and beta is above the top or below the bottom:
     the oracle of the plain pairs that ``verify._standard_chains`` reads
-    off the per-d pair bitsets."""
+    off the pairs' Bruhat masks."""
     if pair.top == tuple(beta) and pair.bot == tuple(beta):
         return False
     return bruhat_leq(pair.top, beta) or bruhat_leq(beta, pair.bot)

@@ -49,22 +49,6 @@ def sharp_point(p: Point, d: int) -> Point:
     return (star(c, d), star(r, d))
 
 
-def sharp_multiset(m: Multiset, d: int) -> Multiset:
-    out: Multiset = {}
-    for p, k in m.items():
-        q = sharp_point(p, d)
-        out[q] = out.get(q, 0) + k
-    return out
-
-
-def double_multiset(m: Multiset, d: int) -> Multiset:
-    """U -> U union U#; always special."""
-    out = dict(m)
-    for p, k in sharp_multiset(m, d).items():
-        out[p] = out.get(p, 0) + k
-    return out
-
-
 # ---------------------------------------------------------------------------
 # chains
 
@@ -135,7 +119,7 @@ def _part_value(rows: int, cols: int, beta_bits: int) -> int:
     return beta_bits & ~cols | rows
 
 
-def multiset_chain_values(m: Multiset, beta: Index):
+def multiset_chain_values(m, beta: Index):
     """Values of positive/negative parts over all maximal support chains.
 
     Returns (pos_values, neg_values) as sorted tuples; enough to decide
@@ -143,9 +127,11 @@ def multiset_chain_values(m: Multiset, beta: Index):
     ``definitions.multiset_bounded`` decides over every chain, since
     subchains of a bounded chain are bounded, and by the componentwise
     min of the negative values and max of the positive ones, since Bruhat
-    order is componentwise.  Only the support ``m.keys()`` is read, so every
-    special multiset on this support shares the result, from which
-    ``verify._sign_supports`` keys the support's cell by that min or max.
+    order is componentwise.  Only the support is read: ``m`` is a
+    multiset, whose keys are read, or any iterable of its points, as
+    ``verify._sign_supports`` passes a doubled support, keying its cell
+    by that min or max; every special multiset on the support shares the
+    result.
 
     Each part's value is formed on bitsets, its rows' and columns' bits
     gathered in one pass over the chain (``_part_value``), and only the
@@ -155,7 +141,7 @@ def multiset_chain_values(m: Multiset, beta: Index):
     beta_bits = index_bits(beta)
     pos_vals = set()
     neg_vals = set()
-    for ch in maximal_paths(m.keys()):
+    for ch in maximal_paths(m):
         pos_rows = pos_cols = neg_rows = neg_cols = 0
         for r, c in ch:
             if r > c:

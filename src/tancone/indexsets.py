@@ -9,7 +9,7 @@ j* = 2d+1-j.  All functions work with plain sorted tuples of ints.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import combinations
 from operator import le
 
 Index = tuple[int, ...]
@@ -246,38 +246,6 @@ def admissible_pairs(d: int) -> tuple[AdmissiblePair, ...]:
     )
 
 
-class _LazyTests(dict):
-    """A lazy dict from a value to ``test(value)``, each computed on first
-    lookup."""
-
-    def __init__(self, test):
-        self.test = test
-
-    def __missing__(self, value):
-        result = self[value] = self.test(value)
-        return result
-
-
-def _groups(ends) -> tuple[tuple[int, int], ...]:
-    """(end, the bitset of the positions i with ends[i] == end) for each
-    distinct end: far fewer than the pairs, which share their tops and
-    bots."""
-    groups: dict[int, int] = {}
-    for i, end in enumerate(ends):
-        groups[end] = groups.get(end, 0) | 1 << i
-    return tuple(groups.items())
-
-
-def _bits(groups, mask: int) -> int:
-    """The bitset of the positions whose end has ``not mask & end``: the
-    union of those ``_groups``."""
-    out = 0
-    for end, bits in groups:
-        if not mask & end:
-            out |= bits
-    return out
-
-
 @lru_cache(maxsize=None)
 def pair_masks(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
     """(reps, tops, bots) over ``admissible_pairs(d)``: each pair's
@@ -292,32 +260,15 @@ def pair_masks(d: int) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...
     )
 
 
-@lru_cache(maxsize=None)
-def _pair_bitsets(d: int) -> tuple[_LazyTests, _LazyTests]:
-    """(up, down), lazy bitsets over ``admissible_pairs(d)``, bit i for
-    pair i: up[alpha] the pairs with alpha <= bot, down[gamma] those with
-    top <= gamma, v <= w being ``not mask(v) & ~mask(w)`` on
-    ``bruhat_mask``s (``pair_masks``), tested once per distinct bot or
-    top (``_groups``).  They depend on d alone, so every fixed point and
-    case at d shares them."""
-    _, tops, bots = pair_masks(d)
-    by_bot, by_top = _groups([~mask for mask in bots]), _groups(tops)
-    return (
-        _LazyTests(lambda alpha: _bits(by_bot, bruhat_mask(alpha, d))),
-        _LazyTests(lambda gamma: _bits(by_top, ~bruhat_mask(gamma, d))),
-    )
-
-
-# a binary digit of the bounded set, as a selector of the pairs outside it
-_UNBOUNDED = bytes.maketrans(b"01", b"\x01\x00")
-
-
 def pairs_outside(alpha: Index, gamma: Index, d: int) -> list[AdmissiblePair]:
     """The admissible pairs (top, bot) with alpha !<= bot or top !<= gamma,
-    in the order of ``admissible_pairs(d)``: the complement of up[alpha]
-    & down[gamma] (``_pair_bitsets``), read off its binary digits."""
-    pairs = admissible_pairs(d)
-    up, down = _pair_bitsets(d)
-    bounded = up[tuple(alpha)] & down[tuple(gamma)]
-    digits = format(bounded, f"0{len(pairs)}b").encode()[::-1]
-    return list(compress(pairs, digits.translate(_UNBOUNDED)))
+    in the order of ``admissible_pairs(d)``: one pass beside their masks
+    (``pair_masks``), each order test one AND, as mask containment is
+    Bruhat order."""
+    _, tops, bots = pair_masks(d)
+    above, below = bruhat_mask(alpha, d), ~bruhat_mask(gamma, d)
+    return [
+        pair
+        for pair, top, bot in zip(admissible_pairs(d), tops, bots)
+        if above & ~bot or top & below
+    ]

@@ -37,7 +37,7 @@ from ._kernel_py import (
 )
 from ._kernel_py import normal_form as _reduce_terms
 from .grid import Point, upper_points
-from .indexsets import Index, _LazyTests
+from .indexsets import Index
 
 
 def variable_sort_key(p: Point):
@@ -416,6 +416,18 @@ def monomials_of_degree(nvars: int, m: int):
     """All exponent tuples of total degree m, lexicographically, as an
     iterator over a table built once per (nvars, m)."""
     return iter(_degree_table(nvars, m)[0])
+
+
+class _LazyTests(dict):
+    """A lazy dict from a value to ``test(value)``, each computed on first
+    lookup."""
+
+    def __init__(self, test):
+        self.test = test
+
+    def __missing__(self, value):
+        result = self[value] = self.test(value)
+        return result
 
 
 @lru_cache(maxsize=None)

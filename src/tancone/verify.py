@@ -48,12 +48,11 @@ from itertools import accumulate, combinations
 from math import comb
 
 from .brsk import enumerate_on_starred
-from .grid import chain_parts, double_multiset, multiset_chain_values, upper_points
+from .grid import chain_parts, multiset_chain_values, sharp_point, upper_points
 from .indexsets import (
     MAX_TABLE_MONOMIALS,
     Index,
     _FrozenRecord,
-    _pair_bitsets,
     _Record,
     bruhat_leq,
     bruhat_mask,
@@ -267,17 +266,18 @@ def _special_profiles(beta: Index, d: int, m: int):
 def _sign_supports(beta: Index, d: int, points: tuple, size: int):
     """The supports of exactly ``size`` of ``points``, the upper points of
     one sign, as cells ``(key, number of supports)``: the join of the
-    doubled support's positive chain values, the OR of their masks, or
-    the meet of its negative ones, the AND of theirs and beta's, which is
-    above them, so beta's for the empty support.  A support of both signs
-    has the join and meet of its parts, as each of its chains' one-sign
-    parts is a sub-chain of a maximal chain of that part, whose positive
-    value lies at or above the sub-chain's and negative value at or below."""
+    doubled support's (its points and their sharps) positive chain
+    values, the OR of their masks, or the meet of its negative ones, the
+    AND of theirs and beta's, which is above them, so beta's for the
+    empty support.  A support of both signs has the join and meet of its
+    parts, as each of its chains' one-sign parts is a sub-chain of a
+    maximal chain of that part, whose positive value lies at or above the
+    sub-chain's and negative value at or below."""
     beta_mask = bruhat_mask(beta, d)
     cells: Counter = Counter()
     for support in combinations(points, size):
         pos_vals, neg_vals = multiset_chain_values(
-            double_multiset(dict.fromkeys(support, 1), d), beta
+            support + tuple(sharp_point(p, d) for p in support), beta
         )
         join, meet = 0, beta_mask
         for v in pos_vals:
@@ -327,36 +327,33 @@ def _standard_chains(beta: Index, d: int, m: int):
     A cold call fills the lower degrees in ascending order first, so the
     recursion stays two calls deep whatever m is.
 
-    Everything is read off bit tables of d alone: the plain pairs from
-    the per-d pair bitsets (``indexsets._pair_bitsets``), up[beta] (beta
-    <= bot) and down[beta] (top <= beta), whose one common pair is (beta,
-    beta), so the plain ones are their symmetric difference; and from
-    ``indexsets.pair_masks``, a pair's beta-degree as the entries of its
-    rep outside beta, and the ``bruhat_mask``s of its top and bot, which
-    are the cells' keys, so that whether it may follow a cell is one AND.
+    Everything is read off the pairs' bit table of d alone
+    (``indexsets.pair_masks``), walked in index order: a pair's
+    beta-degree is the entries of its rep outside beta, and the
+    ``bruhat_mask``s of its top and bot are the cells' keys, so that
+    each order test, of whether it is plain or may follow a cell, is one
+    AND.  A pair is plain when beta lies on exactly one side of it, top
+    <= beta or beta <= bot, as beta lies on both sides of (beta, beta)
+    alone.
     """
+    beta_mask = bruhat_mask(beta, d)
     if m == 0:
-        key = bruhat_mask(beta, d)
-        return (((key, key), 1),)
+        return (((beta_mask, beta_mask), 1),)
     for lower in range(1, m):
         _standard_chains(beta, d, lower)
-    reps, tops, bots = pair_masks(d)
-    up, down = _pair_bitsets(d)
-    plain = up[beta] ^ down[beta]
-    outside = ~index_bits(beta)
+    not_beta, outside = ~beta_mask, ~index_bits(beta)
     cells: Counter = Counter()
-    while plain:
-        low = plain & -plain
-        plain ^= low
-        i = low.bit_length() - 1
-        wdeg = (reps[i] & outside).bit_count()
+    for rep, top, bot in zip(*pair_masks(d)):
+        if (not top & not_beta) == (not beta_mask & ~bot):
+            continue
+        wdeg = (rep & outside).bit_count()
         if wdeg == m:
-            cells[(bots[i], tops[i])] += 1
+            cells[(bot, top)] += 1
         elif 0 < wdeg < m:
-            top, not_bot = tops[i], ~bots[i]
-            for (bot, high), count in _standard_chains(beta, d, m - wdeg):
+            not_bot = ~bot
+            for (low, high), count in _standard_chains(beta, d, m - wdeg):
                 if not high & not_bot:
-                    cells[(bot, top)] += count
+                    cells[(low, top)] += count
     return tuple(cells.items())
 
 

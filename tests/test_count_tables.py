@@ -30,6 +30,7 @@ from tancone.definitions import (
     chain_value,
     pair_is_plain,
     delta_sequence,
+    double_multiset,
     is_bounded_bitableau,
     is_chain,
     is_standard_on_y,
@@ -39,7 +40,6 @@ from tancone.definitions import (
 )
 from tancone.grid import (
     chain_parts,
-    double_multiset,
     grid_points,
     is_positive,
     maximal_paths,
@@ -337,7 +337,7 @@ BIT_SCALES = [
 
 @pytest.mark.parametrize("d, top, draws, seed", BIT_SCALES)
 def test_standard_chains_match_the_pair_oracle(d, top, draws, seed):
-    """The table read off the per-d pair bitsets and masks equals the
+    """The table read off the per-d pair masks equals the
     ``pair_is_plain`` / ``bruhat_leq`` loop cell for cell, in order."""
     for beta in sampled_betas(d, draws, seed):
         want = standard_chains_oracle(beta, d, top)

@@ -7,6 +7,7 @@ from hypothesis import given, strategies as st
 from tancone.definitions import (
     chain_bounded,
     chain_value,
+    double_multiset,
     enumerate_chains,
     fold_chain,
     is_chain,
@@ -14,18 +15,17 @@ from tancone.definitions import (
     is_special,
     is_upper_chain,
     multiset_bounded,
+    sharp_multiset,
     sqrt_special,
 )
 from tancone.grid import (
     bound_value,
-    double_multiset,
     grid_points,
     is_positive,
     is_upper,
     maximal_paths,
     multiset_from_json,
     multiset_to_json,
-    sharp_multiset,
     sharp_point,
     upper_points,
 )

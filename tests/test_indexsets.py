@@ -14,6 +14,7 @@ from tancone.indexsets import (
     format_index,
     is_isotropic,
     join_meet,
+    pairs_outside,
     parse_index,
     sharp,
     star,
@@ -290,6 +291,28 @@ def test_admissible_pairs_d4_deduplicates_shared_ends():
     assert len(pairs) == 42
     dup = admissible_pair_by_ends(4)[((2, 4, 6, 8), (1, 3, 5, 7))]
     assert dup.rep == (1, 3, 6, 8)
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_pairs_outside_is_the_definition_at_large_d(d):
+    """30 seeded (alpha, gamma) with alpha <= gamma in I(d), where the
+    pairs' masks are 105 and 136 bits wide: the pairs outside are those
+    with alpha !<= bot or top !<= gamma, in the order of
+    ``admissible_pairs``."""
+    rng = random.Random(d)
+    elems = enumerate_indices(d)
+    pairs = admissible_pairs(d)
+    sizes = set()
+    for _ in range(30):
+        alpha, gamma = rng.choice(elems), rng.choice(elems)
+        while not bruhat_leq(alpha, gamma):
+            alpha, gamma = rng.choice(elems), rng.choice(elems)
+        expected = [
+            p for p in pairs if not bruhat_leq(alpha, p.bot) or not bruhat_leq(p.top, gamma)
+        ]
+        assert pairs_outside(alpha, gamma, d) == expected, (alpha, gamma)
+        sizes.add(len(expected))
+    assert len(sizes) > 1
 
 
 @pytest.mark.parametrize("d", [2, 3])

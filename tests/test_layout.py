@@ -56,7 +56,7 @@ FAST_PATHS = (
     ("indexsets", "bruhat_mask"),
     ("indexsets", "isotropic_masks"),
     ("indexsets", "pair_masks"),
-    ("indexsets", "_pair_bitsets"),
+    ("indexsets", "pairs_outside"),
 )
 
 

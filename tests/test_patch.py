@@ -75,8 +75,9 @@ def chain_fact_oracle(lead, ring, beta):
 
 
 def generator_set_oracle(alpha, gamma, patch):
-    """``generator_set`` as it was before the per-d pair bitsets: two
-    ``bruhat_leq`` tests per admissible pair."""
+    """``generator_set`` by its definition: two ``bruhat_leq`` tests per
+    admissible pair, where ``generator_set`` makes one AND of Bruhat
+    masks a test."""
     pairs = []
     polys = []
     for pair in admissible_pairs(patch.d):
