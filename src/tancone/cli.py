@@ -23,9 +23,10 @@ from .indexsets import (
     admissible_pairs,
     enumerate_indices,
     format_index,
+    pairs_outside,
     parse_index,
 )
-from .patch import FORM_LABEL, build_patch, generator_set, good_subset
+from .patch import FORM_LABEL, build_patch, good_subset, pair_minor
 from .verify import (
     CaseSpec,
     report_csv,
@@ -95,15 +96,17 @@ def cmd_enum(args) -> int:
 def cmd_ideal(args) -> int:
     case = _case_from_args(args)
     patch = build_patch(case.beta, case.d, case.p)
-    pairs, polys = generator_set(case.alpha, case.gamma, patch)
-    _, good = good_subset(case.alpha, case.gamma, patch, pairs)
+    # the pairs of ``generator_set``, whose Groebner input (the larger
+    # minors modulo the variables) is not what this command prints
+    pairs = pairs_outside(case.alpha, case.gamma, case.d)
+    good, _ = good_subset(case.alpha, case.gamma, patch, pairs)
     payload = {
         "alpha": format_index(case.alpha),
         "beta": format_index(case.beta),
         "gamma": format_index(case.gamma),
         "field": case.field,
-        "generators": [str(f) for f in polys],
-        "good": [str(f) for f in good],
+        "generators": [str(pair_minor(patch, pair)) for pair in pairs],
+        "good": [str(pair_minor(patch, pair)) for pair in good],
         "form": FORM_LABEL,
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)

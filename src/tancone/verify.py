@@ -13,7 +13,7 @@ of the distinguished set's initial monomials, and tabulates per degree m:
 
 Everything that depends on the fixed point alone is shared by every
 (alpha, gamma) above it: ``sweep`` verifies one beta at a time on one
-patch, whose generator memo goes when that beta is done, and the per-beta
+patch, whose lead records go when that beta is done, and the per-beta
 count tables are cached by beta.
 
 The three count tables share one contract: ``table(beta, d, m)`` holds
@@ -399,12 +399,12 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
         )
     pairs, polys = generator_set(case.alpha, case.gamma, patch)
     ring = patch.ring
-    _, good_polys = good_subset(case.alpha, case.gamma, patch, pairs)
+    _, good = good_subset(case.alpha, case.gamma, patch, pairs)
 
     # the reduced basis is minimal and sorted by ascending lead, and both
     # sides are compared packed, in the integer order that is the term order
     init_leads = [g.lead() for g in reduced_groebner(polys)]
-    good_leads = minimal_leads((f.lead() for f in good_polys), ring.guards)
+    good_leads = minimal_leads(good, ring.guards)
     groebner_equal = init_leads == good_leads
     init_ideal = list(map(ring.unpack, init_leads))
     good_init = list(map(ring.unpack, good_leads))

@@ -213,7 +213,7 @@ D7_SAMPLE_STABLE_REPORT_SHA256 = "aae24d4476ec2f0e4081bab9f34699db9140f903af36a2
 @pytest.mark.slow
 def test_sampled_d7_degree1_report_pinned():
     """Opt in with ``pytest -m slow``: 20 seeded cases of the d = 7, degree
-    1 sweep (about 1 s), every verdict ok, against the pinned sha256 of the
+    1 sweep (about 0.4 s), every verdict ok, against the pinned sha256 of the
     --stable report."""
     verdicts = sweep(7, max_degree=1, sample=20, seed=3)
     got = hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()
@@ -230,7 +230,7 @@ D8_SAMPLE_STABLE_REPORT_SHA256 = "034f3736afc5f27c2626529a6eb003552008b6684bd026
 @pytest.mark.slow
 def test_sampled_d8_degree1_report_pinned():
     """Opt in with ``pytest -m slow``: 3 seeded cases of the d = 8, degree
-    1 sweep (about 1.2 s and 106 MiB), every verdict ok, against the pinned
+    1 sweep (about 0.4 s and 26 MiB), every verdict ok, against the pinned
     sha256 of the --stable report."""
     verdicts = sweep(8, max_degree=1, sample=3, seed=0)
     got = hashlib.sha256(report_json(verdicts, stable=True).encode()).hexdigest()

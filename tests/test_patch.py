@@ -30,15 +30,17 @@ from tancone.patch import (
     pair_minor,
 )
 from tancone.ring import PolyRing, normal_form, reduced_groebner
-from tancone.verify import all_triples, sample_triples
+from tancone.verify import CaseSpec, all_triples, sample_triples, verify_case
 
 
-def good_subset_oracle(alpha, gamma, patch, pairs, polys):
+def good_subset_oracle(alpha, gamma, patch, pairs):
     """``good_subset`` as it was before chain facts were memoized on the
-    patch: each generator's initial chain is read afresh."""
+    patch: each generator's initial chain is read afresh off its full
+    monic minor, and a good pair's lead is that minor's."""
     good_pairs = []
-    good_polys = []
-    for pair, f in zip(pairs, polys):
+    good_leads = []
+    for pair in pairs:
+        f = pair_minor(patch, pair)
         ch = initial_chain(f)
         if ch is None:
             continue
@@ -50,12 +52,12 @@ def good_subset_oracle(alpha, gamma, patch, pairs, polys):
         if signs == {True}:
             if not bruhat_leq(value, gamma):
                 good_pairs.append(pair)
-                good_polys.append(f)
+                good_leads.append(f.lead())
         else:
             if not bruhat_leq(alpha, value):
                 good_pairs.append(pair)
-                good_polys.append(f)
-    return good_pairs, good_polys
+                good_leads.append(f.lead())
+    return good_pairs, good_leads
 
 
 def chain_fact_oracle(lead, ring, beta):
@@ -77,14 +79,25 @@ def chain_fact_oracle(lead, ring, beta):
 def generator_set_oracle(alpha, gamma, patch):
     """``generator_set`` by its definition: two ``bruhat_leq`` tests per
     admissible pair, where ``generator_set`` makes one AND of Bruhat
-    masks a test."""
+    masks a test; then the monic 1 x 1 minors, the variables V, and each
+    larger full minor with every term that meets V dropped, if any is
+    left, where ``generator_set`` expands the minor with V's cells set to
+    zero."""
     pairs = []
-    polys = []
     for pair in admissible_pairs(patch.d):
         if not bruhat_leq(alpha, pair.bot) or not bruhat_leq(pair.top, gamma):
             pairs.append(pair)
-            polys.append(pair_minor(patch, pair))
-    return pairs, polys
+    ring = patch.ring
+    variables = [pair_minor(patch, pair) for pair in pairs if pair.beta_degree(patch.beta) == 1]
+    dropped = {i for f in variables for i, e in enumerate(f.leading_monomial()) if e}
+    rest = []
+    for pair in pairs:
+        if pair.beta_degree(patch.beta) != 1:
+            terms = tuple_terms(patch.minor(pair.rep))
+            kept = {m: c for m, c in terms.items() if not any(m[i] for i in dropped)}
+            if kept:
+                rest.append(ring.poly(kept))
+    return pairs, variables + rest
 
 
 # The determinant oracles compute on {exponent tuple: integer} dicts with
@@ -493,12 +506,131 @@ def test_chain_fact_of_every_squarefree_lead(d):
             assert patch._chain_fact(ring.pack(lead)) == want, (beta, lead)
 
 
+def assert_records_match_full_minors(patch, thetas, label):
+    """Each theta's lead record holds the largest term of its full minor
+    (``_packed_minor``), the patch's leads hold that term's coefficient,
+    and the chain fact is the one ``generator`` reads off the full
+    minor; a minor that vanishes (over F_p) has no lead and no fact."""
+    for theta in thetas:
+        lead, fact, rows, cols = patch.record(theta)
+        terms = patch._packed_minor(theta)
+        if not terms:
+            assert lead is None and fact is None, (label, theta)
+            continue
+        top = max(terms)
+        assert lead == top, (label, theta)
+        assert patch._leads[rows | cols << patch.d] == (top, terms[top]), (label, theta)
+        assert fact == patch.generator(theta)[1], (label, theta)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lead_records_match_the_full_minors(d, p):
+    """Every theta at every fixed point at d <= 4, over Q, F_2 and F_3."""
+    thetas = enumerate_indices(d, ambient_only=True)
+    for beta in enumerate_indices(d):
+        assert_records_match_full_minors(build_patch(beta, d, p), thetas, (p, beta))
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d", [5, 6, 7, 8])
+def test_lead_records_match_the_full_minors_on_a_sample(d, p):
+    """Seeded thetas of size at most 6 at two seeded betas for d = 5..8,
+    and at d = 8 one theta of each size 0..6 at the 36-variable patch of
+    ``test_minor_at_d8_matches_leibniz_oracle``."""
+    rng = random.Random(100 * d + p)
+    thetas = enumerate_indices(d, ambient_only=True)
+    for beta in rng.sample(enumerate_indices(d), 2):
+        small = [t for t in thetas if len(set(t) - set(beta)) <= 6]
+        patch = build_patch(beta, d, p)
+        assert_records_match_full_minors(patch, rng.sample(small, 30), (p, beta))
+    if d == 8:
+        beta = (2, 3, 5, 7, 9, 11, 13, 16)
+        by_size = {}
+        for theta in thetas:
+            by_size.setdefault(len(set(theta) - set(beta)), theta)
+        patch = build_patch(beta, d, p)
+        assert patch.ring.nvars == 36
+        assert_records_match_full_minors(patch, [by_size[k] for k in range(7)], (p, beta))
+
+
+def test_a_lead_whose_top_candidates_cancel_comes_from_the_full_minor():
+    """No patch minor's top candidates cancel in the cases above, so the
+    case is made by re-signing two cells of the patch at (1, 2, 3): with
+    X(4,1) and X(4,2) read as X(6,1) and X(5,1), the 3 x 3 minor on rows
+    4, 5, 6, expanded along row 6, has the top candidate X(6,1) X(5,1)
+    X(4,1) twice, as X(6,1) times the lead X(5,1) X(4,1) of its first
+    sub-minor and as X(5,1) times the lead X(6,1) X(4,1) of its second,
+    with opposite signs.  They cancel over every field, so the lead
+    record comes from the full expansion, once, and still holds the full
+    minor's lead X(6,1) X(5,2) X(4,1)."""
+    theta = (4, 5, 6)
+    fell_back = {}
+    for p in (0, 2, 3):
+        m = build_patch((1, 2, 3), 3, p)
+        resign(m, (4, 1), *m.signed_vars[(6, 1)])
+        resign(m, (4, 2), *m.signed_vars[(5, 1)])
+        memos = []
+        expand = m._expand
+
+        def recording(rows, cols, live, memo, expand=expand, memos=memos, m=m):
+            # a fresh memo is a full expansion that a lead record asked for
+            if memo is not m._minors and not any(memo is x for x in memos):
+                memos.append(memo)
+            return expand(rows, cols, live, memo)
+
+        m._expand = recording
+        assert_records_match_full_minors(m, [theta], p)
+        fell_back[p] = len(memos)
+        lead, _, _, _ = m.record(theta)
+        assert m.ring.format_monomial(m.ring.unpack(lead)) == "X(6,1)*X(5,2)*X(4,1)"
+    assert fell_back == {0: 1, 2: 1, 3: 1}
+
+
+def assert_generators_span_the_ideal(triples, d, p):
+    """``generator_set``'s polys and the full monic minors of its pairs
+    have one reduced Groebner basis."""
+    patches = {}
+    for alpha, beta, gamma in triples:
+        patch = patches.setdefault(beta, build_patch(beta, d, p))
+        pairs, polys = generator_set(alpha, gamma, patch)
+        full = [pair_minor(patch, pair) for pair in pairs]
+        assert reduced_groebner(polys) == reduced_groebner(full), (p, alpha, beta, gamma)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generator_set_spans_the_ideal_of_its_minors(d, p):
+    assert_generators_span_the_ideal(all_triples(d), d, p)
+
+
+@pytest.mark.parametrize("p", [0, 2, 3])
+@pytest.mark.parametrize("d, sample", [(4, 60), (5, 30), (6, 8)])
+def test_generator_set_spans_the_ideal_of_its_minors_on_a_sample(d, sample, p):
+    assert_generators_span_the_ideal(sample_triples(d, sample, seed=10 * d + p), d, p)
+
+
+def test_verify_case_expands_no_full_minor_above_1x1():
+    """After a d = 5 case the patch's sub-minor memo is empty, and the only
+    generator polynomials it holds are the monic 1 x 1 minors: the larger
+    generators were classified by lead records and reached the Groebner
+    oracle modulo the variables, on a memo of the case's own."""
+    alpha, beta, gamma = (1, 2, 3, 6, 7), (1, 2, 3, 6, 7), (2, 5, 7, 8, 10)
+    patch = build_patch(beta, 5)
+    verdict = verify_case(CaseSpec(5, alpha, beta, gamma, max_degree=1), patch)
+    assert verdict.ok
+    assert not patch._minors
+    sizes = {len(set(theta) - set(beta)) for theta in patch._generators}
+    assert sizes == {1}
+    assert max(rows.bit_count() for _, _, rows, _ in patch._records.values()) > 2
+
+
 def _assert_good_subset_matches_oracle(alpha, beta, gamma, patch):
-    gen_pairs, gen_polys = generator_set(alpha, gamma, patch)
-    pairs, polys = good_subset(alpha, gamma, patch, gen_pairs)
-    want_pairs, want_polys = good_subset_oracle(alpha, gamma, patch, gen_pairs, gen_polys)
+    gen_pairs, _ = generator_set(alpha, gamma, patch)
+    pairs, leads = good_subset(alpha, gamma, patch, gen_pairs)
+    want_pairs, want_leads = good_subset_oracle(alpha, gamma, patch, gen_pairs)
     assert pairs == want_pairs, (alpha, beta, gamma)
-    assert all(f is g for f, g in zip(polys, want_polys)), (alpha, beta, gamma)
+    assert leads == want_leads, (alpha, beta, gamma)
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -539,15 +671,16 @@ def test_generator_set_matches_oracle_on_a_sample(d, sample):
 
 def test_generator_set_point_case():
     patch = build_patch((1, 3), 2)
-    _, polys = generator_set((1, 3), (1, 3), patch)
+    pairs, polys = generator_set((1, 3), (1, 3), patch)
     ring = patch.ring
-    X41, X21, X23 = (ring.gen(v) for v in ring.variables)
-    assert set(map(str, polys)) == {
+    assert {str(pair_minor(patch, pair)) for pair in pairs} == {
         "X(2,3)",
         "X(2,1)",
         "X(4,1)",
         "X(4,1)*X(2,3) + X(2,1)^2",
     }
+    # every cell of the 2 x 2 minor is a variable of the ideal
+    assert set(map(str, polys)) == {"X(2,3)", "X(2,1)", "X(4,1)"}
     gb = reduced_groebner(polys)
     inits = minimal_monomial_generators(g.leading_monomial() for g in gb)
     assert sorted(ring.format_monomial(mo) for mo in inits) == [
@@ -564,8 +697,9 @@ def test_generator_set_free_case_empty():
 def test_good_subset_point_case():
     patch = build_patch((1, 3), 2)
     gen_pairs, _ = generator_set((1, 3), (1, 3), patch)
-    pairs, polys = good_subset((1, 3), (1, 3), patch, gen_pairs)
-    assert set(map(str, polys)) == {"X(2,3)", "X(2,1)", "X(4,1)"}
+    pairs, leads = good_subset((1, 3), (1, 3), patch, gen_pairs)
+    ring = patch.ring
+    assert {ring.format_monomial(ring.unpack(m)) for m in leads} == {"X(2,3)", "X(2,1)", "X(4,1)"}
     # the mixed-sign chain X(4,1)*X(2,3) disqualifies its pair
     excluded = [p for p in gen_pairs if p.top == (2, 4) and p.bot == (2, 4)]
     assert excluded and excluded[0] not in pairs
@@ -574,16 +708,16 @@ def test_good_subset_point_case():
 def test_good_subset_is_subset_of_generators():
     for a, b, g in all_triples(2):
         patch = build_patch(b, 2)
-        gen_pairs, gen_polys = generator_set(a, g, patch)
-        pairs, polys = good_subset(a, g, patch, gen_pairs)
+        gen_pairs, _ = generator_set(a, g, patch)
+        pairs, leads = good_subset(a, g, patch, gen_pairs)
         assert set(pairs) <= set(gen_pairs)
-        assert {str(p) for p in polys} <= {str(p) for p in gen_polys}
+        assert set(leads) <= {pair_minor(patch, p).lead() for p in gen_pairs}
 
 
 def test_initial_chain_classification():
     patch = build_patch((1, 3), 2)
-    _, polys = generator_set((1, 3), (1, 3), patch)
-    by_str = {str(f): f for f in polys}
+    pairs, _ = generator_set((1, 3), (1, 3), patch)
+    by_str = {str(f): f for f in (pair_minor(patch, pair) for pair in pairs)}
     mixed = by_str["X(4,1)*X(2,3) + X(2,1)^2"]
     ch = initial_chain(mixed)
     assert ch == ((4, 1), (2, 3))  # a chain, but mixed-sign

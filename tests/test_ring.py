@@ -465,7 +465,7 @@ def staircase_columns(d, sample=None, seed=0):
         init_ideal = minimal_monomial_generators(
             g.leading_monomial() for g in reduced_groebner(polys)
         )
-        good_init = minimal_monomial_generators(g.leading_monomial() for g in good)
+        good_init = minimal_monomial_generators(map(patch.ring.unpack, good))
         yield good_init, init_ideal, patch.ring.nvars
 
 
@@ -593,7 +593,7 @@ def test_packed_minimalization_matches_the_definition_on_good_leads(d):
         patch = patches.setdefault(beta, build_patch(beta, d))
         pairs, _ = generator_set(alpha, gamma, patch)
         _, good = good_subset(alpha, gamma, patch, pairs)
-        assert_minimal_leads_match([f.leading_monomial() for f in good], patch.ring)
+        assert_minimal_leads_match(list(map(patch.ring.unpack, good)), patch.ring)
 
 
 @pytest.mark.parametrize("nvars", [1, 2, 3, 5, 8])
