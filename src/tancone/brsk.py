@@ -429,4 +429,8 @@ def enumerate_on_starred(beta: Index, d: int, degree: int):
                     )
 
     extend(degree, range(len(values)), beta, beta, ())
+    # extend refers to itself through its closure cell: dropping the name
+    # breaks that cycle, so that the walk's state, and any results the
+    # caller lets go, are freed by refcount and not by the cyclic collector
+    del extend
     return found

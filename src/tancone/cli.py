@@ -29,6 +29,7 @@ from .indexsets import (
 from .patch import FORM_LABEL, build_patch, good_subset, pair_minor
 from .verify import (
     CaseSpec,
+    case_json,
     report_csv,
     report_json,
     report_json_chunks,
@@ -121,10 +122,7 @@ def cmd_gb_verify(args) -> int:
 
 def cmd_count(args) -> int:
     verdict = verify_case(_case_from_args(args))
-    payload = verdict.to_json()
-    if args.stable:
-        payload["runtime_ms"] = 0
-    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+    _write(case_json(verdict, stable=args.stable) + "\n", args.out)
     return 0 if verdict.counts_agree else 1
 
 

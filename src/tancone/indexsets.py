@@ -26,9 +26,20 @@ MAX_BRSK_BOXES = 1000
 
 # the most degree-m monomials, over m = 0..max_degree, that one case may
 # ask for: C(n + max_degree, n) with n = d(d+1)/2 patch variables, which
-# the staircase keeps as degree tables for the whole run.  It admits d = 4
-# at degree 13, d = 5 at degree 9 and d = 7 at degree 6 (1,344,904).
+# the staircase keeps as degree tables for the whole run.  Alone it would
+# admit d = 4 at degree 13, d = 5 at degree 9 and d = 7 at degree 6
+# (1,344,904); MAX_BITABLEAU_WORK is the tighter bound from d = 2 up.
 MAX_TABLE_MONOMIALS = 1_500_000
+
+# the most box pairs, summed over the on-starred bitableaux with up to
+# 2 max_degree boxes at one fixed point, that one case may ask the
+# certificate to enumerate and test: a fixed point has C(n - 1 + m, n - 1)
+# of them with 2m boxes, so the sum over m of m C(n - 1 + m, n - 1), which
+# is n C(n + max_degree, n + 1).  It admits d = 2 at degree 61 (1,906,128),
+# d = 3 at degree 17, d = 4 at degree 10 (1,679,600), d = 5 at degree 7,
+# d = 6 at degree 6 (1,695,330), d = 7 at degree 5 and d = 8 at degree 4,
+# but not d = 7 at degree 6 (7,791,168).
+MAX_BITABLEAU_WORK = 2_000_000
 
 
 def star(j: int, d: int) -> int:

@@ -63,6 +63,9 @@ class PolyRing:
         self.nvars = len(self.variables)
         self.shift = 8 * self.nvars
         self.guards = int.from_bytes(b"\x80" * self.nvars, "big")
+        self.names = tuple(map(self.var_name, range(self.nvars)))
+        # packed monomial -> its text (``monomial_text``)
+        self._texts: dict[int, str] = {}
 
     @classmethod
     def for_patch(cls, beta: Index, d: int, p: int = 0) -> "PolyRing":
@@ -131,13 +134,20 @@ class PolyRing:
         return str(v)
 
     def format_monomial(self, mono) -> str:
-        parts = []
-        for i, e in enumerate(mono):
-            if e == 1:
-                parts.append(self.var_name(i))
-            elif e > 1:
-                parts.append(f"{self.var_name(i)}^{e}")
+        """The text of an exponent tuple: "X(4,1)*X(2,3)^2", "1" for no
+        variable."""
+        names = self.names
+        parts = [names[i] if e == 1 else f"{names[i]}^{e}" for i, e in enumerate(mono) if e > 0]
         return "*".join(parts) if parts else "1"
+
+    def monomial_text(self, m: int) -> str:
+        """``format_monomial`` of a packed monomial, kept in a memo that
+        lives as long as the ring (a patch's, so one fixed point's), as a
+        sweep formats the same leads case after case."""
+        text = self._texts.get(m)
+        if text is None:
+            text = self._texts[m] = self.format_monomial(self.unpack(m))
+        return text
 
     def format_poly(self, poly: "Poly") -> str:
         if not poly.terms:

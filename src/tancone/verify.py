@@ -46,10 +46,12 @@ from collections import Counter
 from functools import lru_cache
 from itertools import accumulate, combinations
 from math import comb
+from operator import itemgetter
 
 from .brsk import enumerate_on_starred
 from .grid import chain_parts, multiset_chain_values, sharp_point, upper_points
 from .indexsets import (
+    MAX_BITABLEAU_WORK,
     MAX_TABLE_MONOMIALS,
     Index,
     _FrozenRecord,
@@ -146,6 +148,12 @@ class CaseSpec(_FrozenRecord):
                 f"max degree {max_degree} at d={d} needs {monomials} "
                 f"staircase monomials, more than {MAX_TABLE_MONOMIALS}"
             )
+        work = n * comb(n + max_degree, n + 1)
+        if work > MAX_BITABLEAU_WORK:
+            raise ValueError(
+                f"max degree {max_degree} at d={d} needs {work} bitableau "
+                f"box pairs, more than {MAX_BITABLEAU_WORK}"
+            )
         # one label per field, so 'Fp:007' and 'Fp:7' report alike
         p = parse_field(field)
         object.__setattr__(self, "d", d)
@@ -206,23 +214,6 @@ class Verdict(_Record):
     def ok(self) -> bool:
         return self.groebner_equal and self.counts_agree
 
-    def to_json(self) -> dict:
-        return {
-            "d": self.case.d,
-            "alpha": format_index(self.case.alpha),
-            "beta": format_index(self.case.beta),
-            "gamma": format_index(self.case.gamma),
-            "field": self.case.field,
-            "max_degree": self.case.max_degree,
-            "groebner_equal": self.groebner_equal,
-            "counts_agree": self.counts_agree,
-            "initial_ideal": self.initial_ideal,
-            "good_initial": self.good_initial,
-            "per_degree": {str(m): row for m, row in sorted(self.per_degree.items())},
-            "form": FORM_LABEL,
-            "runtime_ms": self.runtime_ms,
-        }
-
 
 # ---------------------------------------------------------------------------
 # per-beta caches
@@ -275,15 +266,19 @@ def _sign_supports(beta: Index, d: int, points: tuple, size: int):
     sub-chain's and negative value at or below."""
     beta_mask = bruhat_mask(beta, d)
     cells: Counter = Counter()
+    masks: dict = {}  # each distinct chain value's mask, taken once
     for support in combinations(points, size):
         pos_vals, neg_vals = multiset_chain_values(
             support + tuple(sharp_point(p, d) for p in support), beta
         )
+        for v in pos_vals + neg_vals:
+            if v not in masks:
+                masks[v] = bruhat_mask(v, d)
         join, meet = 0, beta_mask
         for v in pos_vals:
-            join |= bruhat_mask(v, d)
+            join |= masks[v]
         for v in neg_vals:
-            meet &= bruhat_mask(v, d)
+            meet &= masks[v]
         cells[join or meet] += 1
     return tuple(cells.items())
 
@@ -296,11 +291,13 @@ def _bitableau_profiles(beta: Index, d: int, m: int):
     join of the increasing delta sequence), and how many bitableaux have
     them.  ``enumerate_on_starred`` builds each delta sequence as a chain
     of pairs of equal epsilon degree and returns each bitableau with
-    those two values, ``(beta, beta)`` for the empty one (m = 0)."""
-    cells = Counter(ends for _, ends in enumerate_on_starred(beta, d, 2 * m))
+    those two values, ``(beta, beta)`` for the empty one (m = 0), and
+    each value's mask is read off the per-d bit table on I(d)
+    (``indexsets.isotropic_masks``)."""
+    masks = isotropic_masks(d)
+    cells = Counter(map(itemgetter(1), enumerate_on_starred(beta, d, 2 * m)))
     return tuple(
-        ((bruhat_mask(first, d), bruhat_mask(last, d)), count)
-        for (first, last), count in cells.items()
+        ((masks[first][1], masks[last][1]), count) for (first, last), count in cells.items()
     )
 
 
@@ -429,8 +426,8 @@ def verify_case(case: CaseSpec, patch: PatchMatrix | None = None) -> Verdict:
         case=case,
         groebner_equal=groebner_equal,
         counts_agree=agree,
-        initial_ideal=[ring.format_monomial(m) for m in init_ideal],
-        good_initial=[ring.format_monomial(m) for m in good_init],
+        initial_ideal=list(map(ring.monomial_text, init_leads)),
+        good_initial=list(map(ring.monomial_text, good_leads)),
         per_degree=per_degree,
         runtime_ms=int((time.monotonic() - start) * 1000),
     )
@@ -527,19 +524,87 @@ def _verify_fixed_point(cases: list[CaseSpec]) -> list[Verdict]:
 # reports
 
 
+# the C routine that ``json.dumps`` escapes its strings with (ensure_ascii)
+_quote = json.encoder.encode_basestring_ascii
+
+# one case of the tancone/1 schema as ``json.dumps(case, indent=2,
+# sort_keys=True)`` lays it out, the keys in sorted order
+_CASE = """{
+  "alpha": %s,
+  "beta": %s,
+  "counts_agree": %s,
+  "d": %d,
+  "field": %s,
+  "form": %s,
+  "gamma": %s,
+  "good_initial": %s,
+  "groebner_equal": %s,
+  "initial_ideal": %s,
+  "max_degree": %d,
+  "per_degree": %s,
+  "runtime_ms": %d
+}"""
+# a row of ``per_degree``, the five columns' counts, at that key's depth
+_ROW = """{
+      "bitableaux": %d,
+      "outside_good": %d,
+      "outside_init": %d,
+      "special_multisets": %d,
+      "standard_monomials": %d
+    }"""
+_columns = itemgetter(
+    "bitableaux", "outside_good", "outside_init", "special_multisets", "standard_monomials"
+)
+
+
+def _block(open_: str, close: str, items: list[str]) -> str:
+    """A JSON array or object at a depth-1 key of a case, as ``json.dumps``
+    indents it: ``items`` one a line, and an empty one as ``[]`` or ``{}``."""
+    if not items:
+        return open_ + close
+    return open_ + "\n    " + ",\n    ".join(items) + "\n  " + close
+
+
+def case_json(v: Verdict, stable: bool = False, indent: int = 0) -> str:
+    """One case of the tancone/1 schema, in the bytes of
+    ``json.dumps(case, indent=2, sort_keys=True)`` with ``indent`` more
+    spaces before every line but the first: ``_CASE`` filled in, with
+    ``per_degree`` keyed by degree as a string and sorted as strings
+    ("1", "10", "2") and every string escaped as ``json.dumps`` escapes
+    it, so that no newline is inside a string when the lines are
+    indented.  ``runtime_ms`` is 0 when ``stable``."""
+    case = v.case
+    per_degree = [
+        f'"{m}": ' + _ROW % _columns(row)
+        for m, row in sorted([(str(m), row) for m, row in v.per_degree.items()])
+    ]
+    text = _CASE % (
+        _quote(format_index(case.alpha)),
+        _quote(format_index(case.beta)),
+        "true" if v.counts_agree else "false",
+        case.d,
+        _quote(case.field),
+        _quote(FORM_LABEL),
+        _quote(format_index(case.gamma)),
+        _block("[", "]", list(map(_quote, v.good_initial))),
+        "true" if v.groebner_equal else "false",
+        _block("[", "]", list(map(_quote, v.initial_ideal))),
+        case.max_degree,
+        _block("{", "}", per_degree),
+        0 if stable else v.runtime_ms,
+    )
+    return text.replace("\n", "\n" + " " * indent) if indent else text
+
+
 def report_json_chunks(verdicts, stable: bool = False):
     """The JSON report in pieces, one per case, so that a writer never
     holds the whole text.  The bytes are those of
     ``json.dumps({"schema", "all_ok", "cases"}, indent=2, sort_keys=True)``
-    and a newline: each case is dumped alone and indented two levels,
-    which is safe because ``json.dumps`` escapes newlines inside strings."""
+    and a newline, each case written by ``case_json`` two levels in."""
     yield f'{{\n  "all_ok": {json.dumps(all(v.ok for v in verdicts))},\n  "cases": ['
     separator = "\n    "
     for v in verdicts:
-        case = v.to_json()
-        if stable:
-            case["runtime_ms"] = 0
-        yield separator + json.dumps(case, indent=2, sort_keys=True).replace("\n", "\n    ")
+        yield separator + case_json(v, stable, 4)
         separator = ",\n    "
     yield ("\n  ]" if verdicts else "]") + f',\n  "schema": {json.dumps(SCHEMA)}\n}}\n'
 

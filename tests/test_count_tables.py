@@ -16,6 +16,7 @@ every chain value, kept here as ``special_profiles_oracle``; its keys
 differ, so the two are compared by their filtered counts.
 """
 
+import gc
 import random
 from collections import Counter
 from itertools import combinations
@@ -25,6 +26,7 @@ import pytest
 
 from test_brsk import enumerate_on_starred_oracle
 
+from tancone.brsk import enumerate_on_starred
 from tancone.definitions import (
     _standard_sequences,
     chain_value,
@@ -59,6 +61,7 @@ from tancone.verify import (
     _standard_chains,
     all_triples,
     sample_triples,
+    sweep,
 )
 
 # (d, highest degree m checked); specials have degree 2m
@@ -510,3 +513,21 @@ def test_count_cells_matches_oracle_on_a_sample(d, draws, seed, top):
     """A seeded sample of triples at d = 4 and 5 and low degree, where a
     mask spans more than one 30-bit digit of a Python int."""
     _filter_matches_oracle(d, sample_triples(d, draws, seed), top)
+
+
+def test_a_sweep_leaves_no_cyclic_garbage():
+    """With the count tables cold and the cyclic collector off, a sweep and
+    one bitableau enumeration free everything they drop by refcount: the
+    enumeration's recursive walk holds no reference cycle, so a sweep's
+    bitableaux never wait for the collector."""
+    for table in (*TABLES, _sign_supports):
+        table.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        assert len(sweep(2, max_degree=6)) == 20
+        assert gc.collect() == 0
+        assert len(enumerate_on_starred((1, 3), 2, 6)) == 10
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

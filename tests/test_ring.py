@@ -134,6 +134,11 @@ def test_initial_term_examples(ring13):
     f = X21 * X21 - X23 * X41
     mono, coeff = f.initial_term()
     assert ring13.format_monomial(mono) == "X(4,1)*X(2,3)"
+    # the packed form's text, from the ring's memo on the second call
+    for _ in range(2):
+        assert ring13.monomial_text(f.lead()) == "X(4,1)*X(2,3)"
+    assert ring13.monomial_text((X21 * X21 * X23).lead()) == "X(2,1)^2*X(2,3)"
+    assert ring13.monomial_text(0) == "1"
     assert coeff == -1
     assert X23.initial_term() == (X23.leading_monomial(), 1)
 

@@ -18,18 +18,21 @@ import tancone.verify
 from tancone.cli import build_parser, main
 from tancone.grid import multiset_from_json
 from tancone.indexsets import (
+    MAX_BITABLEAU_WORK,
     MAX_BRSK_BOXES,
     MAX_TABLE_MONOMIALS,
     bruhat_leq,
     enumerate_indices,
+    format_index,
 )
-from tancone.patch import PatchMatrix, build_patch
+from tancone.patch import FORM_LABEL, PatchMatrix, build_patch
 from tancone.verify import (
     PRIME_BOUND,
     SCHEMA,
     CaseSpec,
     _up_sets,
     all_triples,
+    case_json,
     is_prime,
     parse_field,
     report_csv,
@@ -81,14 +84,19 @@ def test_casespec_validation():
         CaseSpec(2, (1, 2), (1, 3), (3, 4), max_degree=-1)
     case = CaseSpec.from_text(2, "1,2", "1,3", "3,4")
     assert case.p == 0
-    # the highest degree the degree-table bound admits at each d; it
-    # includes d = 4 at degree 10 and d = 7 at degree 6
-    highest = {1: 1_499_999, 2: 206, 3: 28, 4: 13, 5: 9, 6: 7, 7: 6, 8: 5}
-    for d, top in highest.items():
+    # the highest degree each bound admits at each d: the bitableau work
+    # bound, which includes d = 4 at degree 10 and d = 6 at degree 6, and
+    # the degree-table bound, which is checked first
+    work = {1: 1999, 2: 61, 3: 17, 4: 10, 5: 7, 6: 6, 7: 5, 8: 4}
+    tables = {1: 1_499_999, 2: 206, 3: 28, 4: 13, 5: 9, 6: 7, 7: 6, 8: 5}
+    for d, top in work.items():
         lowest = tuple(range(1, d + 1))
         CaseSpec(d, lowest, lowest, lowest, max_degree=top)
+        for degree in (top + 1, tables[d]):
+            with pytest.raises(ValueError, match="bitableau box pairs"):
+                CaseSpec(d, lowest, lowest, lowest, max_degree=degree)
         with pytest.raises(ValueError, match="staircase monomials"):
-            CaseSpec(d, lowest, lowest, lowest, max_degree=top + 1)
+            CaseSpec(d, lowest, lowest, lowest, max_degree=tables[d] + 1)
 
 
 def test_casespec_refuses_a_triple_out_of_bruhat_order(capsys):
@@ -171,13 +179,41 @@ def test_report_csv_columns():
     )
 
 
+def verdict_json_oracle(v):
+    """One case of the report as a dict, as ``Verdict.to_json`` once built
+    it for ``json.dumps``."""
+    return {
+        "d": v.case.d,
+        "alpha": format_index(v.case.alpha),
+        "beta": format_index(v.case.beta),
+        "gamma": format_index(v.case.gamma),
+        "field": v.case.field,
+        "max_degree": v.case.max_degree,
+        "groebner_equal": v.groebner_equal,
+        "counts_agree": v.counts_agree,
+        "initial_ideal": v.initial_ideal,
+        "good_initial": v.good_initial,
+        "per_degree": {str(m): row for m, row in sorted(v.per_degree.items())},
+        "form": FORM_LABEL,
+        "runtime_ms": v.runtime_ms,
+    }
+
+
+def case_dump_oracle(v, stable=False, indent=0):
+    """``case_json`` by ``json.dumps`` of the oracle dict."""
+    case = verdict_json_oracle(v)
+    if stable:
+        case["runtime_ms"] = 0
+    return json.dumps(case, indent=2, sort_keys=True).replace("\n", "\n" + " " * indent)
+
+
 def report_json_oracle(verdicts, stable=False):
     """The JSON report built whole, as it once was: every case's dict, then
     one dump of them all."""
     payload = {
         "schema": SCHEMA,
         "all_ok": all(v.ok for v in verdicts),
-        "cases": [v.to_json() for v in verdicts],
+        "cases": [verdict_json_oracle(v) for v in verdicts],
     }
     if stable:
         for case in payload["cases"]:
@@ -203,6 +239,62 @@ def test_streamed_report_matches_the_whole_dump(d, tmp_path, monkeypatch, capsys
         capsys.readouterr()
         assert main(["sweep", "--d", str(d)] + flags) == 1
         assert capsys.readouterr().out == expected
+
+
+def test_case_writer_matches_json_dumps_at_its_edges(capsys):
+    """``case_json`` writes the bytes of ``json.dumps(case, indent=2,
+    sort_keys=True)`` at base indents 0 and 4, with and without a zeroed
+    runtime: degrees of two digits, whose keys sort as strings, degree 0
+    with an empty ``per_degree``, empty and non-empty initial ideals,
+    ``Fp:p`` labels, failing verdicts, a non-zero runtime, and strings
+    that need escaping."""
+    verdicts = [
+        verify_case(CaseSpec(2, (1, 2), (1, 3), (3, 4), max_degree=11)),
+        verify_case(CaseSpec(2, (1, 2), (1, 3), (3, 4), max_degree=0)),
+        verify_case(CaseSpec(3, (1, 2, 3), (1, 2, 3), (1, 3, 5), field="Fp:3")),
+        *sweep(3, max_degree=2, field="Fp:2", sample=5, seed=1),
+    ]
+    assert list(verdicts[0].per_degree) == list(range(1, 12))
+    assert verdicts[1].per_degree == {}
+    assert verdicts[0].initial_ideal == verdicts[0].good_initial == []
+    assert verdicts[2].initial_ideal and verdicts[2].case.field == "Fp:3"
+    failing = verify_case(CaseSpec(2, (1, 2), (2, 4), (3, 4), field="Fp:5", max_degree=3))
+    failing.groebner_equal = failing.counts_agree = False
+    failing.runtime_ms = 1234
+    odd = verify_case(CaseSpec(1, (1,), (1,), (2,), max_degree=1))
+    odd.initial_ideal = ['"quoted"\\', "tab\tand\nnewline", "é ∞ \U0001d11e", "\x00\x7f"]
+    odd.runtime_ms = 7
+    for v in (*verdicts, failing, odd):
+        for stable in (False, True):
+            for indent in (0, 4):
+                assert case_json(v, stable, indent) == case_dump_oracle(v, stable, indent)
+    assert '"runtime_ms": 1234' in case_json(failing)
+    assert '"runtime_ms": 0' in case_json(failing, stable=True)
+    # the count command writes the case alone, at indent 0
+    argv = ["count", "--d", "2", "--alpha", "1,2", "--beta", "1,3", "--gamma", "3,4",
+            "--max-degree", "11", "--field", "Fp:3"]
+    for flags in ([], ["--stable"]):
+        assert main(argv + flags) == 0
+        out = capsys.readouterr().out
+        v = verify_case(CaseSpec.from_text(2, "1,2", "1,3", "3,4", "Fp:3", 11))
+        v.runtime_ms = json.loads(out)["runtime_ms"]
+        assert out == case_dump_oracle(v, stable=bool(flags)) + "\n", flags
+
+
+def test_cli_refuses_a_degree_past_the_bitableau_work_bound(capsys):
+    """A case whose certificate would enumerate bitableaux with more than
+    MAX_BITABLEAU_WORK box pairs at its fixed point is refused before any
+    table is built, and the inputs the paper's sweeps need stay in."""
+    argv = ["count", "--d", "2", "--alpha", "1,2", "--beta", "1,3", "--gamma", "3,4",
+            "--max-degree", "120"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "error: max degree 120 at d=2 needs 27235890 bitableau box pairs, "
+        f"more than {MAX_BITABLEAU_WORK}\n"
+    )
+    for d, degree in ((4, 10), (5, 6), (6, 6), *((d, 1) for d in range(1, 9))):
+        lowest = tuple(range(1, d + 1))
+        CaseSpec(d, lowest, lowest, lowest, max_degree=degree)
 
 
 def test_report_empty_is_valid():
