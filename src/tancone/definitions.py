@@ -131,7 +131,7 @@ def initial_chain(f: Poly):
 def chain_value(points, beta: Index) -> Index:
     """The value of a chain part, ``bound_value`` of its rows and columns:
     the tuple oracle of the bitset values of
-    ``grid.multiset_chain_values`` and ``PatchMatrix.generator``."""
+    ``grid.multiset_chain_values`` and ``PatchMatrix.record``."""
     rows, cols = zip(*points) if points else ((), ())
     return bound_value(rows, cols, beta)
 

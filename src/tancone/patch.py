@@ -12,8 +12,8 @@ largest one is the lead unless the sub-leads reaching it cancel, when
 the minor is expanded in full instead.  ``generator_set`` then hands the
 Groebner oracle the monic 1 x 1 minors and every larger minor modulo V,
 which is the determinant of its submatrix with V's cells set to zero.
-Full monic minors (``generator``, ``pair_minor``) stay for ``ideal`` and
-the tests.
+Full minors (``minor``, and ``pair_minor``, which scales one to a monic
+lead) are built only for ``ideal``, the 1 x 1 generators and the tests.
 
 A minor is expanded along its last row over a memo of strict sub-minors
 keyed by one integer, the row and column bitmasks side by side, so each
@@ -44,7 +44,6 @@ choice by ``FORM_LABEL``.
 
 from __future__ import annotations
 
-from ._kernel_py import _inv
 from .grid import is_upper, sharp_point
 from .indexsets import (
     AdmissiblePair,
@@ -79,13 +78,14 @@ class PatchMatrix:
     variable, sign) of that cell.  ``_cells`` maps each packed variable
     to the cells it fills, bit ``row * d + col`` of one mask.  Keyed by
     ``rows | cols << d``, ``_minors`` holds the strict sub-minors of the
-    full minors, packed, and ``_leads`` the (lead, coefficient) of every
+    full minors, packed (empty on the verify path, which builds no full
+    minor above 1 x 1), and ``_leads`` the (lead, coefficient) of every
     minor a lead record reached.  ``_records`` holds each theta's lead
-    record and ``_generators`` its monic minor and chain fact, if asked
-    for.  A chain fact is read off the lead's bits through ``_points``:
-    for the low bit of each variable's field, the variable's (row bit,
-    column bit, row, column, whether it is positive), bit j of an index
-    bitset standing for j.
+    record, the one source of its lead and chain fact; a full minor is
+    not kept.  A chain fact is read off the lead's bits through
+    ``_points``: for the low bit of each variable's field, the variable's
+    (row bit, column bit, row, column, whether it is positive), bit j of
+    an index bitset standing for j.
     """
 
     def __init__(self, beta: Index, d: int, ring: PolyRing):
@@ -126,7 +126,6 @@ class PatchMatrix:
         self._minors: dict[int, dict[int, int]] = {}
         self._leads: dict[int, tuple[int, int]] = {}
         self._records: dict[Index, tuple[int | None, tuple[bool, Index] | None, int, int]] = {}
-        self._generators: dict[Index, tuple[Poly, tuple[bool, Index] | None]] = {}
 
     def _lines(self, theta: Index) -> tuple[int, int]:
         """(row mask, column mask) of theta's minor: rows theta - beta,
@@ -190,16 +189,6 @@ class PatchMatrix:
         p = self.ring.p
         return {m: c % p for m, c in terms.items() if c % p} if p else terms
 
-    def _packed_minor(self, theta: Index) -> dict[int, int]:
-        """``_expand`` on theta's lines with every cell live, recalled if
-        already a sub-minor in ``_minors``, with its coefficients reduced
-        mod p over F_p."""
-        rows, cols = self._lines(theta)
-        packed = self._minors.get(rows | cols << self.d)
-        if packed is None:
-            packed = self._expand(rows, cols, self._full, self._minors)
-        return self._reduced(packed)
-
     def _lead(self, rows: int, cols: int) -> tuple[int, int]:
         """(lead, lead coefficient) of the minor on two masks, the
         coefficient mod p over F_p, or (0, 0) if the minor is zero (mod p).
@@ -256,8 +245,11 @@ class PatchMatrix:
     def record(self, theta: Index) -> tuple[int | None, tuple[bool, Index] | None, int, int]:
         """(packed lead, chain fact, row mask, column mask) of theta's
         minor, memoized; the lead is None and the fact None when the minor
-        vanishes (over F_p).  The lead comes from sub-leads (``_lead``),
-        and the fact from the lead as in ``generator``."""
+        vanishes (over F_p).  The lead comes from sub-leads (``_lead``).
+        The fact is (all points positive, chain value at beta) of the
+        lead's support, if that is a squarefree one-signed chain: one AND
+        tells a squarefree lead, and ``_chain_fact`` reads the rest off
+        its bits."""
         entry = self._records.get(theta)
         if entry is not None:
             return entry
@@ -309,38 +301,15 @@ class PatchMatrix:
         return out
 
     def minor(self, theta: Index) -> Poly:
-        """Determinant over rows theta minus beta, columns beta minus theta."""
-        return Poly(self.ring, self._packed_minor(theta))
-
-    def generator(self, theta: Index) -> tuple[Poly, tuple[bool, Index] | None]:
-        """(monic minor, chain fact) of theta, memoized; the polynomial
-        must not be mutated.  A minor vanishing over F_p gives (zero, None).
-
-        The expansion's terms are already the kernel's packed monomials,
-        so no term is unpacked: the lead is the integer maximum of the
-        terms left mod p, and one pass scales them to lead coefficient 1.
-        The polynomial keeps its lead but no divisor record, which it
-        builds only if it ever divides (``Poly.divisor_record``); the
-        generators of a case are only dividends.  The fact is (all points
-        positive, chain value at beta) of the lead's support, if that is a
-        squarefree one-signed chain; one AND tells a squarefree lead, and
-        ``_chain_fact`` reads the rest off its bits."""
-        theta = tuple(theta)
-        entry = self._generators.get(theta)
-        if entry is not None:
-            return entry
-        ring, p = self.ring, self.ring.p
-        terms = self._packed_minor(theta)
-        if not terms:
-            entry = self._generators[theta] = (ring.zero(), None)
-            return entry
-        top = max(terms)
-        inv = _inv(terms[top], p)
-        if inv != 1:
-            terms = {m: c * inv % p if p else c * inv for m, c in terms.items()}
-        fact = None if top & self._doubles else self._chain_fact(top)
-        entry = self._generators[theta] = (Poly(ring, terms, top), fact)
-        return entry
+        """Determinant over rows theta minus beta, columns beta minus
+        theta, its coefficients reduced mod p over F_p: ``_expand`` on
+        theta's lines with every cell live, recalled if already a
+        sub-minor in ``_minors``."""
+        rows, cols = self._lines(theta)
+        packed = self._minors.get(rows | cols << self.d)
+        if packed is None:
+            packed = self._expand(rows, cols, self._full, self._minors)
+        return Poly(self.ring, self._reduced(packed))
 
     def _chain_fact(self, lead: int) -> tuple[bool, Index] | None:
         """(positive, value) of a squarefree lead whose support is a
@@ -382,7 +351,7 @@ def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:
 def pair_minor(matrix: PatchMatrix, pair: AdmissiblePair) -> Poly:
     """f attached to an admissible pair: the minor of the lex-smaller
     orbit representative, scaled to initial coefficient 1."""
-    return matrix.generator(pair.rep)[0]
+    return matrix.minor(pair.rep).monic()
 
 
 def generator_set(

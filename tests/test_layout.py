@@ -24,6 +24,10 @@ edge; the graph can only over-approximate what runs.
       ``bound_value``).  ``indexsets.index_bits`` and ``bits_index`` are
       not listed: the definitions build patches, and ``PatchMatrix``, one
       node, reads its chain facts with them.
+  R5  no module imports a name it never uses: every name an ``import``
+      binds, anywhere in the module, is read somewhere in it, so a
+      deletion cannot leave its imports behind.  ``from __future__``
+      imports are exempt.
 """
 
 import ast
@@ -187,6 +191,24 @@ def fast_paths_in_definitions(src=SRC):
     return sorted(reachable(edges, starts) & set(FAST_PATHS))
 
 
+def unused_imports(src=SRC):
+    """R5's offenders: (module, name) for each name bound by an import
+    that no ``Name`` node of its module reads."""
+    out = []
+    for module, tree in _parse(src).items():
+        bound = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    # ``import a.b`` binds ``a``
+                    bound.add(alias.asname or alias.name.split(".")[0])
+        read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        out += [(module, name) for name in sorted(bound - read)]
+    return out
+
+
 def test_every_entry_named_here_exists():
     kinds, _ = build_graph()
     named = {ROOT, *COLUMN_ENTRIES, *GROEBNER_ENTRIES, *FAST_PATHS}
@@ -208,3 +230,23 @@ def test_no_column_reaches_another():
 
 def test_definitions_reach_no_fast_path():
     assert fast_paths_in_definitions() == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    assert unused_imports() == []
+
+
+def test_an_unused_import_is_found(tmp_path):
+    """R5 on a two-module package: a name imported and never read is an
+    offender, one read anywhere (an annotation, an attribute's base) is
+    not, and ``from __future__`` is exempt."""
+    (tmp_path / "a.py").write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "import json as js\n"
+        "from .b import used, unused\n"
+        "def f(x: used) -> str:\n"
+        "    return os.path.join(x)\n"
+    )
+    (tmp_path / "b.py").write_text("used = unused = 1\n")
+    assert unused_imports(tmp_path) == [("a", "js"), ("a", "unused")]

@@ -61,10 +61,10 @@ def good_subset_oracle(alpha, gamma, patch, pairs):
 
 
 def chain_fact_oracle(lead, ring, beta):
-    """The chain fact of a lead exponent tuple as ``PatchMatrix.generator``
-    read it before it used the lead's bits: the support listed in
-    variable order, tested with ``chain_gt`` and ``is_positive``, and
-    valued with the tuple ``chain_value``."""
+    """The chain fact of a lead exponent tuple, the oracle of
+    ``PatchMatrix._chain_fact``: the support listed in variable order,
+    tested with ``chain_gt`` and ``is_positive``, and valued with the
+    tuple ``chain_value``."""
     if any(e > 1 for e in lead):
         return None
     pts = list(compress(ring.variables, lead))
@@ -246,7 +246,7 @@ def test_patch_variable_count(d):
             seen.update(tuple_terms(entry))
         seen.discard((0,) * m.ring.nvars)
         assert len(seen) == d * (d + 1) // 2
-        # so every chain ``generator`` reads off a lead is an upper chain
+        # so every chain ``record`` reads off a lead is an upper chain
         assert all(is_upper(v, d) for v in m.ring.variables)
 
 
@@ -294,9 +294,12 @@ def test_minor_matches_leibniz_oracle_on_a_sample(d, p):
         for theta in rng.sample(thetas, 40):
             want = m.ring.poly(leibniz_det(m, *minor_lines(theta, beta)))
             assert m.minor(theta) == want, (p, beta, theta)
-            f, _ = m.generator(theta)
+            f = m.minor(theta).monic()
             assert f == m.ring.poly(tuple_monic(tuple_terms(want), p))
             assert f.divisor_record() == divisor_record(f.terms, p)
+            lead, fact, _, _ = m.record(theta)
+            assert lead == f.lead(), (p, beta, theta)
+            assert fact == chain_fact_oracle(f.leading_monomial(), m.ring, beta)
 
 
 def test_minor_at_d8_matches_leibniz_oracle():
@@ -313,25 +316,31 @@ def test_minor_at_d8_matches_leibniz_oracle():
         want = leibniz_det(m, *minor_lines(theta, beta))
         assert {sum(mono) for mono in want} == {k}
         assert m.minor(theta) == m.ring.poly(want), theta
-        f, _ = m.generator(theta)
+        f = m.minor(theta).monic()
         assert f == m.ring.poly(tuple_monic(want, 0))
         assert f.divisor_record() == divisor_record(f.terms, 0)
+        lead, fact, _, _ = m.record(theta)
+        assert lead == f.lead(), theta
+        assert fact == chain_fact_oracle(f.leading_monomial(), m.ring, beta)
 
 
 @pytest.mark.parametrize("d", [3, 4])
 def test_build_order_does_not_change_generators(d):
-    """The sub-minor memo fills in whatever order minors are asked for;
-    each generator, its record (tail order included) and its fact come
-    out the same in lex and in reverse order."""
+    """The sub-minor and lead memos fill in whatever order minors are
+    asked for; each monic minor (``pair_minor``'s, on every theta, not
+    only on pair representatives), its divisor record (tail order
+    included) and its lead record with its fact come out the same in lex
+    and in reverse order."""
     thetas = enumerate_indices(d, ambient_only=True)
     for p, beta in product((0, 2), enumerate_indices(d)):
         forward, backward = build_patch(beta, d, p), build_patch(beta, d, p)
-        built = {theta: forward.generator(theta) for theta in thetas}
+        built = {theta: (forward.minor(theta).monic(), forward.record(theta)) for theta in thetas}
         for theta in reversed(thetas):
-            f, fact = backward.generator(theta)
+            f, record = backward.minor(theta).monic(), backward.record(theta)
             g, want = built[theta]
             assert list(f.terms.items()) == list(g.terms.items()), (p, beta, theta)
-            assert f.divisor_record() == g.divisor_record() and fact == want, (p, beta, theta)
+            assert f.divisor_record() == g.divisor_record(), (p, beta, theta)
+            assert record == want, (p, beta, theta)
         assert forward._minors.keys() == backward._minors.keys()
 
 
@@ -356,12 +365,6 @@ def test_minor_homogeneous_of_beta_degree(d):
             assert f.degree() == pair.beta_degree(beta)
 
 
-def test_pair_minor_scales_each_minor_once_per_patch():
-    m = build_patch((1, 3, 5), 3)
-    for pair in admissible_pairs(3):
-        assert pair_minor(m, pair) is pair_minor(m, pair)
-
-
 def test_pair_minor_is_the_minor_scaled_to_a_monic_lead():
     m = build_patch((1, 3), 2)
     kept = negated = 0
@@ -381,14 +384,17 @@ def test_pair_minor_is_the_minor_scaled_to_a_monic_lead():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 def test_monic_minor_and_its_record_match_the_generic_ones(d):
-    """The monic minor is ``minor.monic()``, and the record built with it
-    is the generic ``divisor_record`` of its terms."""
+    """The monic minor is the cofactor oracle's determinant scaled to
+    lead coefficient 1 (``tuple_monic``), and its record is the generic
+    ``divisor_record`` of its terms."""
     for p, beta in product((0, 3), enumerate_indices(d)):
         m = build_patch(beta, d, p)
+        entries = {cell: tuple_terms(f) for cell, f in patch_entries(m).items()}
         for pair in admissible_pairs(d):
-            minor = m.minor(pair.rep)
+            rows, cols = minor_lines(pair.rep, beta)
+            want = m.ring.poly(cofactor_det(entries, rows, cols, m.ring.nvars))
             f = pair_minor(m, pair)
-            assert f == minor.monic(), (p, beta, pair)
+            assert f == m.ring.poly(tuple_monic(tuple_terms(want), p)), (p, beta, pair)
             assert f.divisor_record() == divisor_record(f.terms, p), (p, beta, pair)
 
 
@@ -446,33 +452,37 @@ def test_a_minor_vanishing_over_fp_gives_zero_and_no_fact():
         m = build_patch((1, 3), 2, p)
         resign(m, (4, 1), *m.signed_vars[(2, 1)])
         resign(m, (4, 3), m.signed_vars[(2, 3)][0], -1)
-        f, fact = m.generator((2, 4))
+        f = m.minor((2, 4)).monic()
+        lead, fact, _, _ = m.record((2, 4))
         if p == 2:
-            assert not f.terms and fact is None and f._record is None
+            assert not f.terms and lead is None and fact is None and f._record is None
         else:
+            assert lead == f.lead()
             assert str(f) == "X(2,1)*X(2,3)" and fact is None
             assert f.divisor_record() == divisor_record(f.terms, p)
 
 
 def test_chain_facts_are_per_patch():
-    """Two patches at one beta keep their own generator memos, each chain
-    fact read off the monic minor stored beside it."""
+    """Two patches at one beta keep their own lead records, leads and
+    sub-minors, and agree on every chain fact and monic minor."""
     beta, d = (1, 3, 5), 3
     m1, m2 = build_patch(beta, d), build_patch(beta, d)
-    assert m1._generators is not m2._generators
-    assert m1._minors is not m2._minors
+    memos = ("_records", "_leads", "_minors")
+    for name in memos:
+        assert getattr(m1, name) is not getattr(m2, name), name
     for pair in admissible_pairs(d):
-        m1.generator(pair.rep)
-    assert m1._generators and not m2._generators
-    assert m1._minors and not m2._minors
+        m1.record(pair.rep)
+        pair_minor(m1, pair)
+    for name in memos:
+        assert getattr(m1, name) and not getattr(m2, name), name
     for pair in admissible_pairs(d):
-        f2, fact2 = m2.generator(pair.rep)
-        f1, fact1 = m1.generator(pair.rep)
-        assert fact2 == fact1 and f2 == f1 and f2 is not f1
-        assert m1.generator(pair.rep)[0] is f1 is pair_minor(m1, pair)
-    assert m1._generators.keys() == m2._generators.keys()
-    # the sub-minors agree, and neither patch holds one of the other's
-    assert m1._minors == m2._minors
+        record2, f2 = m2.record(pair.rep), pair_minor(m2, pair)
+        record1, f1 = m1.record(pair.rep), pair_minor(m1, pair)
+        assert record2 == record1 and f2 == f1 and f2 is not f1
+        assert m1.record(pair.rep) is record1
+    # the memos agree, and neither patch holds one of the other's sub-minors
+    for name in memos:
+        assert getattr(m1, name) == getattr(m2, name), name
     assert not any(m2._minors[key] is sub for key, sub in m1._minors.items())
 
 
@@ -485,9 +495,10 @@ def test_chain_facts_match_the_tuple_oracle(d, p):
     seen = set()
     for beta in enumerate_indices(d):
         patch = build_patch(beta, d, p)
+        ring = patch.ring
         for pair in admissible_pairs(d):
-            f, fact = patch.generator(pair.rep)
-            want = chain_fact_oracle(f.leading_monomial(), f.ring, beta) if f else None
+            lead, fact, _, _ = patch.record(pair.rep)
+            want = None if lead is None else chain_fact_oracle(ring.unpack(lead), ring, beta)
             assert fact == want, (beta, pair)
             seen.add(None if fact is None else fact[0])
     assert seen == {None, True, False}
@@ -508,19 +519,20 @@ def test_chain_fact_of_every_squarefree_lead(d):
 
 def assert_records_match_full_minors(patch, thetas, label):
     """Each theta's lead record holds the largest term of its full minor
-    (``_packed_minor``), the patch's leads hold that term's coefficient,
-    and the chain fact is the one ``generator`` reads off the full
-    minor; a minor that vanishes (over F_p) has no lead and no fact."""
+    (``minor``), the patch's leads hold that term's coefficient, and the
+    chain fact is the tuple oracle's of the full minor's lead; a minor
+    that vanishes (over F_p) has no lead and no fact."""
+    ring = patch.ring
     for theta in thetas:
         lead, fact, rows, cols = patch.record(theta)
-        terms = patch._packed_minor(theta)
+        terms = patch.minor(theta).terms
         if not terms:
             assert lead is None and fact is None, (label, theta)
             continue
         top = max(terms)
         assert lead == top, (label, theta)
         assert patch._leads[rows | cols << patch.d] == (top, terms[top]), (label, theta)
-        assert fact == patch.generator(theta)[1], (label, theta)
+        assert fact == chain_fact_oracle(ring.unpack(top), ring, patch.beta), (label, theta)
 
 
 @pytest.mark.parametrize("p", [0, 2, 3])
@@ -610,18 +622,25 @@ def test_generator_set_spans_the_ideal_of_its_minors_on_a_sample(d, sample, p):
     assert_generators_span_the_ideal(sample_triples(d, sample, seed=10 * d + p), d, p)
 
 
-def test_verify_case_expands_no_full_minor_above_1x1():
-    """After a d = 5 case the patch's sub-minor memo is empty, and the only
-    generator polynomials it holds are the monic 1 x 1 minors: the larger
-    generators were classified by lead records and reached the Groebner
-    oracle modulo the variables, on a memo of the case's own."""
+def test_verify_case_expands_no_full_minor_above_1x1(monkeypatch):
+    """A d = 5 case builds full minors only of 1 x 1 thetas, and leaves
+    the patch's sub-minor memo empty: the larger generators were
+    classified by lead records and reached the Groebner oracle modulo
+    the variables, on a memo of the case's own."""
     alpha, beta, gamma = (1, 2, 3, 6, 7), (1, 2, 3, 6, 7), (2, 5, 7, 8, 10)
     patch = build_patch(beta, 5)
+    seen = []
+    minor = PatchMatrix.minor
+
+    def recording(self, theta):
+        seen.append(theta)
+        return minor(self, theta)
+
+    monkeypatch.setattr(PatchMatrix, "minor", recording)
     verdict = verify_case(CaseSpec(5, alpha, beta, gamma, max_degree=1), patch)
     assert verdict.ok
     assert not patch._minors
-    sizes = {len(set(theta) - set(beta)) for theta in patch._generators}
-    assert sizes == {1}
+    assert seen and {len(set(theta) - set(beta)) for theta in seen} == {1}
     assert max(rows.bit_count() for _, _, rows, _ in patch._records.values()) > 2
 
 

@@ -1,6 +1,7 @@
 import argparse
 import contextlib
 import gc
+import hashlib
 import inspect
 import io
 import json
@@ -385,6 +386,27 @@ def test_cli_ideal_takes_no_staircase_flags(capsys):
             main(["ideal", "--d", "8", *case, *flag])
         assert exc.value.code == 2
         assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+
+def test_cli_ideal_output_is_pinned(capsys):
+    """``ideal`` is the one command that prints full monic minors: its
+    stdout over Q, F_2 and F_3, then d = 1, 2, 3, then every triple of
+    ``all_triples(d)`` in order (408 runs), hashes to a pinned sha256."""
+    digest = hashlib.sha256()
+    runs = 0
+    for field in ("Q", "Fp:2", "Fp:3"):
+        for d in (1, 2, 3):
+            for alpha, beta, gamma in all_triples(d):
+                argv = ["ideal", "--d", str(d), "--alpha", format_index(alpha),
+                        "--beta", format_index(beta), "--gamma", format_index(gamma),
+                        "--field", field]
+                assert main(argv) == 0, argv
+                digest.update(capsys.readouterr().out.encode())
+                runs += 1
+    assert runs == 408
+    assert digest.hexdigest() == (
+        "2a57e6d12b8b5e96045b02afa527663bfb0273fdc1f86df790dc8d73775c69fa"
+    )
 
 
 def test_cli_gb_verify_exit_codes(capsys):
