@@ -101,13 +101,14 @@ def cmd_ideal(args) -> int:
     # minors modulo the variables) is not what this command prints
     pairs = pairs_outside(case.alpha, case.gamma, case.d)
     good, _ = good_subset(case.alpha, case.gamma, patch, pairs)
+    text = {pair: str(pair_minor(patch, pair)) for pair in pairs}
     payload = {
         "alpha": format_index(case.alpha),
         "beta": format_index(case.beta),
         "gamma": format_index(case.gamma),
         "field": case.field,
-        "generators": [str(pair_minor(patch, pair)) for pair in pairs],
-        "good": [str(pair_minor(patch, pair)) for pair in good],
+        "generators": list(text.values()),
+        "good": [text[pair] for pair in good],
         "form": FORM_LABEL,
     }
     _write(json.dumps(payload, indent=2) + "\n", args.out)

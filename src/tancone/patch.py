@@ -11,9 +11,13 @@ the last row each candidate is X(r, c_j) times lead(sub_j), and the
 largest one is the lead unless the sub-leads reaching it cancel, when
 the minor is expanded in full instead.  ``generator_set`` then hands the
 Groebner oracle the monic 1 x 1 minors and every larger minor modulo V,
-which is the determinant of its submatrix with V's cells set to zero.
-Full minors (``minor``, and ``pair_minor``, which scales one to a monic
-lead) are built only for ``ideal``, the 1 x 1 generators and the tests.
+which is the determinant of its submatrix with V's cells set to zero,
+but for a minor that one Laplace row already puts in the ideal: along
+that row each cell is of V or has a complement that is a generator one
+size smaller or zero modulo V, so the ideal, and so its reduced basis,
+is the same without it.  Full minors (``minor``, and ``pair_minor``,
+which scales one to a monic lead) are built only for ``ideal``, the
+1 x 1 generators and the tests.
 
 A minor is expanded along its last row over a memo of strict sub-minors
 keyed by one integer, the row and column bitmasks side by side, so each
@@ -267,12 +271,22 @@ class PatchMatrix:
         self._records[theta] = entry
         return entry
 
-    def modulo(self, variables: list[Poly], lines: list[tuple[int, int]]) -> list[Poly]:
-        """The nonzero minors on ``lines`` ((rows, cols) mask pairs) modulo
-        the ideal of ``variables`` (single variables): each minor with
-        every cell of those variables set to zero, its coefficients mod p,
-        in order.  A minor whose submatrix has a row or a column of such
-        cells only is zero and not expanded; the rest share one memo."""
+    def modulo(self, variables: list[Poly], keys: list[int]) -> list[Poly]:
+        """The nonzero minors on the line keys ``keys`` (``rows | cols <<
+        d``) modulo the ideal of ``variables`` (single variables), in
+        order, but for those one Laplace row puts in the ideal of V and of
+        the other keys' minors: each minor with every cell of V set to
+        zero, its coefficients mod p, expanded on one memo.
+
+        A minor on (R, C) is left out when some row r of R has, for each
+        cell (r, c) not of V, a complement (R - r, C - c) that is either
+        one of ``keys`` or zero modulo V, with a row or a column of V's
+        cells only (``_dead``).  Then M(R, C) = sum +/- X(r, c) M(R - r,
+        C - c) lies in the ideal of V and of minors one size smaller,
+        which by induction on size the kept minors generate too, over Q
+        and every F_p.  A minor with a dead row passes on that row with
+        no cell to test, and one with a dead column on any row, as every
+        complement keeps the column."""
         d = self.d
         dead = 0
         for f in variables:
@@ -280,24 +294,30 @@ class PatchMatrix:
                 dead |= self._cells[unit]
         full = (1 << d) - 1
         live = [full & ~(dead >> (i * d)) for i in range(d)]
+        listed = set(keys)
         memo: dict[int, dict[int, int]] = {}
         ring = self.ring
         out = []
-        for rows, cols in lines:
-            seen = 0
+        for key in keys:
+            rows, cols = key & full, key >> d
             rest = rows
             while rest:
                 bit = rest & -rest
-                row = live[bit.bit_length() - 1] & cols
-                if not row:
-                    break
                 rest ^= bit
-                seen |= row
-            if rest or seen != cols:  # a dead row, or a dead column
-                continue
-            terms = self._reduced(self._expand(rows, cols, live, memo))
-            if terms:
-                out.append(Poly(ring, terms))
+                head = rows ^ bit
+                cells = live[bit.bit_length() - 1] & cols
+                while cells:
+                    cell = cells & -cells
+                    sub = cols ^ cell
+                    if head | sub << d not in listed and not _dead(live, head, sub):
+                        break
+                    cells ^= cell
+                if not cells:  # row r puts the minor in the ideal
+                    break
+            else:
+                terms = self._reduced(self._expand(rows, cols, live, memo))
+                if terms:
+                    out.append(Poly(ring, terms))
         return out
 
     def minor(self, theta: Index) -> Poly:
@@ -341,6 +361,20 @@ class PatchMatrix:
         return positive, bits_index(self._beta_bits & ~cols | rows)
 
 
+def _dead(live: list[int], rows: int, cols: int) -> bool:
+    """Whether the submatrix on two masks has a row or a column with no
+    cell in ``live`` (a column mask per row), which makes its minor zero."""
+    seen = 0
+    while rows:
+        bit = rows & -rows
+        row = live[bit.bit_length() - 1] & cols
+        if not row:
+            return True
+        rows ^= bit
+        seen |= row
+    return seen != cols
+
+
 def build_patch(beta: Index, d: int, p: int = 0) -> PatchMatrix:
     """A fresh patch at e_beta over Q (p = 0) or F_p, with an empty memo.
     A beta that is not isotropic is refused by the ring's grid
@@ -364,19 +398,21 @@ def generator_set(
     ``polys`` generates the ideal of the pairs' minors, not one minor per
     pair: the monic 1 x 1 minors (``pair_minor``), which are the
     variables V of the ideal, then each larger minor modulo V
-    (``PatchMatrix.modulo``), if nonzero.  That is exact, since
-    <x_V, f> = <x_V, f mod x_V>, and it is what ``ring.reduced_groebner``
+    (``PatchMatrix.modulo``), if nonzero and not a combination along one
+    row of V and of the other pairs' minors.  That is exact, since
+    <x_V, f> = <x_V, f mod x_V> and a minor so combined lies in the ideal
+    of the smaller ones kept, and it is what ``ring.reduced_groebner``
     keeps of the full minors anyway; ``ideal`` builds those itself."""
     pairs = pairs_outside(alpha, gamma, patch.d)
     variables = []
-    lines = []
+    keys = []
     for pair in pairs:
         _, _, rows, cols = patch.record(pair.rep)
         if rows and not rows & (rows - 1):
             variables.append(pair_minor(patch, pair))
         else:
-            lines.append((rows, cols))
-    return pairs, variables + patch.modulo(variables, lines)
+            keys.append(rows | cols << patch.d)
+    return pairs, variables + patch.modulo(variables, keys)
 
 
 def good_subset(

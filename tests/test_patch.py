@@ -82,7 +82,12 @@ def generator_set_oracle(alpha, gamma, patch):
     masks a test; then the monic 1 x 1 minors, the variables V, and each
     larger full minor with every term that meets V dropped, if any is
     left, where ``generator_set`` expands the minor with V's cells set to
-    zero."""
+    zero.  A larger minor is left out when some row r of it has, for
+    each column c whose cell (r, c) is not a variable of V, a sub-minor
+    theta - {r} + {c} that is a listed pair's rep or has a row or a
+    column of V's variables only, where ``generator_set`` looks the
+    sub-minor's line key up and tests its live cells by bitmask.  Such a
+    sub-minor is zero modulo V: every term of its full minor meets V."""
     pairs = []
     for pair in admissible_pairs(patch.d):
         if not bruhat_leq(alpha, pair.bot) or not bruhat_leq(pair.top, gamma):
@@ -90,11 +95,36 @@ def generator_set_oracle(alpha, gamma, patch):
     ring = patch.ring
     variables = [pair_minor(patch, pair) for pair in pairs if pair.beta_degree(patch.beta) == 1]
     dropped = {i for f in variables for i, e in enumerate(f.leading_monomial()) if e}
+    reps = {pair.rep for pair in pairs}
+
+    def modulo_v(theta):
+        terms = tuple_terms(patch.minor(theta))
+        return {m: c for m, c in terms.items() if not any(m[i] for i in dropped)}
+
+    def in_v(r, c):
+        return patch.signed_vars[(r, c)][0] in dropped
+
+    def zero(theta):
+        rows, cols = minor_lines(theta, patch.beta)
+        if any(all(in_v(r, c) for c in cols) for r in rows) or any(
+            all(in_v(r, c) for r in rows) for c in cols
+        ):
+            assert not modulo_v(theta), theta
+            return True
+        return False
+
+    def in_ideal(theta):
+        rows, cols = minor_lines(theta, patch.beta)
+        for r in rows:
+            subs = [tuple(sorted(set(theta) - {r} | {c})) for c in cols if not in_v(r, c)]
+            if all(sub in reps or zero(sub) for sub in subs):
+                return True
+        return False
+
     rest = []
     for pair in pairs:
-        if pair.beta_degree(patch.beta) != 1:
-            terms = tuple_terms(patch.minor(pair.rep))
-            kept = {m: c for m, c in terms.items() if not any(m[i] for i in dropped)}
+        if pair.beta_degree(patch.beta) != 1 and not in_ideal(pair.rep):
+            kept = modulo_v(pair.rep)
             if kept:
                 rest.append(ring.poly(kept))
     return pairs, variables + rest
@@ -599,6 +629,23 @@ def test_a_lead_whose_top_candidates_cancel_comes_from_the_full_minor():
     assert fell_back == {0: 1, 2: 1, 3: 1}
 
 
+def test_a_lead_with_a_square_has_no_chain_fact():
+    """No patch minor's lead at d <= 4 holds a square, so one is made by
+    re-signing a cell of the patch at (1, 2, 3): with X(4,2) read as
+    X(6,1), the 3 x 3 minor on rows 4, 5, 6 has the lead
+    X(6,1)^2 X(4,2), a square times the one-signed chain X(4,2).  The
+    squarefree test in ``record`` gives it no chain fact, over every
+    field, and its lead is still the full minor's."""
+    theta = (4, 5, 6)
+    for p in (0, 2, 3):
+        m = build_patch((1, 2, 3), 3, p)
+        resign(m, (4, 2), *m.signed_vars[(6, 1)])
+        assert_records_match_full_minors(m, [theta], p)
+        lead, fact, _, _ = m.record(theta)
+        assert m.ring.format_monomial(m.ring.unpack(lead)) == "X(6,1)^2*X(4,2)"
+        assert fact is None, p
+
+
 def assert_generators_span_the_ideal(triples, d, p):
     """``generator_set``'s polys and the full monic minors of its pairs
     have one reduced Groebner basis."""
@@ -707,6 +754,22 @@ def test_generator_set_point_case():
         "X(2,3)",
         "X(4,1)",
     ]
+
+
+def test_generator_set_leaves_out_minors_one_laplace_row_puts_in_the_ideal():
+    """At beta = (1,2,4,6), alpha = (1,2,3,4), gamma = (3,5,7,8) the
+    generators are three 2 x 2 minors and two 3 x 3 minors, and no 1 x 1
+    minor, so V is empty.  Each 3 x 3 minor has a row whose three
+    complements are the 2 x 2 generators, so it lies in their ideal and
+    is left out: the oracle gets exactly the three 2 x 2 minors, and the
+    reduced basis is that of all five."""
+    patch = build_patch((1, 2, 4, 6), 4)
+    pairs, polys = generator_set((1, 2, 3, 4), (3, 5, 7, 8), patch)
+    sizes = [pair.beta_degree(patch.beta) for pair in pairs]
+    assert sizes == [2, 2, 3, 2, 3]
+    assert polys == [patch.minor(pair.rep) for pair in pairs if pair.beta_degree(patch.beta) == 2]
+    full = [pair_minor(patch, pair) for pair in pairs]
+    assert reduced_groebner(polys) == reduced_groebner(full)
 
 
 def test_generator_set_free_case_empty():
